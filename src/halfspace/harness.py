@@ -422,25 +422,36 @@ def _exp_h1_atoms(cfg: ExperimentConfig) -> VerificationReport:
         grid = cfg.grid(N, h)
         rng = np.random.default_rng(cfg.seed)
         cone = ConeSpec(cfg.kappa, t_max=min(grid.R / cfg.kappa, 64.0))
+        # heights below two spacings keep the datum's grid-scale ringing
+        # (damped only by exp(-pi t / h)), which decays like 1/r
+        far_cone = ConeSpec(cfg.kappa, epsilon=2 * h, t_max=cone.t_max)
         levels = log_levels(h / 2, cone.t_max)
         masses = []
-        slope_dev = 0.0
+        slopes = []
         for j in range(count):
             side = float(rng.uniform(0.5, 1.0))
             center = rng.uniform(-grid.R / 8, grid.R / 8, grid.d)
             profile = "haar" if j % 2 == 0 else "random"
             atom = make_atom(grid, center, side, p, q, profile,
                              seed=cfg.seed + 100 + j, M=system.M)
-            u = poisson_extend(system, atom.as_boundary_data(), levels)
-            nt = nontangential_max(u, cone).meta["values"]
+            f = atom.as_boundary_data()
+            u = poisson_extend(system, f, levels)
+            far = nontangential_max(u, far_cone).meta["values"]
+            nt = np.maximum(far, nontangential_max(
+                u, ConeSpec(cfg.kappa, t_max=2 * h)).meta["values"])
             masses.append(float(nt.sum() * grid.cell_volume))
             offs = np.sqrt(sum((mm - c) ** 2 for mm, c in
                                zip(grid.meshes(), center)))
-            slope = _fit_slope(offs.ravel(), nt.ravel(), 8 * side, grid.R / 2.5)
-            slope_dev = max(slope_dev, abs(slope + system.n))
+            # out to half the cone's reach or half the support's distance
+            # to the periodic seam, whichever is shorter
+            hi = min(cone.kappa * cone.t_max, grid.R - f.support_radius()) / 2
+            slopes.append(_fit_slope(offs.ravel(), far.ravel(), 8 * side, hi))
         masses = np.array(masses)
+        # an atom with a vanishing first moment decays faster than the
+        # dimensional rate; the atom-uniform bound is met by the slowest
         return {"spread": float(masses.max() / masses.min()),
-                "slope_dev": slope_dev, "mass_max": float(masses.max())}
+                "slope_dev": abs(max(slopes) + system.n),
+                "mass_max": float(masses.max())}
 
     base = core(cfg.N, cfg.h)
     rep.add("maximal_mass_spread", base["spread"], cfg.tol("spread", 10.0),
@@ -449,7 +460,8 @@ def _exp_h1_atoms(cfg: ExperimentConfig) -> VerificationReport:
             "atom-uniform bound on the maximal mass")
     rep.add("far_field_slope_deviation", base["slope_dev"],
             cfg.tol("slope", 0.15), "le",
-            "maximal function decays at the dimensional rate off the cube")
+            "slowest atom maximal function decays at the dimensional rate "
+            "off the cube")
     if cfg.refine:
         fine = core(2 * cfg.N, cfg.h / 2)
         rep.add_refinement("maximal_mass_max", base["mass_max"],
@@ -572,21 +584,23 @@ def _exp_slg_wellposed(cfg: ExperimentConfig) -> VerificationReport:
     def core(N, h):
         grid = cfg.grid(N, h)
         f = slg_profile(grid, theta, system.M, cfg.seed)
-        levels = log_levels(1e-10, grid.R / 2)
+        # the growth norms meet as t -> 0, where the field weight is
+        # 1 + t^theta: start two orders of magnitude below the tolerance
+        t_min = (1e-2 * cfg.tol("lower", 1e-6)) ** (1.0 / theta)
+        levels = np.union1d([t_min], log_levels(1e-10, grid.R / 2))
         u = poisson_extend(system, f, levels)
         f_norm = norm(f, "slg", theta=theta)
         rad2 = sum(m * m for m in grid.meshes())
         mag = u.magnitude()
-        ratios = []
-        full = 0.0
+        u_norm, rho_star = 0.0, grid.h
         for li, t in enumerate(u.heights):
-            w = 1.0 + np.sqrt(rad2 + t * t) ** theta
-            full = max(full, float((mag[li] / w).max()))
-        u_norm = full
-        # exact discrete seminorm identity through the scaled star family
-        r_all = np.sqrt(rad2)
-        arg = np.unravel_index(int(np.argmax(mag[0] / (1.0 + r_all ** theta))), grid.shape)
-        rho_star = float(max(np.sqrt(rad2[arg] + u.heights[0] ** 2), grid.h))
+            dist = np.sqrt(rad2 + t * t)
+            w = mag[li] / (1.0 + dist ** theta)
+            k = int(np.argmax(w))
+            if w.flat[k] > u_norm:
+                u_norm, rho_star = float(w.flat[k]), float(dist.flat[k])
+        # exact discrete seminorm identity through the scaled star family:
+        # its supremum is attained at the radius of the field's maximiser
         rhos = np.geomspace(grid.h, grid.R, 24).tolist() + [rho_star]
         ident = max(r / (1.0 + r ** theta) * star_seminorm(u, r) for r in rhos)
         tr = trace_estimate(u, ConeSpec(cfg.kappa, t_max=grid.R / cfg.kappa))
