@@ -36,11 +36,11 @@ class _Manifest:
     def __init__(self, outdir: Path, config: dict):
         self.outdir = outdir
         self.data = {"config": _plain(config), "artifacts": {}, "timings": {}}
-        self._t0 = time.time()
+        self._t0 = time.perf_counter()
         self._stage_start = self._t0
 
     def stage(self, name: str):
-        now = time.time()
+        now = time.perf_counter()
         self.data["timings"][name] = now - self._stage_start
         self._stage_start = now
 
@@ -49,7 +49,7 @@ class _Manifest:
         self.data["artifacts"][Path(path).name] = digest
 
     def write(self):
-        self.data["timings"]["total"] = time.time() - self._t0
+        self.data["timings"]["total"] = time.perf_counter() - self._t0
         path = self.outdir / "manifest.json"
         path.write_text(json.dumps(self.data, sort_keys=True, indent=1))
         return path
