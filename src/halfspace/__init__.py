@@ -1,11 +1,11 @@
 """Poisson kernels, Dirichlet solves, and harmonic-analysis verification
 machinery for constant-coefficient elliptic systems in the upper half-space."""
 
-from .errors import (AliasRisk, BadDescriptor, BadShape, ContourFailure,
-                     CubeTooSmall, EllipticityViolation, EmptyWindow,
-                     HalfspaceError, ImproperSplit, InsufficientDecay,
-                     InsufficientLevels, OutOfDomain, RealAxisRoot,
-                     SingularBoundaryMatrix, UnknownExperiment)
+from .errors import (AliasRisk, BadDescriptor, BadShape, CubeTooSmall,
+                     EllipticityViolation, EmptyWindow, HalfspaceError,
+                     ImproperSplit, InsufficientDecay, InsufficientLevels,
+                     OutOfDomain, RealAxisRoot, SingularBoundaryMatrix,
+                     UnknownExperiment)
 from .grids import Grid, grid_fft, grid_ifft
 from .systems import (EllipticSystem, RootSplit, SymbolPencil, build_system,
                       characteristic_roots, ellipticity_constant, symbol_pencil)

@@ -25,10 +25,6 @@ class SingularBoundaryMatrix(HalfspaceError):
     """Boundary matching matrix is numerically singular."""
 
 
-class ContourFailure(HalfspaceError):
-    """No admissible quadrature contour separates the root groups."""
-
-
 class InsufficientDecay(HalfspaceError):
     """Symbol magnitude at the frequency-grid boundary is above threshold."""
 

@@ -5,22 +5,26 @@ v(t) = Khat(xi', t) f of a null solution satisfies the matrix ODE
 
     M2 v'' + i M1(xi') v' - M0(xi') v = 0,
 
-whose decaying-at-infinity solution with v(0) = I is assembled from the
-upper-half-plane characteristic roots as
+where sym(xi', tau) = M2 tau^2 + M1 tau + M0.  Its solutions that decay as
+t -> oo are v(t) = expm(i t G) v(0), with G the upper right solvent of the
+pencil (Higham & Kim, IMA J. Numer. Anal. 20, 2000):
 
-    Khat(xi', t) = A(xi', t) A(xi', 0)^{-1},
-    A(xi', t)    = (2 pi i)^{-1} oint exp(i tau t) sym(xi', tau)^{-1} dtau,
+    M2 G^2 + M1 G + M0 = 0,    spec(G) = the roots with Im tau > 0.
 
-the contour enclosing exactly the roots with Im tau > 0.  The contour is
-one circle (or a small union of circles) evaluated by the trapezoid rule,
-which converges geometrically and is insensitive to root multiplicity.
-Two exact identities make the evaluation cheap and stable everywhere:
+By homogeneity Khat(xi', t) = Khat(omega, t |xi'|) for omega = xi'/|xi'|,
+so with s = t |xi'|
 
-* homogeneity: Khat(xi', t) = Khat(omega, t |xi'|) for omega = xi'/|xi'|,
-  so only unit directions need contours;
-* the semigroup law Khat(., s0 + s1) = Khat(., s0) Khat(., s1), used to
-  reach large s by repeated squaring of a directly computed small-s value
-  (a direct quadrature at large s would lose all accuracy to cancellation).
+    Khat(xi', t) = expm(i s G(omega)),    d/ds Khat = i G(omega) Khat.
+
+G is read off the spectral projector P = (I + sign(-i C))/2 of the 2M x 2M
+companion matrix C onto its upper roots.  The range of P is the graph
+[I; G], so [P21 P22] = G A with A = [P11 P12], and G = [P21 P22] A^H
+(A A^H)^{-1}; A A^H is singular exactly when the Lopatinskii condition
+fails.  The sign comes from a determinant-scaled Newton iteration, the
+exponential from a Taylor scaling-and-squaring that shifts by the trace and
+scales by ||X^2||^(1/2) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+2009): for Lame systems G - i I is nilpotent and no squaring is needed.
+Scalar systems (M = 1) take the closed form exp(i tau_+ t).
 
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; then Phat(0) = I expresses the unit-mass normalisation and
@@ -31,17 +35,18 @@ delivered window; the delivered grid is the central crop.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 from scipy import integrate, interpolate
 
-from .errors import (ContourFailure, ImproperSplit, InsufficientDecay,
-                     OutOfDomain, RealAxisRoot, SingularBoundaryMatrix)
+from .errors import (ImproperSplit, InsufficientDecay, OutOfDomain,
+                     RealAxisRoot, SingularBoundaryMatrix)
 from .grids import Grid, grid_ifft
 from .report import VerificationReport, make_metric
-from .systems import (EllipticSystem, characteristic_roots, real_axis_tolerance,
-                      symbol_pencil)
+from .systems import EllipticSystem, real_axis_tolerance
 
 __all__ = [
     "PoissonSymbolTable",
@@ -57,145 +62,160 @@ __all__ = [
     "verify_kernel_properties",
 ]
 
-QUAD_NODES = 256          # trapezoid nodes per contour circle
-S_DIRECT = 5.0            # largest rescaled height evaluated without squaring
-_EXP_BUDGET = 14.0        # cap on log of contour-integrand growth
+_SIGN_MAX_ITER = 100      # Newton steps; a root on the real axis never converges
+_BOUNDARY_COND_MAX = 1e12  # condition number of A A^H beyond which it is singular
+_TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
+_MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
 
 
-def _stacked_inv(a: np.ndarray) -> np.ndarray:
-    """Inverse of a (..., M, M) stack; closed-form adjugates for M <= 3
-    (an order of magnitude faster than the LAPACK gufunc on tiny blocks)."""
-    m = a.shape[-1]
-    if m == 1:
-        return 1.0 / a
-    if m == 2:
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        out = np.empty_like(a)
-        out[..., 0, 0] = a[..., 1, 1]
-        out[..., 1, 1] = a[..., 0, 0]
-        out[..., 0, 1] = -a[..., 0, 1]
-        out[..., 1, 0] = -a[..., 1, 0]
-        return out / det[..., None, None]
-    if m == 3:
-        c00 = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
-        c01 = a[..., 1, 2] * a[..., 2, 0] - a[..., 1, 0] * a[..., 2, 2]
-        c02 = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
-        det = (a[..., 0, 0] * c00 + a[..., 0, 1] * c01 + a[..., 0, 2] * c02)
-        out = np.empty_like(a)
-        out[..., 0, 0] = c00
-        out[..., 1, 0] = c01
-        out[..., 2, 0] = c02
-        out[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
-        out[..., 1, 1] = a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
-        out[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
-        out[..., 0, 2] = a[..., 0, 1] * a[..., 1, 2] - a[..., 0, 2] * a[..., 1, 1]
-        out[..., 1, 2] = a[..., 0, 2] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 2]
-        out[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        return out / det[..., None, None]
-    return np.linalg.inv(a)
+def _matrix_sign(x: np.ndarray) -> np.ndarray:
+    """sign(X) for a (B, m, m) stack by the Newton iteration
+    X <- (mu X + (mu X)^{-1}) / 2 with mu = |det X|^(-1/m).
 
-
-def _contour_circles(upper: np.ndarray, lower: np.ndarray) -> list:
-    """Circles enclosing all upper roots and excluding all lower roots."""
-    c = upper.mean()
-    dup = float(np.abs(upper - c).max())
-    dlow = float(np.abs(lower - c).min())
-    radius = 1.5 * float(np.abs(upper).max())
-    if dup <= 0.85 * radius and 1.18 * radius <= dlow:
-        return [(c, radius)]
-    scale = float(np.abs(upper).max())
-    dup_eff = max(dup, 1e-6 * scale)
-    radius = np.sqrt(dup_eff * dlow)
-    if dup <= 0.85 * radius and 1.18 * radius <= dlow:
-        return [(c, radius)]
-    # clustered fallback: one circle per group of nearby upper roots
-    thr = 0.25 * dlow
-    groups: list[list[int]] = []
-    for j, tau in enumerate(upper):
-        for g in groups:
-            if any(abs(tau - upper[i]) <= thr for i in g):
-                g.append(j)
+    Scaling stops once a step is below 1e-2, and a node stops one step after
+    its step fell below 1e-7, when quadratic convergence has reached
+    round-off.  Raises RealAxisRoot when a node does not converge: -i C has
+    an eigenvalue on the imaginary axis exactly when a root is real.
+    """
+    m = x.shape[-1]
+    x = x.copy()
+    active = np.arange(len(x))
+    step = np.full(len(x), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_SIGN_MAX_ITER):
+            if not len(active):
+                return x
+            xa = x[active]
+            mu = np.ones(len(active))
+            far = step[active] > 1e-2
+            mu[far] = np.abs(np.linalg.det(xa[far])) ** (-1.0 / m)
+            try:
+                inv = np.linalg.inv(xa)
+            except np.linalg.LinAlgError:
                 break
-        else:
-            groups.append([j])
-    circles = []
-    for g in groups:
-        pts = upper[g]
-        ck = pts.mean()
-        spread = float(np.abs(pts - ck).max())
-        others = np.concatenate([np.delete(upper, g), lower])
-        gap = float(np.abs(others - ck).min()) if len(others) else 10 * max(spread, scale)
-        rk = np.sqrt(max(spread, 1e-3 * gap) * gap)
-        if not (spread <= 0.85 * rk and 1.18 * rk <= gap):
-            raise ContourFailure(
-                "cannot separate root cluster at %s (spread %.3g, gap %.3g)"
-                % (ck, spread, gap))
-        circles.append((ck, rk))
-    return circles
+            new = 0.5 * (mu[:, None, None] * xa + inv / mu[:, None, None])
+            if not np.all(np.isfinite(new)):
+                break
+            new_step = (np.linalg.norm(new - xa, axis=(1, 2))
+                        / np.linalg.norm(new, axis=(1, 2)))
+            x[active] = new
+            done = (new_step <= 1e-14) | (step[active] <= 1e-7)
+            step[active] = new_step
+            active = active[~done]
+    raise RealAxisRoot("sign iteration did not converge: a characteristic "
+                       "root lies on the real axis")
+
+
+def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> dict:
+    """Upper solvents G(omega_b) for a stack of unit directions (B, d).
+
+    The roots are checked as :func:`halfspace.systems.characteristic_roots`
+    checks them, on the spectra of the upper solvent G and of the lower one
+    -G - M2^{-1} M1 (sym(tau) = (tau M2 + M2 G + M1)(tau - G)).
+    """
+    M = system.M
+    d = system.n - 1
+    a = system.coeffs
+    m2inv = np.linalg.inv(a[:, :, -1, -1])
+    g1 = np.einsum("xy,yzr->xzr", m2inv, a[:, :, :d, -1] + a[:, :, -1, :d])
+    g0 = np.einsum("xy,yzrs->xzrs", m2inv, a[:, :, :d, :d])
+    m1 = np.einsum("xzr,br->bxz", g1, omega)           # M2^{-1} M1
+    m0 = np.einsum("xzrs,br,bs->bxz", g0, omega, omega)  # M2^{-1} M0
+    # -i C for the companion matrix C = [[0, I], [-M2^-1 M0, -M2^-1 M1]]
+    x = np.zeros((len(omega), 2 * M, 2 * M), dtype=complex)
+    x[:, :M, M:] = -1j * np.eye(M)
+    x[:, M:, :M] = 1j * m0
+    x[:, M:, M:] = 1j * m1
+    proj = 0.5 * (np.eye(2 * M) + _matrix_sign(x))
+    # the trace of a projector is its rank: the number of upper roots
+    if np.any(np.rint(np.trace(proj, axis1=1, axis2=2).real) != M):
+        raise ImproperSplit("root split differs from M/M in batch")
+    top = proj[:, :M]
+    top_h = np.conj(np.swapaxes(top, 1, 2))
+    aah = top @ top_h
+    try:
+        aah_inv = np.linalg.inv(aah)
+    except np.linalg.LinAlgError:
+        raise SingularBoundaryMatrix("boundary matrix A A^H is singular") from None
+    cond = (np.abs(aah).sum(axis=1).max(axis=1)
+            * np.abs(aah_inv).sum(axis=1).max(axis=1))
+    bad = ~(cond <= _BOUNDARY_COND_MAX)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise SingularBoundaryMatrix(
+            "boundary matrix A A^H has condition number %.3g at omega=%s"
+            % (cond[j], omega[j]))
+    g = proj[:, M:] @ top_h @ aah_inv
+    tol = real_axis_tolerance(1.0)
+    if np.any(np.linalg.eigvals(g).imag < tol) \
+            or np.any(np.linalg.eigvals(-g - m1).imag > -tol):
+        raise RealAxisRoot("characteristic root too close to the real axis")
+    return {"g": g, "omega": omega}
+
+
+def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
+                      want_dt: bool):
+    """Khat(omega_b, s_b) = expm(i s_b G_b) from prepared solvents, and
+    d/ds Khat = i G Khat when ``want_dt`` is set.
+
+    Taylor scaling-and-squaring: X = i s G is shifted by mu = tr(X)/M and
+    halved j times until alpha = ||X0^2||^(1/2) <= 1; the degree is the
+    least m whose dropped terms are bounded by ||X0||^(k mod 2)
+    alpha^(k - k mod 2) / k! <= _TAYLOR_TOL.  The factor exp(mu / 2^j) is
+    applied before squaring, so decaying values never pass through an
+    overflowing intermediate.
+    """
+    g = stacks["g"]
+    M = g.shape[-1]
+    x = 1j * s[:, None, None] * g
+    mu = np.trace(x, axis1=1, axis2=2) / M
+    x = x - mu[:, None, None] * np.eye(M)
+    alpha = np.sqrt(np.linalg.norm(x @ x, axis=(1, 2)))
+    squarings = np.ceil(np.log2(np.maximum(alpha, 1.0))).astype(int)
+    scale = 0.5 ** squarings
+    x *= scale[:, None, None]
+    nx = np.linalg.norm(x, axis=(1, 2))
+    alpha = alpha * scale
+    for degree in range(1, 64):
+        dropped = [nx ** (q % 2) * alpha ** (q - q % 2) / factorial(q)
+                   for q in (degree + 1, degree + 2)]
+        if max(float(b.max(initial=0.0)) for b in dropped) <= _TAYLOR_TOL:
+            break
+    eye = np.eye(M, dtype=complex)
+    k = eye + x / degree
+    for j in range(degree - 1, 0, -1):
+        k = eye + (x @ k) / j
+    k *= np.exp(mu * scale)[:, None, None]
+    for round_ in range(1, int(squarings.max(initial=0)) + 1):
+        mm = squarings >= round_
+        k[mm] = k[mm] @ k[mm]
+    return k, (1j * g @ k if want_dt else None)
 
 
 class _DirectionEvaluator:
-    """Contour-quadrature evaluator of s -> Khat(omega, s) for unit omega."""
+    """s -> Khat(omega, s) for one unit direction, from its solvent G."""
 
-    def __init__(self, system: EllipticSystem, omega, quad_nodes: int = QUAD_NODES):
-        self.M = system.M
-        pencil = symbol_pencil(system, omega)
-        split = characteristic_roots(pencil)
-        taus, ws = [], []
-        for (c, radius) in _contour_circles(split.upper, split.lower):
-            theta = 2.0 * np.pi * np.arange(quad_nodes) / quad_nodes
-            ring = np.exp(1j * theta)
-            taus.append(c + radius * ring)
-            ws.append((radius / quad_nodes) * ring)
-        self.taus = np.concatenate(taus)
-        self.ws = np.concatenate(ws)
-        lhat = (pencil.M2[None] * self.taus[:, None, None] ** 2
-                + pencil.M1[None] * self.taus[:, None, None]
-                + pencil.M0[None])
-        self.inv = np.linalg.inv(lhat)
-        a0 = np.einsum("q,qij->ij", self.ws, self.inv)
-        if not np.all(np.isfinite(a0)) or np.linalg.cond(a0) > 1e12:
-            raise SingularBoundaryMatrix(
-                "boundary matching matrix singular at omega=%s" % (omega,))
-        self.a0inv = np.linalg.inv(a0)
-        growth = max(0.0, -float(self.taus.imag.min()))
-        self.s_direct = min(S_DIRECT, _EXP_BUDGET / max(growth, 1e-3))
-
-    def _direct(self, s: np.ndarray, want_dt: bool):
-        ews = np.exp(1j * np.outer(s, self.taus)) * self.ws[None, :]
-        a = np.einsum("bq,qij->bij", ews, self.inv)
-        k = a @ self.a0inv
-        if not want_dt:
-            return k, None
-        da = np.einsum("bq,q,qij->bij", ews, 1j * self.taus, self.inv)
-        return k, da @ self.a0inv
+    def __init__(self, system: EllipticSystem, omega):
+        self.system = system
+        self.stacks = _solvent_stacks(
+            system, np.asarray(omega, dtype=float).reshape(1, -1))
 
     def __call__(self, s: np.ndarray, want_dt: bool = False):
         s = np.asarray(s, dtype=float)
-        squarings = np.zeros(s.shape, dtype=int)
-        big = s > self.s_direct
-        squarings[big] = np.ceil(np.log2(s[big] / self.s_direct)).astype(int)
-        seeds = s / 2.0 ** squarings
-        k, dk = self._direct(seeds, want_dt)
-        for round_ in range(1, int(squarings.max()) + 1 if len(s) else 1):
-            m = squarings >= round_
-            if not m.any():
-                break
-            if want_dt:
-                dk[m] = 0.5 * (dk[m] @ k[m] + k[m] @ dk[m])
-            k[m] = k[m] @ k[m]
+        g = self.stacks["g"]
+        stacks = {"g": np.broadcast_to(g, (len(s),) + g.shape[1:])}
+        k, dk = _eval_from_stacks(self.system, stacks, s, want_dt)
         return (k, dk) if want_dt else k
 
 
 _EVAL_CACHE: dict = {}
 
 
-def _direction_evaluator(system: EllipticSystem, omega,
-                         quad_nodes: int = QUAD_NODES) -> _DirectionEvaluator:
-    key = (system.key(), tuple(np.round(np.asarray(omega, float), 12)), quad_nodes)
+def _direction_evaluator(system: EllipticSystem, omega) -> _DirectionEvaluator:
+    key = (system.key(), tuple(np.round(np.asarray(omega, float), 12)))
     ev = _EVAL_CACHE.get(key)
     if ev is None:
-        ev = _DirectionEvaluator(system, omega, quad_nodes)
+        ev = _DirectionEvaluator(system, omega)
         if len(_EVAL_CACHE) > 256:
             _EVAL_CACHE.clear()
         _EVAL_CACHE[key] = ev
@@ -203,7 +223,7 @@ def _direction_evaluator(system: EllipticSystem, omega,
 
 
 def poisson_symbol_at(system: EllipticSystem, xi_prime, t: float) -> np.ndarray:
-    """Khat(xi', t) through the generic contour construction.
+    """Khat(xi', t) through the generic solvent construction.
 
     Returns the identity for t = 0 or xi' = 0.
     """
@@ -232,9 +252,9 @@ def _scalar_batch(system: EllipticSystem, xi: np.ndarray, t: float,
                   want_dt: bool):
     """Closed residue form for M = 1: Khat = exp(i tau_plus(xi) t).
 
-    The single upper root of the scalar quadratic is always simple, so the
-    contour integral collapses to one residue; this is the vectorised limit
-    of the generic construction, cross-checked against it in the tests.
+    The single upper root of the scalar quadratic is always simple and is
+    the M = 1 solvent; this is the vectorised limit of the generic
+    construction, cross-checked against it in the tests.
     """
     a = system.coeffs[0, 0]
     d = system.n - 1
@@ -269,8 +289,8 @@ def _scalar_batch(system: EllipticSystem, xi: np.ndarray, t: float,
 
 
 def _collinear_batch(system: EllipticSystem, xi: np.ndarray, t: float,
-                     want_dt: bool, quad_nodes: int):
-    """n = 2: all frequencies lie on a line, two direction profiles suffice."""
+                     want_dt: bool):
+    """n = 2: all frequencies lie on a line, two direction solvents suffice."""
     M = system.M
     k = np.tile(np.eye(M, dtype=complex), (len(xi), 1, 1))
     dk = np.zeros_like(k) if want_dt else None
@@ -279,7 +299,7 @@ def _collinear_batch(system: EllipticSystem, xi: np.ndarray, t: float,
         m = sign * x > 0.0
         if not m.any():
             continue
-        ev = _direction_evaluator(system, [sign], quad_nodes)
+        ev = _direction_evaluator(system, [sign])
         got = ev(np.abs(x[m]) * t, want_dt=want_dt)
         if want_dt:
             k[m] = got[0]
@@ -289,97 +309,9 @@ def _collinear_batch(system: EllipticSystem, xi: np.ndarray, t: float,
     return k, dk
 
 
-def _contour_stacks(system: EllipticSystem, omega: np.ndarray,
-                    quad_nodes: int) -> dict:
-    """Per-direction contour data for a stack of unit directions (B, d):
-    quadrature nodes, weights, inverse symbols, boundary matrices."""
-    M = system.M
-    d = system.n - 1
-    a = system.coeffs
-    m2 = a[:, :, -1, -1]
-    g1 = a[:, :, :d, -1] + a[:, :, -1, :d]
-    g0 = a[:, :, :d, :d]
-    theta = 2.0 * np.pi * np.arange(quad_nodes) / quad_nodes
-    ring = np.exp(1j * theta)
-
-    m1b = np.einsum("xyr,br->bxy", g1, omega)
-    m0b = np.einsum("xyrs,br,bs->bxy", g0, omega, omega)
-    comp = np.zeros((len(omega), 2 * M, 2 * M), dtype=complex)
-    comp[:, :M, M:] = np.eye(M)
-    m2inv = np.linalg.inv(m2)
-    comp[:, M:, :M] = -np.einsum("xy,byz->bxz", m2inv, m0b)
-    comp[:, M:, M:] = -np.einsum("xy,byz->bxz", m2inv, m1b)
-    roots = np.linalg.eigvals(comp)
-    tol = real_axis_tolerance(1.0)
-    if np.any(np.abs(roots.imag) < tol):
-        raise RealAxisRoot("characteristic root too close to the real axis")
-    if np.any((roots.imag > 0.0).sum(axis=1) != M):
-        raise ImproperSplit("root split differs from M/M in batch")
-    order = np.argsort(-roots.imag, axis=1)
-    sorted_roots = np.take_along_axis(roots, order, axis=1)
-    upper = sorted_roots[:, :M]
-    lower = sorted_roots[:, M:]
-    centers = upper.mean(axis=1)
-    dup = np.abs(upper - centers[:, None]).max(axis=1)
-    dlow = np.abs(lower - centers[:, None]).min(axis=1)
-    radius = 1.5 * np.abs(upper).max(axis=1)
-    ok = (dup <= 0.85 * radius) & (1.18 * radius <= dlow)
-    alt = np.sqrt(np.maximum(dup, 1e-6 * np.abs(upper).max(axis=1)) * dlow)
-    radius = np.where(ok, radius, alt)
-    ok2 = (dup <= 0.85 * radius) & (1.18 * radius <= dlow)
-
-    taus = centers[:, None] + radius[:, None] * ring[None, :]
-    ws = (radius[:, None] / quad_nodes) * ring[None, :]
-    lhat = (m2[None, None] * taus[:, :, None, None] ** 2
-            + m1b[:, None] * taus[:, :, None, None]
-            + m0b[:, None])
-    inv = _stacked_inv(lhat)
-    a0 = np.einsum("bq,bqij->bij", ws, inv)
-    a0inv = _stacked_inv(a0)
-    growth = np.maximum(0.0, -(taus.imag.min(axis=1)))
-    s_direct = np.minimum(S_DIRECT, _EXP_BUDGET / np.maximum(growth, 1e-3))
-    return {"taus": taus, "ws": ws, "inv": inv, "a0inv": a0inv,
-            "s_direct": s_direct, "omega": omega,
-            "hard": np.flatnonzero(~ok2), "quad_nodes": quad_nodes}
-
-
-def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
-                      want_dt: bool):
-    """Khat(omega_b, s_b) (and d/ds) from prepared contour stacks."""
-    taus, ws, inv, a0inv = (stacks["taus"], stacks["ws"], stacks["inv"],
-                            stacks["a0inv"])
-    squarings = np.zeros(len(s), dtype=int)
-    big = s > stacks["s_direct"]
-    squarings[big] = np.ceil(
-        np.log2(s[big] / stacks["s_direct"][big])).astype(int)
-    seeds = s / 2.0 ** squarings
-    ews = np.exp(1j * taus * seeds[:, None]) * ws
-    kq = np.einsum("bq,bqij->bij", ews, inv) @ a0inv
-    dkq = None
-    if want_dt:
-        dkq = np.einsum("bq,bq,bqij->bij", ews, 1j * taus, inv) @ a0inv
-    for round_ in range(1, int(squarings.max(initial=0)) + 1):
-        mm = squarings >= round_
-        if not mm.any():
-            break
-        if want_dt:
-            dkq[mm] = 0.5 * (dkq[mm] @ kq[mm] + kq[mm] @ dkq[mm])
-        kq[mm] = kq[mm] @ kq[mm]
-    # per-node fallback where the vectorised contour failed to separate
-    for j in stacks["hard"]:
-        ev = _DirectionEvaluator(system, stacks["omega"][j],
-                                 stacks["quad_nodes"])
-        if want_dt:
-            kj, dkj = ev(np.array([s[j]]), want_dt=True)
-            kq[j], dkq[j] = kj[0], dkj[0]
-        else:
-            kq[j] = ev(np.array([s[j]]))[0]
-    return kq, dkq
-
-
 def _general_batch(system: EllipticSystem, xi: np.ndarray, t: float,
-                   want_dt: bool, quad_nodes: int, chunk: int = 8192):
-    """Per-node contours, vectorised in chunks; any n and M."""
+                   want_dt: bool, chunk: int = 8192):
+    """Per-node solvents and exponentials, vectorised in chunks; any n, M."""
     M = system.M
     out_k = np.tile(np.eye(M, dtype=complex), (len(xi), 1, 1))
     out_dk = np.zeros_like(out_k) if want_dt else None
@@ -387,7 +319,7 @@ def _general_batch(system: EllipticSystem, xi: np.ndarray, t: float,
     nz_idx = np.flatnonzero(norms > 0.0)
     for start in range(0, len(nz_idx), chunk):
         idx = nz_idx[start:start + chunk]
-        stacks = _contour_stacks(system, xi[idx] / norms[idx, None], quad_nodes)
+        stacks = _solvent_stacks(system, xi[idx] / norms[idx, None])
         kq, dkq = _eval_from_stacks(system, stacks, t * norms[idx], want_dt)
         out_k[idx] = kq
         if want_dt:
@@ -395,35 +327,34 @@ def _general_batch(system: EllipticSystem, xi: np.ndarray, t: float,
     return out_k, out_dk
 
 
+def _nbytes(out) -> int:
+    return sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+
+
 class PreparedSymbol:
     """Reusable symbol evaluator for a fixed frequency set.
 
     Multi-level solves hit the same frequencies once per height; preparing
-    the per-node contour data once turns each level into an exponential
-    plus a contraction.  Falls back to per-call evaluation when the stacks
-    would not fit the memory budget.
+    the per-node solvents of a matrix system in n >= 3 once turns each level
+    into one batched exponential.  Per-height results are memoised up to
+    ``_MEMO_BYTES``, the oldest evicted first.
     """
 
-    def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray,
-                 quad_nodes: int = QUAD_NODES, memory_cap: float = 1e9):
+    def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
         self.system = system
         self.xi = np.asarray(xi_nodes, dtype=float)
-        self.quad_nodes = quad_nodes
         self.norms = np.linalg.norm(self.xi, axis=1)
         self.nz = np.flatnonzero(self.norms > 0.0)
         self.stacks = None
         self._results: dict = {}
+        self._lock = threading.Lock()
         if system.M > 1 and system.n > 2:
-            need = len(self.nz) * quad_nodes * system.M ** 2 * 16.0
-            if need <= memory_cap:
-                self.stacks = _contour_stacks(
-                    system, self.xi[self.nz] / self.norms[self.nz, None],
-                    quad_nodes)
+            self.stacks = _solvent_stacks(
+                system, self.xi[self.nz] / self.norms[self.nz, None])
 
     def at(self, t: float, want_dt: bool = False):
         if self.stacks is None:
-            return symbol_batch(self.system, self.xi, t, want_dt=want_dt,
-                                quad_nodes=self.quad_nodes)
+            return symbol_batch(self.system, self.xi, t, want_dt=want_dt)
         key = (float(t), want_dt)
         hit = self._results.get(key)
         if hit is not None:
@@ -439,23 +370,33 @@ class PreparedSymbol:
             out = (k, dk)
         else:
             out = k
-        if len(self._results) < 256:
-            self._results[key] = out
+        self._remember(key, out)
         return out
+
+    def _remember(self, key, out):
+        """Memoise ``out``, evicting the oldest heights beyond the budget;
+        the level threads of one solve share this memo."""
+        size = _nbytes(out)
+        if size > _MEMO_BYTES:
+            return
+        with self._lock:
+            while self._results and size + sum(
+                    _nbytes(v) for v in self._results.values()) > _MEMO_BYTES:
+                del self._results[next(iter(self._results))]
+            self._results[key] = out
 
 
 _PREPARED_CACHE: dict = {}
 
 
-def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray,
-                    quad_nodes: int = QUAD_NODES) -> PreparedSymbol:
+def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray) -> PreparedSymbol:
     """Cached PreparedSymbol per (system, frequency set): repeated solves
-    on one grid reuse the contour data and the per-height symbols."""
+    on one grid reuse the solvents and the per-height symbols."""
     xi_nodes = np.ascontiguousarray(xi_nodes, dtype=float)
-    key = (system.key(), quad_nodes, hash(xi_nodes.tobytes()))
+    key = (system.key(), hash(xi_nodes.tobytes()))
     prep = _PREPARED_CACHE.get(key)
     if prep is None:
-        prep = PreparedSymbol(system, xi_nodes, quad_nodes)
+        prep = PreparedSymbol(system, xi_nodes)
         if len(_PREPARED_CACHE) > 16:
             _PREPARED_CACHE.clear()
         _PREPARED_CACHE[key] = prep
@@ -463,7 +404,7 @@ def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray,
 
 
 def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
-                 want_dt: bool = False, quad_nodes: int = QUAD_NODES):
+                 want_dt: bool = False):
     """Khat(xi', t) for a stack of frequencies (B, n-1); t a scalar >= 0.
 
     Returns (B, M, M), or a pair with the exact t-derivative when
@@ -477,9 +418,9 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
     if system.M == 1:
         k, dk = _scalar_batch(system, xi_nodes, t, want_dt)
     elif system.n == 2:
-        k, dk = _collinear_batch(system, xi_nodes, t, want_dt, quad_nodes)
+        k, dk = _collinear_batch(system, xi_nodes, t, want_dt)
     else:
-        k, dk = _general_batch(system, xi_nodes, t, want_dt, quad_nodes)
+        k, dk = _general_batch(system, xi_nodes, t, want_dt)
     return (k, dk) if want_dt else k
 
 
@@ -633,7 +574,6 @@ def _probe_extent(system: EllipticSystem, boundary_tol: float,
 
 def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = None,
                          N: int = 1024, *, oversample: int | None = None,
-                         quad_nodes: int = QUAD_NODES,
                          boundary_tol: float = 1e-12,
                          normalization_tol: float | None = 1e-3,
                          xi_cap: float = 4096.0):
@@ -659,7 +599,7 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     spec = np.empty((len(nodes), M, M), dtype=complex)
     for start in range(0, len(nodes), 1 << 16):
         sl = slice(start, start + (1 << 16))
-        spec[sl] = symbol_batch(system, nodes[sl], 1.0, quad_nodes=quad_nodes)
+        spec[sl] = symbol_batch(system, nodes[sl], 1.0)
     boundary = float(np.abs(spec[np.linalg.norm(nodes, axis=1)
                                  >= 0.98 * freq_extent]).max())
     if boundary >= boundary_tol:

@@ -20,6 +20,16 @@ def lame2():
 
 
 @pytest.fixture(scope="session")
+def lame3():
+    return build_system("lame", n=3, mu=1.0, lam=1.0)
+
+
+@pytest.fixture(scope="session")
+def lame3_complex():
+    return build_system("lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j)
+
+
+@pytest.fixture(scope="session")
 def complex_scalar():
     # non-symmetric complex scalar operator, genuinely elliptic
     return build_system("scalar", A=[[1.0, 0.4 + 0.2j], [-0.1j, 1.0]])

@@ -48,3 +48,34 @@ def test_verify_sweep_configs(perfbench):
     sweep = workloads.VerifyLap2(0)
     configs = [sweep.make(i) for i in range(sweep.period)]
     assert sorted(cfg.name for cfg in configs) == sweep.names
+
+
+def test_lame3_symbol_surface(perfbench):
+    """What the solve_lame3 workload and the tracer's span attributes read
+    of the symbol layer, applied to real calls and their arguments."""
+    tracing, workloads = perfbench
+    from halfspace import Grid, build_system, kernels
+    system = build_system("lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j)
+    nodes = Grid(n=3, N=16, h=0.25).freq_nodes_fftorder()
+
+    args = (system, nodes, 0.7, True)
+    out = kernels._general_batch(*args)
+    assert tracing.ATTRS["kernels._general_batch"](args, {}, out) == \
+        {"nodes": len(nodes)}
+
+    prepared = kernels.prepared_symbol(system, nodes)
+    assert kernels._PREPARED_CACHE
+    fill = tracing.ATTRS["kernels.PreparedSymbol.__init__"](
+        (prepared, system, nodes), {}, None)
+    assert fill["bytes"] >= prepared.stacks["g"].nbytes > 0
+
+    s = 0.7 * prepared.norms[prepared.nz]
+    args = (system, prepared.stacks, s, True)
+    out = kernels._eval_from_stacks(*args)
+    assert tracing.ATTRS["kernels._eval_from_stacks"](args, {}, out) == \
+        {"nodes": len(s)}
+
+    prepared.at(0.7, want_dt=True)
+    assert prepared._results
+    workloads.forget_height_symbols()
+    assert not prepared._results

@@ -1,11 +1,18 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfspace import (Grid, OutOfDomain, build_poisson_kernel, kernel_at,
-                       poisson_symbol_at, poisson_symbol_dt_at, symbol_batch)
+from halfspace import (EllipticSystem, Grid, ImproperSplit, OutOfDomain,
+                       RealAxisRoot, build_poisson_kernel, kernel_at,
+                       poisson_extend, poisson_symbol_at, poisson_symbol_dt_at,
+                       symbol_batch)
+from halfspace import kernels
+from halfspace.harness import smooth_compact
 from halfspace.kernels import (interior_pde_residual, kernel_derivative_spectrum,
-                               synthesize_kernel_levels)
+                               prepared_symbol, synthesize_kernel_levels)
 
 
 def classical_symbol(xi, t):
@@ -45,7 +52,7 @@ class TestSymbol:
     def test_batch_general_path_matches(self, lap3):
         from halfspace.kernels import _general_batch
         xis = np.array([[1.0, 0.0], [0.3, -0.4], [3.0, 4.0], [7.0, 1.0]])
-        got, _ = _general_batch(lap3, xis, 0.9, False, 256)
+        got, _ = _general_batch(lap3, xis, 0.9, False)
         want = symbol_batch(lap3, xis, 0.9)
         assert np.abs(got - want).max() < 1e-12
 
@@ -83,6 +90,93 @@ class TestSymbol:
             rhs = poisson_symbol_at(lame2, [1.2], lam * 0.8)
             assert np.abs(lhs - rhs).max() < 1e-12
 
+
+
+def _seeded_nodes(count, seed, d=2):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((count, d))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return w * np.exp(rng.uniform(np.log(0.05), np.log(20.0), (count, 1)))
+
+
+@pytest.fixture(params=["lame3", "lame3_complex"])
+def lame3_system(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestLame3:
+    """Matrix systems in n = 3: the solvent path through the identities."""
+
+    def test_identity_at_zero_frequency(self, lame3_system):
+        xi = np.vstack([np.zeros((1, 2)), _seeded_nodes(7, 0)])
+        k, dk = symbol_batch(lame3_system, xi, 0.8, want_dt=True)
+        assert np.array_equal(k[0], np.eye(3))
+        assert np.array_equal(dk[0], np.zeros((3, 3)))
+        k, dk = prepared_symbol(lame3_system, xi).at(0.8, want_dt=True)
+        assert np.array_equal(k[0], np.eye(3))
+        assert np.array_equal(dk[0], np.zeros((3, 3)))
+
+    def test_semigroup(self, lame3_system):
+        xi = _seeded_nodes(64, 1)
+        k12 = symbol_batch(lame3_system, xi, 1.7)
+        k1 = symbol_batch(lame3_system, xi, 0.4)
+        k2 = symbol_batch(lame3_system, xi, 1.3)
+        assert np.abs(k12 - k1 @ k2).max() <= 1e-12
+
+    def test_conjugation_symmetry_real_coefficients(self, lame3):
+        xi = _seeded_nodes(64, 2)
+        plus = symbol_batch(lame3, xi, 0.9)
+        minus = symbol_batch(lame3, -xi, 0.9)
+        assert np.abs(minus - np.conj(plus)).max() <= 1e-12
+
+    def test_dt_matches_finite_difference(self, lame3_system):
+        xi = _seeded_nodes(16, 3) / 4.0
+        eps = 1e-6
+        _, dk = symbol_batch(lame3_system, xi, 1.0, want_dt=True)
+        fd = (symbol_batch(lame3_system, xi, 1.0 + eps)
+              - symbol_batch(lame3_system, xi, 1.0 - eps)) / (2 * eps)
+        assert np.abs(dk - fd).max() < 1e-8
+
+    def test_poisson_extend_conserves_mass(self, lame3_system):
+        grid = Grid(n=3, N=32, h=0.25)
+        f = smooth_compact(grid, 3, 5, count=1)[0]
+        u = poisson_extend(lame3_system, f, [0.05, 0.6, 3.0], gradient=True)
+        mass0 = f.samples.sum(axis=(0, 1))
+        masses = u.values.sum(axis=(1, 2))
+        assert np.abs(masses - mass0).max() <= 1e-12 * np.abs(mass0).max()
+
+
+class TestMemo:
+    def test_memo_bounded_by_bytes(self, lame3, monkeypatch):
+        xi = _seeded_nodes(100, 4)
+        prep = kernels.PreparedSymbol(lame3, xi)
+        per_height = prep.at(0.1).nbytes
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", 3 * per_height)
+        for t in (0.2, 0.3, 0.4, 0.5):
+            prep.at(t)
+        assert sorted(key[0] for key in prep._results) == [0.3, 0.4, 0.5]
+        hit = prep.at(0.5)
+        assert hit is prep._results[(0.5, False)]
+        prep.at(0.6, want_dt=True)      # K and dK: two heights' worth
+        assert sorted(prep._results) == [(0.5, False), (0.6, True)]
+
+    def test_memo_shared_by_threads(self, lame3, monkeypatch):
+        xi = _seeded_nodes(50, 5)
+        prep = kernels.PreparedSymbol(lame3, xi)
+        monkeypatch.setattr(kernels, "_MEMO_BYTES", 4 * prep.at(0.1).nbytes)
+        heights = np.tile(np.linspace(0.2, 3.0, 16), 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(prep.at, heights, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        held = sum(v.nbytes for v in prep._results.values())
+        assert 0 < held <= kernels._MEMO_BYTES
+        fresh = kernels.PreparedSymbol(lame3, xi)
+        for t, k in zip(heights[:16], got[:16]):
+            assert np.array_equal(k, fresh.at(t))
 
 class TestBuild:
     def test_laplacian_2d_closed_form(self, lap2_kernel):
@@ -202,6 +296,19 @@ class TestGuards:
         from halfspace import InsufficientDecay
         with pytest.raises(InsufficientDecay):
             build_poisson_kernel(lap2, freq_extent=4.0, N=256)
+
+    @pytest.mark.parametrize("A, error", [
+        ([[-2.0, -1.5j], [-1.5j, 1.0]], ImproperSplit),   # roots i and 2i
+        ([[-1.0, 0.3], [0.2, 1.0]], RealAxisRoot),        # real roots
+    ])
+    def test_solvent_root_errors(self, A, error):
+        # not elliptic, so built past the validation of build_system
+        system = EllipticSystem(n=2, M=1, ellipticity_margin=1.0,
+                                coeffs=np.asarray(A, complex).reshape(1, 1, 2, 2))
+        with pytest.raises(error):
+            kernels._general_batch(system, np.array([[1.0], [-2.0]]), 1.0, False)
+        with pytest.raises(error):
+            poisson_symbol_at(system, [1.0], 1.0)
 
     def test_dt_at_zero_frequency(self, lame2):
         from halfspace import poisson_symbol_dt_at

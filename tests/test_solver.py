@@ -5,6 +5,8 @@ from scipy import integrate
 from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        HalfSpaceField, InsufficientLevels, TailTag,
                        poisson_extend, trace_estimate, weighted_integrability)
+from halfspace import kernels
+from halfspace.harness import smooth_compact
 
 
 @pytest.fixture(scope="module")
@@ -164,13 +166,20 @@ class TestThreads:
         monkeypatch.setenv("HSP_THREADS", "junk")
         assert worker_count() >= 1
 
-    def test_results_independent_of_workers(self, lap2, grid, monkeypatch):
-        f = gaussian_datum(grid)
-        monkeypatch.setenv("HSP_THREADS", "1")
-        u1 = poisson_extend(lap2, f, np.geomspace(0.1, 4, 12))
-        monkeypatch.setenv("HSP_THREADS", "4")
-        u4 = poisson_extend(lap2, f, np.geomspace(0.1, 4, 12))
-        assert np.array_equal(u1.values, u4.values)
+    def test_results_independent_of_workers(self, lap2, lame3_complex, grid,
+                                            monkeypatch):
+        rows = [(lap2, gaussian_datum(grid)),
+                (lame3_complex,
+                 smooth_compact(Grid(n=3, N=32, h=0.25), 3, 2, count=1)[0])]
+        for system, f in rows:
+            fields = []
+            for threads in ("1", "4"):
+                monkeypatch.setenv("HSP_THREADS", threads)
+                kernels._PREPARED_CACHE.clear()     # no memoised heights
+                fields.append(poisson_extend(system, f, np.geomspace(0.1, 4, 12),
+                                             gradient=True))
+            assert np.array_equal(fields[0].values, fields[1].values)
+            assert np.array_equal(fields[0].gradient, fields[1].gradient)
 
 
 class TestManufacturedElasticity:
