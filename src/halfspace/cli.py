@@ -164,24 +164,6 @@ def cmd_solve(args) -> int:
     manifest.artifact(fpath)
     manifest.artifact(outdir / "field.csv")
     manifest.write()
-    if args.datum == "constant":
-        dev = float(np.abs(field.values - datum.samples[None]).max())
-        print("constant datum reproduction deviation: %.3e" % dev)
-        if dev > 1e-10:
-            return TOLERANCE_ERROR
-    if args.datum == "gaussian" and spec.get("kind") == "laplacian" \
-            and system.n == 2:
-        from scipy import integrate
-        t = float(field.heights[0])
-        oracle, _ = integrate.quad(
-            lambda y: (t / np.pi) / (t * t + y * y) * np.exp(-y * y),
-            -np.inf, np.inf, limit=200)
-        got = float(field.values[0, grid.N // 2, 0].real)
-        err = abs(got - oracle)
-        print("gaussian center value vs quadrature oracle at t=%g: %.2e"
-              % (t, err))
-        if err > max(1e-6, 3.0 * field.meta["wrap_bound"]):
-            return TOLERANCE_ERROR
     print("field written: %d levels on %d^%d nodes (wrap bound %.2e)"
           % (len(field.heights), grid.N, grid.d, field.meta["wrap_bound"]))
     return 0

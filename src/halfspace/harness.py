@@ -32,13 +32,13 @@ import numpy as np
 from scipy import integrate
 
 from .errors import BadShape, UnknownExperiment
-from .grids import Grid, grid_ifft
+from .grids import Grid
 from .kernels import prepared_symbol
 from .operators import (ConeSpec, DyadicCubeFamily, hardy_littlewood,
                         nontangential_max, pointwise_max_principle_check)
 from .report import VerificationReport
-from .solver import (BoundaryData, HalfSpaceField, TailTag, poisson_extend,
-                     trace_estimate, weighted_integrability)
+from .solver import (BoundaryData, HalfSpaceField, TailTag, _level_fields,
+                     poisson_extend, trace_estimate, weighted_integrability)
 from .spaces import (bmo_norm, carleson_norms, holder_seminorm,
                      make_atom, norm, star_seminorm)
 from .systems import EllipticSystem, build_system
@@ -644,18 +644,16 @@ def _bmo_carleson(cfg, system, grid, rep) -> dict:
 def _kernel_column_field(system: EllipticSystem, grid: Grid, levels,
                          vector: np.ndarray, shift=None) -> HalfSpaceField:
     """Field K(., t) a (optionally minus its shift by z'), synthesised
-    spectrally per level."""
+    spectrally, all levels by one inverse FFT."""
     nodes = grid.freq_nodes_fftorder()
     prepared = prepared_symbol(system, nodes)
-    M = system.M
-    vals = np.empty((len(levels),) + grid.shape + (M,), dtype=complex)
+    spec = np.empty((len(nodes), len(levels), system.M), dtype=complex)
     for li, t in enumerate(levels):
-        sym = prepared.at(float(t))
-        spec = sym @ vector
-        if shift is not None:
-            phase = np.exp(-1j * nodes @ np.asarray(shift, float))
-            spec = spec * (1.0 - phase)[:, None]
-        vals[li] = grid_ifft(spec.reshape(grid.shape + (M,)), grid)
+        spec[:, li] = prepared.at(float(t)) @ vector
+    if shift is not None:
+        phase = np.exp(-1j * nodes @ np.asarray(shift, float))
+        spec *= (1.0 - phase)[:, None, None]
+    vals = _level_fields(spec, grid)
     return HalfSpaceField(grid=grid, heights=np.asarray(levels, float),
                           values=vals, provenance={"system": system.label,
                                                    "datum": "kernel_column"})

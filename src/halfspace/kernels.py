@@ -66,6 +66,10 @@ _SIGN_MAX_ITER = 100      # Newton steps; a root on the real axis never converge
 _BOUNDARY_COND_MAX = 1e12  # condition number of A A^H beyond which it is singular
 _TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
 _MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
+_GENERAL_CHUNK = 8192     # nodes per vectorised solvent batch
+_SYNTH_CHUNK = 1 << 16    # frequency nodes per symbol call in kernel synthesis
+_PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
+_PROBE_SEED = 7           # seeds the random probe directions
 
 
 def _matrix_sign(x: np.ndarray) -> np.ndarray:
@@ -241,6 +245,8 @@ def poisson_symbol_dt_at(system: EllipticSystem, xi_prime, t: float):
     """Pair (Khat, d/dt Khat) at (xi', t); derivative is exact in t."""
     xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
     r = float(np.linalg.norm(xi_prime))
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     if r == 0.0:
         return np.eye(system.M, dtype=complex), np.zeros((system.M,) * 2, complex)
     ev = _direction_evaluator(system, xi_prime / r)
@@ -310,15 +316,15 @@ def _collinear_batch(system: EllipticSystem, xi: np.ndarray, t: float,
 
 
 def _general_batch(system: EllipticSystem, xi: np.ndarray, t: float,
-                   want_dt: bool, chunk: int = 8192):
+                   want_dt: bool):
     """Per-node solvents and exponentials, vectorised in chunks; any n, M."""
     M = system.M
     out_k = np.tile(np.eye(M, dtype=complex), (len(xi), 1, 1))
     out_dk = np.zeros_like(out_k) if want_dt else None
     norms = np.linalg.norm(xi, axis=1)
     nz_idx = np.flatnonzero(norms > 0.0)
-    for start in range(0, len(nz_idx), chunk):
-        idx = nz_idx[start:start + chunk]
+    for start in range(0, len(nz_idx), _GENERAL_CHUNK):
+        idx = nz_idx[start:start + _GENERAL_CHUNK]
         stacks = _solvent_stacks(system, xi[idx] / norms[idx, None])
         kq, dkq = _eval_from_stacks(system, stacks, t * norms[idx], want_dt)
         out_k[idx] = kq
@@ -374,8 +380,7 @@ class PreparedSymbol:
         return out
 
     def _remember(self, key, out):
-        """Memoise ``out``, evicting the oldest heights beyond the budget;
-        the level threads of one solve share this memo."""
+        """Memoise ``out``, evicting the oldest heights beyond the budget."""
         size = _nbytes(out)
         if size > _MEMO_BYTES:
             return
@@ -463,7 +468,7 @@ def kernel_derivative_spectrum(system: EllipticSystem, xi_nodes: np.ndarray,
 
 
 def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
-                             alpha=None, chunk: int = 1 << 16) -> np.ndarray:
+                             alpha=None) -> np.ndarray:
     """Sample d^alpha K(., t) on ``grid`` for each height t.
 
     Returns an array of shape (len(heights), *grid.shape, M, M), natural
@@ -476,8 +481,8 @@ def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
     out = np.empty((len(heights),) + grid.shape + (M, M), dtype=complex)
     for li, t in enumerate(heights):
         spec = np.empty((len(nodes), M, M), dtype=complex)
-        for start in range(0, len(nodes), chunk):
-            sl = slice(start, start + chunk)
+        for start in range(0, len(nodes), _SYNTH_CHUNK):
+            sl = slice(start, start + _SYNTH_CHUNK)
             spec[sl] = kernel_derivative_spectrum(system, nodes[sl], float(t), alpha)
         spec = spec.reshape(grid.shape + (M, M))
         out[li] = grid_ifft(spec, grid)
@@ -552,16 +557,16 @@ def _tail_mass_outside_box(half_width: float, n: int) -> float:
 
 
 def _probe_extent(system: EllipticSystem, boundary_tol: float,
-                  xi_cap: float, start: float = 8.0, seed: int = 7) -> float:
+                  xi_cap: float) -> float:
     """Double the frequency half-width until the symbol is below tolerance."""
     d = system.n - 1
     dirs = [np.eye(d)[r] * s for r in range(d) for s in (1.0, -1.0)]
     dirs.append(np.ones(d) / np.sqrt(d))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     for _ in range(4):
         v = rng.standard_normal(d)
         dirs.append(v / np.linalg.norm(v))
-    xi = start
+    xi = _PROBE_START
     while xi <= xi_cap:
         worst = max(float(np.abs(poisson_symbol_at(system, w * xi, 1.0)).max())
                     for w in dirs)
@@ -597,8 +602,8 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     nodes = syn.freq_nodes_fftorder()
     M = system.M
     spec = np.empty((len(nodes), M, M), dtype=complex)
-    for start in range(0, len(nodes), 1 << 16):
-        sl = slice(start, start + (1 << 16))
+    for start in range(0, len(nodes), _SYNTH_CHUNK):
+        sl = slice(start, start + _SYNTH_CHUNK)
         spec[sl] = symbol_batch(system, nodes[sl], 1.0)
     boundary = float(np.abs(spec[np.linalg.norm(nodes, axis=1)
                                  >= 0.98 * freq_extent]).max())

@@ -1,15 +1,15 @@
 """Dirichlet solves in the half-space by frequency-domain convolution.
 
-The extension u(., t) = P_t * f is computed per height level as
-ifft(Khat(., t) fhat): the symbol is exact in t, so no kernel truncation
-enters the vertical direction.  The price is periodisation; data must sit
-in the central half of the grid (or carry a tail tag), and the wrap-around
-error bound derived from the kernel tail is attached to the field.
+The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
+of all height levels stacked and inverted by one FFT per field: the symbol
+is exact in t, so no kernel truncation enters the vertical direction.  The
+price is periodisation; data must sit in the central half of the grid (or
+carry a tail tag), and the wrap-around error bound derived from the kernel
+tail is attached to the field.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +32,9 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Level-parallel worker cap; honours the HSP_THREADS environment knob."""
+    """Worker cap from the HSP_THREADS environment variable (default: the
+    CPU count, at most 4).  The package itself no longer reads it; it stays
+    because the benchmark's run header records it."""
     env = os.environ.get("HSP_THREADS")
     if env:
         try:
@@ -204,15 +206,23 @@ def _wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float,
     return float(tail_constant * t_max * geom * f.magnitude().max())
 
 
+def _level_fields(spectra: np.ndarray, grid: Grid) -> np.ndarray:
+    """Fields of stacked spectra (B, L, M), fft order, by one inverse FFT;
+    returns natural-order samples laid out level first, (L, *shape, M)."""
+    fields = grid_ifft(spectra.reshape(grid.shape + spectra.shape[1:]), grid)
+    return np.ascontiguousarray(np.moveaxis(fields, -2, 0))
+
+
 def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
                    *, gradient: bool = False, kernel=None,
                    wrap_tol: float | None = None) -> HalfSpaceField:
     """Extend boundary data to the given height levels.
 
-    The symbol is evaluated exactly per level; tangential derivatives (when
-    ``gradient`` is requested) are spectral multipliers and the vertical
-    derivative is analytic from the symbol.  Raises AliasRisk when a wrap
-    tolerance is requested and the periodisation bound exceeds it.
+    The symbol is evaluated exactly per level and all levels are inverted
+    by one FFT; tangential derivatives (when ``gradient`` is requested) are
+    spectral multipliers and the vertical derivative is analytic from the
+    symbol.  Raises AliasRisk when a wrap tolerance is requested and the
+    periodisation bound exceeds it.
     """
     if system.n != f.grid.n:
         raise BadShape("system and data dimensions differ")
@@ -240,34 +250,25 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
     nodes = grid.freq_nodes_fftorder()
     prepared = prepared_symbol(system, nodes)
-    values = np.empty((len(heights),) + grid.shape + (M,), dtype=complex)
-    grad = np.empty((len(heights),) + grid.shape + (system.n, M),
-                    dtype=complex) if gradient else None
-
-    def solve_level(li):
-        t = heights[li]
+    uhat = np.empty((len(nodes), len(heights), M), dtype=complex)
+    dhat = np.empty_like(uhat) if gradient else None
+    for li, t in enumerate(heights):
         if gradient:
             ksym, dksym = prepared.at(t, want_dt=True)
+            dhat[:, li] = np.einsum("bij,bj->bi", dksym, fhat)
         else:
             ksym = prepared.at(t)
-        uhat = np.einsum("bij,bj->bi", ksym, fhat)
-        values[li] = grid_ifft(uhat.reshape(grid.shape + (M,)), grid)
-        if gradient:
-            for r in range(d):
-                ghat = 1j * nodes[:, r, None] * uhat
-                grad[li, ..., r, :] = grid_ifft(
-                    ghat.reshape(grid.shape + (M,)), grid)
-            dhat = np.einsum("bij,bj->bi", dksym, fhat)
-            grad[li, ..., d, :] = grid_ifft(
-                dhat.reshape(grid.shape + (M,)), grid)
-
-    workers = min(worker_count(), len(heights))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(solve_level, range(len(heights))))
-    else:
-        for li in range(len(heights)):
-            solve_level(li)
+        uhat[:, li] = np.einsum("bij,bj->bi", ksym, fhat)
+    values = _level_fields(uhat, grid)
+    grad = None
+    if gradient:
+        grad = np.empty((len(heights),) + grid.shape + (system.n, M),
+                        dtype=complex)
+        grad[..., d, :] = _level_fields(dhat, grid)
+        del dhat
+        for r in range(d):
+            grad[..., r, :] = _level_fields(1j * nodes[:, r, None, None] * uhat,
+                                            grid)
 
     return HalfSpaceField(
         grid=grid, heights=heights, values=values, gradient=grad,

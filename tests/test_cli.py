@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+from scipy import integrate
 
+from halfspace import BoundaryData, poisson_extend
 from halfspace.cli import main
 from halfspace.containers import load_field, load_kernel
 
@@ -103,7 +105,19 @@ def test_config_file_system(tmp_path):
 
 
 def test_solve_gaussian_oracle_inline(tmp_path):
+    # centre value of the written field against a quadrature of the
+    # classical Poisson integral at the first height
     out = tmp_path / "g"
     code = run(["solve", "--datum", "gaussian", "--levels", "0.5,1.0",
                 "--N", "4096", "--R", "512", "--out", str(out)])
     assert code == 0
+    field, system = load_field(out / "field.bin")
+    t = float(field.heights[0])
+    oracle, _ = integrate.quad(
+        lambda y: (t / np.pi) / (t * t + y * y) * np.exp(-y * y),
+        -np.inf, np.inf, limit=200)
+    got = float(field.values[0, field.grid.N // 2, 0].real)
+    datum = BoundaryData(grid=field.grid,
+                         samples=np.exp(-field.grid.radii() ** 2)[:, None])
+    wrap = poisson_extend(system, datum, field.heights).meta["wrap_bound"]
+    assert abs(got - oracle) <= max(1e-6, 3.0 * wrap)

@@ -310,6 +310,10 @@ class TestGuards:
         with pytest.raises(error):
             poisson_symbol_at(system, [1.0], 1.0)
 
+    def test_dt_rejects_negative_height(self, lame2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            poisson_symbol_dt_at(lame2, [1.0], -1.0)
+
     def test_dt_at_zero_frequency(self, lame2):
         from halfspace import poisson_symbol_dt_at
         k, dk = poisson_symbol_dt_at(lame2, [0.0], 1.0)

@@ -6,6 +6,7 @@ from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        HalfSpaceField, InsufficientLevels, TailTag,
                        poisson_extend, trace_estimate, weighted_integrability)
 from halfspace import kernels
+from halfspace.grids import grid_fft, grid_ifft
 from halfspace.harness import smooth_compact
 
 
@@ -180,6 +181,46 @@ class TestThreads:
                                              gradient=True))
             assert np.array_equal(fields[0].values, fields[1].values)
             assert np.array_equal(fields[0].gradient, fields[1].gradient)
+
+
+def per_height_reference(system, f, heights):
+    """One symbol contraction and one inverse FFT per height and component,
+    the way poisson_extend solved before it stacked the heights."""
+    grid, M, d = f.grid, system.M, f.grid.d
+    fhat = grid_fft(f.samples, grid).reshape(-1, M)
+    nodes = grid.freq_nodes_fftorder()
+    prepared = kernels.prepared_symbol(system, nodes)
+    values = np.empty((len(heights),) + grid.shape + (M,), dtype=complex)
+    grad = np.empty((len(heights),) + grid.shape + (system.n, M),
+                    dtype=complex)
+    for li, t in enumerate(heights):
+        ksym, dksym = prepared.at(t, want_dt=True)
+        uhat = np.einsum("bij,bj->bi", ksym, fhat)
+        values[li] = grid_ifft(uhat.reshape(grid.shape + (M,)), grid)
+        for r in range(d):
+            ghat = 1j * nodes[:, r, None] * uhat
+            grad[li, ..., r, :] = grid_ifft(
+                ghat.reshape(grid.shape + (M,)), grid)
+        dhat = np.einsum("bij,bj->bi", dksym, fhat)
+        grad[li, ..., d, :] = grid_ifft(dhat.reshape(grid.shape + (M,)), grid)
+    return values, grad
+
+
+@pytest.mark.parametrize("row", ["lame2", "lame3_complex", "lap2"])
+def test_batched_levels_match_per_height_reference(row, request):
+    system = request.getfixturevalue(row)
+    if system.n == 2:
+        grid = Grid(n=2, N=1024, h=0.125)
+        f = smooth_compact(grid, system.M, 3, count=1)[0]
+    else:
+        f = smooth_compact(Grid(n=3, N=32, h=0.25), system.M, 2, count=1)[0]
+    heights = np.geomspace(0.1, 4, 12)
+    kernels._PREPARED_CACHE.clear()
+    u = poisson_extend(system, f, heights, gradient=True)
+    kernels._PREPARED_CACHE.clear()
+    values, grad = per_height_reference(system, f, u.heights)
+    assert np.array_equal(u.values, values)
+    assert np.array_equal(u.gradient, grad)
 
 
 class TestManufacturedElasticity:
