@@ -581,23 +581,20 @@ def _cone_holder(u: HalfSpaceField, kappa: float, theta: float,
     pts = np.stack([m.ravel() for m in grid.meshes()], axis=-1)
     best = 0.0
     vidx = rng.integers(0, grid.node_count, vertices)
+    values = u.values.reshape(len(u.heights), -1, u.M)
     for v in vidx:
-        vx = pts[v]
-        # gather sampled points inside the cone at this vertex
+        # gather at most 64 sampled points per level inside the cone
+        dist = np.linalg.norm(pts - pts[v], axis=1)
         coords = []
         vals = []
         for li, t in enumerate(u.heights):
-            mask = np.linalg.norm(pts - vx, axis=1) < kappa * t
-            if not mask.any():
-                continue
-            take = np.flatnonzero(mask)
+            take = np.flatnonzero(dist < kappa * t)
             if len(take) > 64:
                 take = rng.choice(take, 64, replace=False)
-            for j in take:
-                coords.append(np.append(pts[j], t))
-                vals.append(u.values[li].reshape(-1, u.M)[j])
-        coords = np.array(coords)
-        vals = np.array(vals)
+            coords.append(np.column_stack([pts[take], np.full(len(take), t)]))
+            vals.append(values[li, take])
+        coords = np.concatenate(coords)
+        vals = np.concatenate(vals)
         if len(coords) < 2:
             continue
         i = rng.integers(0, len(coords), pairs)

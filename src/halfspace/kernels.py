@@ -24,7 +24,11 @@ fails.  The sign comes from a determinant-scaled Newton iteration, the
 exponential from a Taylor scaling-and-squaring that shifts by the trace and
 scales by ||X^2||^(1/2) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 2009): for Lame systems G - i I is nilpotent and no squaring is needed.
-Scalar systems (M = 1) take the closed form exp(i tau_+ t).
+The exponential works on stacks of many tiny matrices, so they are stored
+nodes-last, (M, M, ..., B), and multiplied entry by entry (the layout of
+batched BLAS: Dongarra et al., Procedia Comput. Sci. 108, 2017); one call
+covers every height of a solve.  Scalar systems (M = 1) take the closed
+form exp(i tau_+ t).
 
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; then Phat(0) = I expresses the unit-mass normalisation and
@@ -66,6 +70,8 @@ _SIGN_MAX_ITER = 100      # Newton steps; a root on the real axis never converge
 _BOUNDARY_COND_MAX = 1e12  # condition number of A A^H beyond which it is singular
 _TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
 _MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
+_PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
+_EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _GENERAL_CHUNK = 8192     # nodes per vectorised solvent batch
 _SYNTH_CHUNK = 1 << 16    # frequency nodes per symbol call in kernel synthesis
 _PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
@@ -157,43 +163,107 @@ def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> dict:
     return {"g": g, "omega": omega}
 
 
+def _expm_stacks(g: np.ndarray) -> dict:
+    """Per-node data of expm(i s G) for solvents G (B, M, M), laid out with
+    the nodes last: G and X0 = i(G - tr(G)/M I) as (M, M, B), the shift
+    mu = i tr(G)/M, and ||X0||_F and ||X0^2||_F^(1/2).  The shift and both
+    norms of i s G scale linearly in s >= 0."""
+    M = g.shape[-1]
+    mu = 1j * np.trace(g, axis1=1, axis2=2) / M
+    x0 = 1j * g - mu[:, None, None] * np.eye(M)
+    return {"g": np.ascontiguousarray(np.moveaxis(g, 0, -1)),
+            "x0": np.ascontiguousarray(np.moveaxis(x0, 0, -1)),
+            "mu": mu,
+            "nx": np.linalg.norm(x0, axis=(1, 2)),
+            "alpha": np.sqrt(np.linalg.norm(x0 @ x0, axis=(1, 2)))}
+
+
+def _soa_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of M x M matrices with the stack axes last."""
+    M = a.shape[0]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(M):
+        for j in range(M):
+            acc = a[i, 0] * b[0, j]
+            for q in range(1, M):
+                acc += a[i, q] * b[q, j]
+            out[i, j] = acc
+    return out
+
+
+def _taylor_degrees(nx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Per row of (L, B) scaled norms, the least Taylor degree m whose two
+    next terms are bounded by ||X0||^(q mod 2) alpha^(q - q mod 2) / q!
+    <= _TAYLOR_TOL (q = m + 1, m + 2) at every node of the row."""
+    def worst(q):
+        bound = nx ** (q % 2) * alpha ** (q - q % 2) / factorial(q)
+        return bound.max(axis=1, initial=0.0)
+
+    degrees = np.full(len(nx), 63)
+    open_ = np.ones(len(nx), dtype=bool)
+    nxt = worst(2)
+    for m in range(1, 64):
+        cur, nxt = nxt, worst(m + 2)
+        done = open_ & (np.maximum(cur, nxt) <= _TAYLOR_TOL)
+        degrees[done] = m
+        open_ &= ~done
+        if not open_.any():
+            break
+    return degrees
+
+
 def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
                       want_dt: bool):
-    """Khat(omega_b, s_b) = expm(i s_b G_b) from prepared solvents, and
-    d/ds Khat = i G Khat when ``want_dt`` is set.
+    """Khat = expm(i s G) from prepared per-node data (:func:`_expm_stacks`)
+    for s of shape (B,) or (L, B), one row per height; returns Khat of shape
+    (M, M) + s.shape, and d/ds Khat = i G Khat when ``want_dt`` is set.
 
-    Taylor scaling-and-squaring: X = i s G is shifted by mu = tr(X)/M and
-    halved j times until alpha = ||X0^2||^(1/2) <= 1; the degree is the
+    Taylor scaling-and-squaring: X = i s G is shifted by mu s and halved j
+    times until alpha = s ||X0^2||^(1/2) <= 1; the degree of a row is the
     least m whose dropped terms are bounded by ||X0||^(k mod 2)
-    alpha^(k - k mod 2) / k! <= _TAYLOR_TOL.  The factor exp(mu / 2^j) is
-    applied before squaring, so decaying values never pass through an
-    overflowing intermediate.
+    alpha^(k - k mod 2) / k! <= _TAYLOR_TOL over that row's nodes.  Rows of
+    one degree are evaluated together, in node chunks of _EXPM_BYTES, so a
+    row's values do not depend on the other rows.  The factor exp(mu s /
+    2^j) is applied before squaring, so decaying values never pass through
+    an overflowing intermediate.
     """
-    g = stacks["g"]
-    M = g.shape[-1]
-    x = 1j * s[:, None, None] * g
-    mu = np.trace(x, axis1=1, axis2=2) / M
-    x = x - mu[:, None, None] * np.eye(M)
-    alpha = np.sqrt(np.linalg.norm(x @ x, axis=(1, 2)))
+    rows = np.atleast_2d(np.asarray(s, dtype=float))
+    M = stacks["g"].shape[0]
+    alpha = rows * stacks["alpha"]
     squarings = np.ceil(np.log2(np.maximum(alpha, 1.0))).astype(int)
-    scale = 0.5 ** squarings
-    x *= scale[:, None, None]
-    nx = np.linalg.norm(x, axis=(1, 2))
-    alpha = alpha * scale
-    for degree in range(1, 64):
-        dropped = [nx ** (q % 2) * alpha ** (q - q % 2) / factorial(q)
-                   for q in (degree + 1, degree + 2)]
-        if max(float(b.max(initial=0.0)) for b in dropped) <= _TAYLOR_TOL:
-            break
-    eye = np.eye(M, dtype=complex)
-    k = eye + x / degree
-    for j in range(degree - 1, 0, -1):
-        k = eye + (x @ k) / j
-    k *= np.exp(mu * scale)[:, None, None]
-    for round_ in range(1, int(squarings.max(initial=0)) + 1):
-        mm = squarings >= round_
-        k[mm] = k[mm] @ k[mm]
-    return k, (1j * g @ k if want_dt else None)
+    c = rows * 0.5 ** squarings           # X = c X0 after scaling
+    degrees = _taylor_degrees(c * stacks["nx"], c * stacks["alpha"])
+    k = np.empty((M, M) + rows.shape, dtype=complex)
+    dk = np.empty_like(k) if want_dt else None
+    for degree in np.unique(degrees):
+        sel = np.flatnonzero(degrees == degree)
+        # x, k and one product of complex M x M stacks per chunk
+        span = max(1, _EXPM_BYTES // (3 * 16 * M * M * len(sel)))
+        for start in range(0, rows.shape[1], span):
+            cols = slice(start, start + span)
+            cc = c[sel, cols]
+            x = stacks["x0"][:, :, None, cols] * cc
+            kc = x * (1.0 / degree)
+            for j in range(degree - 1, 0, -1):
+                for i in range(M):
+                    kc[i, i] += 1.0
+                kc = _soa_matmul(x, kc)
+                if j > 1:
+                    kc *= 1.0 / j
+            for i in range(M):
+                kc[i, i] += 1.0
+            kc *= np.exp(stacks["mu"][None, cols] * cc)
+            sq = squarings[sel, cols]
+            for round_ in range(1, int(sq.max(initial=0)) + 1):
+                mm = sq >= round_
+                kc[:, :, mm] = _soa_matmul(kc[:, :, mm], kc[:, :, mm])
+            k[:, :, sel, cols] = kc
+            if want_dt:
+                dk[:, :, sel, cols] = _soa_matmul(
+                    1j * stacks["g"][:, :, None, cols], kc)
+    if np.ndim(s) == 1:
+        return k[:, :, 0], (dk[:, :, 0] if want_dt else None)
+    return k, dk
 
 
 class _DirectionEvaluator:
@@ -201,15 +271,16 @@ class _DirectionEvaluator:
 
     def __init__(self, system: EllipticSystem, omega):
         self.system = system
-        self.stacks = _solvent_stacks(
-            system, np.asarray(omega, dtype=float).reshape(1, -1))
+        self.stacks = _expm_stacks(_solvent_stacks(
+            system, np.asarray(omega, dtype=float).reshape(1, -1))["g"])
 
     def __call__(self, s: np.ndarray, want_dt: bool = False):
         s = np.asarray(s, dtype=float)
-        g = self.stacks["g"]
-        stacks = {"g": np.broadcast_to(g, (len(s),) + g.shape[1:])}
+        stacks = {key: np.broadcast_to(v, v.shape[:-1] + s.shape)
+                  for key, v in self.stacks.items()}
         k, dk = _eval_from_stacks(self.system, stacks, s, want_dt)
-        return (k, dk) if want_dt else k
+        k = np.moveaxis(k, -1, 0)
+        return (k, np.moveaxis(dk, -1, 0)) if want_dt else k
 
 
 _EVAL_CACHE: dict = {}
@@ -325,12 +396,18 @@ def _general_batch(system: EllipticSystem, xi: np.ndarray, t: float,
     nz_idx = np.flatnonzero(norms > 0.0)
     for start in range(0, len(nz_idx), _GENERAL_CHUNK):
         idx = nz_idx[start:start + _GENERAL_CHUNK]
-        stacks = _solvent_stacks(system, xi[idx] / norms[idx, None])
+        stacks = _expm_stacks(
+            _solvent_stacks(system, xi[idx] / norms[idx, None])["g"])
         kq, dkq = _eval_from_stacks(system, stacks, t * norms[idx], want_dt)
-        out_k[idx] = kq
+        out_k[idx] = np.moveaxis(kq, -1, 0)
         if want_dt:
-            out_dk[idx] = dkq * norms[idx, None, None]
+            out_dk[idx] = np.moveaxis(dkq * norms[idx], -1, 0)
     return out_k, out_dk
+
+
+def _node_major(k: np.ndarray) -> np.ndarray:
+    """The one height of a (M, M, 1, B) symbol as a (B, M, M) stack."""
+    return np.ascontiguousarray(np.moveaxis(k[:, :, 0], -1, 0))
 
 
 def _nbytes(out) -> int:
@@ -340,10 +417,14 @@ def _nbytes(out) -> int:
 class PreparedSymbol:
     """Reusable symbol evaluator for a fixed frequency set.
 
-    Multi-level solves hit the same frequencies once per height; preparing
-    the per-node solvents of a matrix system in n >= 3 once turns each level
-    into one batched exponential.  Per-height results are memoised up to
-    ``_MEMO_BYTES``, the oldest evicted first.
+    Multi-level solves hit the same frequencies once per height.  For a
+    matrix system in n >= 3 the per-node solvents are prepared once, in the
+    layout of :func:`_expm_stacks` with zeros at the zero frequency (where
+    Khat = I), so that :meth:`levels` evaluates every height of a solve in
+    one batched exponential; :meth:`at` is its one-height case and agrees
+    with it bit for bit.  Other systems evaluate each height by
+    :func:`symbol_batch`.  Per-height results of :meth:`at` are memoised up
+    to ``_MEMO_BYTES``, the oldest evicted first.
     """
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
@@ -355,8 +436,35 @@ class PreparedSymbol:
         self._results: dict = {}
         self._lock = threading.Lock()
         if system.M > 1 and system.n > 2:
-            self.stacks = _solvent_stacks(
-                system, self.xi[self.nz] / self.norms[self.nz, None])
+            solved = _expm_stacks(_solvent_stacks(
+                system, self.xi[self.nz] / self.norms[self.nz, None])["g"])
+            self.stacks = {}
+            for key, v in solved.items():
+                full = np.zeros(v.shape[:-1] + self.norms.shape, v.dtype)
+                full[..., self.nz] = v
+                self.stacks[key] = full
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the per-node arrays: frequencies and solvent data."""
+        arrays = [self.xi, self.norms, self.nz, *(self.stacks or {}).values()]
+        return sum(a.nbytes for a in arrays)
+
+    def levels(self, heights, want_dt: bool = False):
+        """Khat at every height, shape (M, M, L, B) with the nodes last, and
+        d/dt Khat when ``want_dt`` is set (else None)."""
+        heights = np.asarray(heights, dtype=float)
+        if self.stacks is not None:
+            k, dk = _eval_from_stacks(self.system, self.stacks,
+                                      np.multiply.outer(heights, self.norms),
+                                      want_dt)
+            return k, (dk * self.norms if want_dt else None)
+        per = [symbol_batch(self.system, self.xi, t, want_dt) for t in heights]
+        k, dk = zip(*per) if want_dt else (per, None)
+        k = np.moveaxis(np.stack(k), (2, 3), (0, 1))
+        if want_dt:
+            dk = np.moveaxis(np.stack(dk), (2, 3), (0, 1))
+        return k, dk
 
     def at(self, t: float, want_dt: bool = False):
         if self.stacks is None:
@@ -365,17 +473,10 @@ class PreparedSymbol:
         hit = self._results.get(key)
         if hit is not None:
             return hit
-        M = self.system.M
-        k = np.tile(np.eye(M, dtype=complex), (len(self.xi), 1, 1))
-        dk = np.zeros_like(k) if want_dt else None
-        kq, dkq = _eval_from_stacks(self.system, self.stacks,
-                                    t * self.norms[self.nz], want_dt)
-        k[self.nz] = kq
+        k, dk = self.levels([t], want_dt)
+        out = _node_major(k)
         if want_dt:
-            dk[self.nz] = dkq * self.norms[self.nz, None, None]
-            out = (k, dk)
-        else:
-            out = k
+            out = (out, _node_major(dk))
         self._remember(key, out)
         return out
 
@@ -395,16 +496,20 @@ _PREPARED_CACHE: dict = {}
 
 
 def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray) -> PreparedSymbol:
-    """Cached PreparedSymbol per (system, frequency set): repeated solves
-    on one grid reuse the solvents and the per-height symbols."""
+    """Cached PreparedSymbol per (system, frequency set): repeated solves on
+    one grid reuse the solvents.  The cache holds up to ``_PREPARED_BYTES``
+    of per-node arrays and evicts the least recently used entry first."""
     xi_nodes = np.ascontiguousarray(xi_nodes, dtype=float)
     key = (system.key(), hash(xi_nodes.tobytes()))
-    prep = _PREPARED_CACHE.get(key)
+    prep = _PREPARED_CACHE.pop(key, None)
     if prep is None:
         prep = PreparedSymbol(system, xi_nodes)
-        if len(_PREPARED_CACHE) > 16:
-            _PREPARED_CACHE.clear()
-        _PREPARED_CACHE[key] = prep
+    if prep.nbytes > _PREPARED_BYTES:
+        return prep
+    held = prep.nbytes + sum(p.nbytes for p in _PREPARED_CACHE.values())
+    while held > _PREPARED_BYTES:
+        held -= _PREPARED_CACHE.pop(next(iter(_PREPARED_CACHE))).nbytes
+    _PREPARED_CACHE[key] = prep
     return prep
 
 

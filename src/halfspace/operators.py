@@ -108,17 +108,43 @@ class DyadicCubeFamily:
             yield index
 
 
+def _half_width(radius_nodes: float) -> int:
+    """Largest integer m >= 0 under the radius: strict membership drops the
+    rim when the radius is an exact integer."""
+    m = int(np.floor(radius_nodes))
+    if m >= radius_nodes:
+        m -= 1
+    return max(m, 0)
+
+
 def _cone_footprint(radius_nodes: float, d: int) -> np.ndarray:
     """Boolean stencil of offsets with |offset| strictly under the radius."""
-    m = int(np.floor(radius_nodes))
-    if m >= radius_nodes:       # exact hit: strict inequality drops the rim
-        m -= 1
-    m = max(m, 0)
+    m = _half_width(radius_nodes)
     if d == 1:
         return np.ones(2 * m + 1, dtype=bool)
     ax = np.arange(-m, m + 1)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     return (X * X + Y * Y) < radius_nodes ** 2
+
+
+def _disc_max_into(out: np.ndarray, mag: np.ndarray, radius_nodes: float):
+    """out = max(out, max of mag over the disc of :func:`_cone_footprint`).
+
+    The disc is a union of rows: row dy keeps the offsets |dx| <= w(dy),
+    the largest w with w*w + dy*dy < radius**2.  Each width's 1-D running
+    maximum (van Herk, Pattern Recognit. Lett. 13, 1992) is taken once and
+    applied at the shifts +dy and -dy; cells off the grid count as 0, as in
+    the footprint filter, and mag >= 0.
+    """
+    rows, cols = mag.shape
+    ax = np.arange(_half_width(radius_nodes) + 1)
+    widths = (ax[:, None] ** 2 + ax ** 2 < radius_nodes ** 2).sum(axis=1) - 1
+    for w in np.unique(widths[(widths >= 0) & (ax < rows)]):
+        run = ndimage.maximum_filter1d(mag, size=2 * min(w, cols - 1) + 1,
+                                       axis=1, mode="constant", cval=0.0)
+        for dy in np.flatnonzero((widths == w) & (ax < rows)):
+            np.maximum(out[:rows - dy], run[dy:], out=out[:rows - dy])
+            np.maximum(out[dy:], run[:rows - dy], out=out[dy:])
 
 
 def nontangential_max(u: HalfSpaceField, cone: ConeSpec) -> BoundaryData:
@@ -140,20 +166,13 @@ def nontangential_max(u: HalfSpaceField, cone: ConeSpec) -> BoundaryData:
         return data
     mag = u.magnitude()
     for li in levels:
-        t = u.heights[li]
-        radius = cone.kappa * t / grid.h
+        radius = cone.kappa * u.heights[li] / grid.h
         if grid.d == 1:
-            m = int(np.floor(radius))
-            if m >= radius:
-                m -= 1
-            m = max(m, 0)
-            layer = ndimage.maximum_filter1d(mag[li], size=2 * m + 1,
-                                             mode="constant", cval=0.0)
+            size = 2 * _half_width(radius) + 1
+            np.maximum(out, ndimage.maximum_filter1d(
+                mag[li], size=size, mode="constant", cval=0.0), out=out)
         else:
-            foot = _cone_footprint(radius, grid.d)
-            layer = ndimage.maximum_filter(mag[li], footprint=foot,
-                                           mode="constant", cval=0.0)
-        np.maximum(out, layer, out=out)
+            _disc_max_into(out, mag[li], radius)
     data = BoundaryData(grid=grid, samples=out[..., None].astype(complex),
                         space_tag="generic")
     data.meta["empty_cone"] = np.zeros(grid.shape, dtype=bool)

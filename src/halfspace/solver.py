@@ -218,8 +218,8 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
                    wrap_tol: float | None = None) -> HalfSpaceField:
     """Extend boundary data to the given height levels.
 
-    The symbol is evaluated exactly per level and all levels are inverted
-    by one FFT; tangential derivatives (when ``gradient`` is requested) are
+    The symbol of every level is evaluated, exactly in t, in one batched
+    pass and all levels are inverted by one FFT; tangential derivatives (when ``gradient`` is requested) are
     spectral multipliers and the vertical derivative is analytic from the
     symbol.  Raises AliasRisk when a wrap tolerance is requested and the
     periodisation bound exceeds it.
@@ -249,16 +249,11 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     M = system.M
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
     nodes = grid.freq_nodes_fftorder()
-    prepared = prepared_symbol(system, nodes)
-    uhat = np.empty((len(nodes), len(heights), M), dtype=complex)
-    dhat = np.empty_like(uhat) if gradient else None
-    for li, t in enumerate(heights):
-        if gradient:
-            ksym, dksym = prepared.at(t, want_dt=True)
-            dhat[:, li] = np.einsum("bij,bj->bi", dksym, fhat)
-        else:
-            ksym = prepared.at(t)
-        uhat[:, li] = np.einsum("bij,bj->bi", ksym, fhat)
+    ksym, dksym = prepared_symbol(system, nodes).levels(heights, gradient)
+    fhat = np.ascontiguousarray(fhat.T)
+    uhat = np.einsum("ijlb,jb->bli", ksym, fhat)
+    dhat = np.einsum("ijlb,jb->bli", dksym, fhat) if gradient else None
+    del ksym, dksym
     values = _level_fields(uhat, grid)
     grad = None
     if gradient:

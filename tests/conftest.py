@@ -30,6 +30,18 @@ def lame3_complex():
 
 
 @pytest.fixture(scope="session")
+def random_lh3():
+    """Seeded complex, non-symmetric M = 3 tensor in n = 3 with a
+    Legendre-Hadamard margin of about 0.29; unlike Lame, its exponentials
+    need squaring at large heights."""
+    rng = np.random.default_rng(1)
+    a = np.einsum("ab,rs->abrs", np.eye(3), np.eye(3)).astype(complex)
+    a = a + 0.3 * (rng.standard_normal((3, 3, 3, 3))
+                   + 1j * rng.standard_normal((3, 3, 3, 3)))
+    return build_system("raw", tensor=a)
+
+
+@pytest.fixture(scope="session")
 def complex_scalar():
     # non-symmetric complex scalar operator, genuinely elliptic
     return build_system("scalar", A=[[1.0, 0.4 + 0.2j], [-0.1j, 1.0]])

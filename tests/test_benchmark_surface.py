@@ -9,6 +9,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -69,7 +70,7 @@ def test_lame3_symbol_surface(perfbench):
         (prepared, system, nodes), {}, None)
     assert fill["bytes"] >= prepared.stacks["g"].nbytes > 0
 
-    s = 0.7 * prepared.norms[prepared.nz]
+    s = 0.7 * prepared.norms
     args = (system, prepared.stacks, s, True)
     out = kernels._eval_from_stacks(*args)
     assert tracing.ATTRS["kernels._eval_from_stacks"](args, {}, out) == \
@@ -79,3 +80,28 @@ def test_lame3_symbol_surface(perfbench):
     assert prepared._results
     workloads.forget_height_symbols()
     assert not prepared._results
+
+
+def test_lame3_solve_reaches_symbol_through_module_attribute(monkeypatch):
+    """The tracer rebinds ``kernels._eval_from_stacks`` to time the symbol
+    arithmetic as ``kernels.symbol.self_s``; a Lame n=3 solve must reach
+    it through that attribute, all heights in one call."""
+    from types import SimpleNamespace
+    from halfspace import Grid, build_system, kernels, poisson_extend
+    from halfspace.harness import smooth_compact
+    calls = []
+    inner = kernels._eval_from_stacks
+
+    def counting(system, stacks, s, want_dt):
+        calls.append((np.shape(s), want_dt))
+        return inner(system, stacks, s, want_dt)
+
+    monkeypatch.setattr(kernels, "_eval_from_stacks", counting)
+    monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+    system = build_system("lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j)
+    grid = Grid(n=3, N=16, h=0.25)
+    f = smooth_compact(grid, 3, 1, count=1)[0]
+    # a stand-in kernel supplies the tail constant, so no kernel is built
+    poisson_extend(system, f, [0.1, 0.5, 2.0], gradient=True,
+                   kernel=SimpleNamespace(tail_constant=1.0))
+    assert calls == [((3, grid.node_count), True)]

@@ -146,6 +146,68 @@ class TestLame3:
         assert np.abs(masses - mass0).max() <= 1e-12 * np.abs(mass0).max()
 
 
+class TestLevels:
+    """PreparedSymbol.levels, the one batched pass over all heights of a
+    solve, against its one-height case at()."""
+
+    def test_levels_match_at_bit_for_bit(self, random_lh3, monkeypatch):
+        nodes = Grid(n=3, N=16, h=0.25).freq_nodes_fftorder()
+        heights = np.geomspace(0.02, 30.0, 9)
+        prep = kernels.PreparedSymbol(random_lh3, nodes)
+        # the heights mix Taylor degrees and squaring counts, also per row
+        s = np.multiply.outer(heights, prep.norms)
+        alpha = s * prep.stacks["alpha"]
+        squarings = np.ceil(np.log2(np.maximum(alpha, 1.0)))
+        scaled = s * 0.5 ** squarings
+        degrees = kernels._taylor_degrees(scaled * prep.stacks["nx"],
+                                          scaled * prep.stacks["alpha"])
+        assert len(set(degrees)) >= 3
+        assert squarings.max() >= 8
+        assert any(len(set(row)) > 2 for row in squarings)
+        # node chunks of a few dozen split the rows of every degree
+        monkeypatch.setattr(kernels, "_EXPM_BYTES", 48 * 9 * 100)
+        k, dk = prep.levels(heights, want_dt=True)
+        assert k.shape == dk.shape == (3, 3, len(heights), len(nodes))
+        for li, t in enumerate(heights):
+            kt, dkt = prep.at(t, want_dt=True)
+            assert np.array_equal(np.moveaxis(k[:, :, li], -1, 0), kt)
+            assert np.array_equal(np.moveaxis(dk[:, :, li], -1, 0), dkt)
+
+    def test_levels_without_stacks_match_symbol_batch(self, lame2):
+        xi = _seeded_nodes(64, 6, d=1)
+        heights = [0.3, 1.1, 4.0]
+        k, dk = kernels.PreparedSymbol(lame2, xi).levels(heights, True)
+        for li, t in enumerate(heights):
+            kt, dkt = symbol_batch(lame2, xi, t, want_dt=True)
+            assert np.array_equal(np.moveaxis(k[:, :, li], -1, 0), kt)
+            assert np.array_equal(np.moveaxis(dk[:, :, li], -1, 0), dkt)
+
+
+class TestPreparedCache:
+    def test_lru_evicts_only_the_least_recently_used(self, lame3,
+                                                     monkeypatch):
+        monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+        sets = [_seeded_nodes(40, seed) for seed in (10, 11, 12, 13)]
+        probe = kernels.PreparedSymbol(lame3, sets[0])
+        size = probe.nbytes     # counts the solvent data and the nodes
+        assert size > sum(v.nbytes for v in probe.stacks.values())
+        monkeypatch.setattr(kernels, "_PREPARED_BYTES", 3 * size)
+        first = [prepared_symbol(lame3, xi) for xi in sets[:3]]
+        assert prepared_symbol(lame3, sets[0]) is first[0]   # hit: now newest
+        last = prepared_symbol(lame3, sets[3])               # past the budget
+        assert list(kernels._PREPARED_CACHE.values()) == \
+            [first[2], first[0], last]
+        assert prepared_symbol(lame3, sets[2]) is first[2]
+
+    def test_entry_over_budget_is_not_kept(self, lame3, monkeypatch):
+        monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+        xi = _seeded_nodes(40, 10)
+        monkeypatch.setattr(kernels, "_PREPARED_BYTES",
+                            kernels.PreparedSymbol(lame3, xi).nbytes - 1)
+        assert prepared_symbol(lame3, xi).nbytes > kernels._PREPARED_BYTES
+        assert not kernels._PREPARED_CACHE
+
+
 class TestMemo:
     def test_memo_bounded_by_bytes(self, lame3, monkeypatch):
         xi = _seeded_nodes(100, 4)

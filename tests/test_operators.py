@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from halfspace import (BoundaryData, ConeSpec, DyadicCubeFamily, Grid,
                        HalfSpaceField, hardy_littlewood, nontangential_max,
                        poisson_extend, pointwise_max_principle_check)
 from halfspace.errors import BadShape, CubeTooSmall
-from halfspace.operators import hardy_littlewood_bruteforce
+from halfspace.operators import _cone_footprint, hardy_littlewood_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,50 @@ class TestPlanarBoundary:
                     if inside.any():
                         want[i, j] = max(want[i, j], mag[li][inside].max())
         assert np.array_equal(got, want)
+
+    @staticmethod
+    def footprint_max(u, cone):
+        """The cone maximum by a footprint filter per level, which the 1-D
+        runs replace."""
+        top = cone.resolve_top(u.grid)
+        mag = u.magnitude()
+        want = np.zeros(u.grid.shape)
+        for li, t in enumerate(u.heights):
+            if cone.epsilon < t <= top:
+                foot = _cone_footprint(cone.kappa * t / u.grid.h, u.grid.d)
+                want = np.maximum(want, ndimage.maximum_filter(
+                    mag[li], footprint=foot, mode="constant", cval=0.0))
+        return want
+
+    @staticmethod
+    def sparse_field(grid, heights, rng):
+        shape = (len(heights),) + grid.shape + (2,)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals[rng.random(shape[:-1]) < 0.3] = 0.0
+        return HalfSpaceField(grid=grid, heights=np.asarray(heights),
+                              values=vals)
+
+    @pytest.mark.parametrize("radius", [0.3, 0.5, 1, 2, 3, 5, 7, 12, 40])
+    def test_runs_match_footprint_filter(self, grid3, radius, rng):
+        # h = 0.5 and kappa = 1: the radius in nodes is exactly 2 t, so the
+        # integer radii put footprint rims exactly on the cone boundary
+        u = self.sparse_field(grid3, [radius / 2.0], rng)
+        cone = ConeSpec(kappa=1.0)
+        got = nontangential_max(u, cone).meta["values"]
+        assert np.array_equal(got, self.footprint_max(u, cone))
+
+    @pytest.mark.parametrize("cone", [
+        ConeSpec(kappa=1.0),
+        ConeSpec(kappa=1.3, epsilon=0.5, t_max=2.0),
+        ConeSpec(kappa=0.7, epsilon=0.25, t_max=6.0),
+        ConeSpec(kappa=2.0, t_max=1.0)])
+    def test_runs_match_footprint_filter_truncated(self, cone, rng):
+        grid = Grid(n=3, N=32, h=0.25)
+        heights = [0.05, 0.25, 0.5, 0.75, 1.0, 1.6, 2.0, 2.5, 3.0, 4.0, 6.0,
+                   9.0]
+        u = self.sparse_field(grid, heights, rng)
+        got = nontangential_max(u, cone).meta["values"]
+        assert np.array_equal(got, self.footprint_max(u, cone))
 
     def test_hardy_littlewood_matches_bruteforce(self, grid3, rng):
         # staged axis means differ from flat means by summation order only

@@ -44,15 +44,6 @@ def contour_symbol(system, omega, s):
     return k
 
 
-def _random_lh_tensor():
-    """Seeded complex, non-symmetric M = 3 tensor in n = 3 with a
-    Legendre-Hadamard margin of about 0.29."""
-    rng = np.random.default_rng(1)
-    a = np.einsum("ab,rs->abrs", np.eye(3), np.eye(3)).astype(complex)
-    return a + 0.3 * (rng.standard_normal((3, 3, 3, 3))
-                      + 1j * rng.standard_normal((3, 3, 3, 3)))
-
-
 SYSTEMS = {
     "lame2_real": dict(kind="lame", n=2, mu=1.0, lam=1.0),
     "lame2_complex": dict(kind="lame", n=2, mu=1 + 0.3j, lam=2 - 0.5j),
@@ -60,14 +51,14 @@ SYSTEMS = {
     "lame3_real": dict(kind="lame", n=3, mu=1.0, lam=1.0),
     "lame3_complex": dict(kind="lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j),
     "lame3_lam20": dict(kind="lame", n=3, mu=1.0, lam=20.0),
-    "random_lh3": dict(kind="raw", tensor=_random_lh_tensor()),
 }
+FIXTURES = ["random_lh3", "complex_scalar"]    # from conftest.py
 
 
-@pytest.fixture(scope="module", params=sorted(SYSTEMS) + ["complex_scalar"])
+@pytest.fixture(scope="module", params=sorted(SYSTEMS) + FIXTURES)
 def system(request):
-    if request.param == "complex_scalar":
-        return request.getfixturevalue("complex_scalar")
+    if request.param in FIXTURES:
+        return request.getfixturevalue(request.param)
     spec = dict(SYSTEMS[request.param])
     return build_system(spec.pop("kind"), **spec)
 
