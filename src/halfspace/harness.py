@@ -643,10 +643,9 @@ def _kernel_column_field(system: EllipticSystem, grid: Grid, levels,
     """Field K(., t) a (optionally minus its shift by z'), synthesised
     spectrally, all levels by one inverse FFT."""
     nodes = grid.freq_nodes_fftorder()
-    prepared = prepared_symbol(system, nodes)
-    spec = np.empty((len(nodes), len(levels), system.M), dtype=complex)
-    for li, t in enumerate(levels):
-        spec[:, li] = prepared.at(float(t)) @ vector
+    k, _ = prepared_symbol(system, nodes).levels(levels)
+    spec = np.einsum("ijlb,j->bli", k, vector)
+    del k
     if shift is not None:
         phase = np.exp(-1j * nodes @ np.asarray(shift, float))
         spec *= (1.0 - phase)[:, None, None]

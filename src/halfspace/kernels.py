@@ -27,8 +27,11 @@ scales by ||X^2||^(1/2) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 The exponential works on stacks of many tiny matrices, so they are stored
 nodes-last, (M, M, ..., B), and multiplied entry by entry (the layout of
 batched BLAS: Dongarra et al., Procedia Comput. Sci. 108, 2017); one call
-covers every height of a solve.  Scalar systems (M = 1) take the closed
-form exp(i tau_+ t).
+covers every height of a solve.  For scalar systems (M = 1) the solvent
+is the upper root tau_+(xi') itself, and Khat = exp(i tau_+ t) in closed
+form.  Every class goes through one path, :class:`PreparedSymbol`: the
+generator (tau_+, or G per node) is stored once per frequency node, and each
+height is then only an exponential.
 
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; then Phat(0) = I expresses the unit-mass normalisation and
@@ -72,7 +75,7 @@ _TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
 _MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
 _PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
 _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
-_GENERAL_CHUNK = 8192     # nodes per vectorised solvent batch
+_SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
 _SYNTH_CHUNK = 1 << 16    # frequency nodes per symbol call in kernel synthesis
 _PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
 _PROBE_SEED = 7           # seeds the random probe directions
@@ -267,71 +270,32 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
 
 
 class _DirectionEvaluator:
-    """s -> Khat(omega, s) for one unit direction, from its solvent G."""
+    """Upper solvents G(omega) of a few unit directions omega (D, n-1)."""
 
     def __init__(self, system: EllipticSystem, omega):
-        self.system = system
-        self.stacks = _expm_stacks(_solvent_stacks(
-            system, np.asarray(omega, dtype=float).reshape(1, -1))["g"])
-
-    def __call__(self, s: np.ndarray, want_dt: bool = False):
-        s = np.asarray(s, dtype=float)
-        stacks = {key: np.broadcast_to(v, v.shape[:-1] + s.shape)
-                  for key, v in self.stacks.items()}
-        k, dk = _eval_from_stacks(self.system, stacks, s, want_dt)
-        k = np.moveaxis(k, -1, 0)
-        return (k, np.moveaxis(dk, -1, 0)) if want_dt else k
-
-
-_EVAL_CACHE: dict = {}
-
-
-def _direction_evaluator(system: EllipticSystem, omega) -> _DirectionEvaluator:
-    key = (system.key(), tuple(np.round(np.asarray(omega, float), 12)))
-    ev = _EVAL_CACHE.get(key)
-    if ev is None:
-        ev = _DirectionEvaluator(system, omega)
-        if len(_EVAL_CACHE) > 256:
-            _EVAL_CACHE.clear()
-        _EVAL_CACHE[key] = ev
-    return ev
+        self.g = _solvent_stacks(system, np.asarray(omega, dtype=float))["g"]
 
 
 def poisson_symbol_at(system: EllipticSystem, xi_prime, t: float) -> np.ndarray:
-    """Khat(xi', t) through the generic solvent construction.
-
-    Returns the identity for t = 0 or xi' = 0.
-    """
-    xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
-    r = float(np.linalg.norm(xi_prime))
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if r == 0.0 or t == 0.0:
-        return np.eye(system.M, dtype=complex)
-    ev = _direction_evaluator(system, xi_prime / r)
-    return ev(np.array([t * r]))[0]
+    """Khat(xi', t) at one frequency, the one-node case of
+    :func:`symbol_batch`; the identity for t = 0 or xi' = 0."""
+    return symbol_batch(system, np.atleast_1d(xi_prime)[None], t)[0]
 
 
 def poisson_symbol_dt_at(system: EllipticSystem, xi_prime, t: float):
     """Pair (Khat, d/dt Khat) at (xi', t); derivative is exact in t."""
-    xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
-    r = float(np.linalg.norm(xi_prime))
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if r == 0.0:
-        return np.eye(system.M, dtype=complex), np.zeros((system.M,) * 2, complex)
-    ev = _direction_evaluator(system, xi_prime / r)
-    k, dk = ev(np.array([t * r]), want_dt=True)
-    return k[0], dk[0] * r
+    k, dk = symbol_batch(system, np.atleast_1d(xi_prime)[None], t, True)
+    return k[0], dk[0]
 
 
-def _scalar_batch(system: EllipticSystem, xi: np.ndarray, t: float,
-                  want_dt: bool):
-    """Closed residue form for M = 1: Khat = exp(i tau_plus(xi) t).
+def _scalar_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
+    """Generator of M = 1: the upper root tau_plus(xi) of the scalar
+    quadratic, so that Khat = exp(i tau_plus t); both roots vanish at
+    xi = 0, where tau_plus is taken as 0.
 
-    The single upper root of the scalar quadratic is always simple and is
-    the M = 1 solvent; this is the vectorised limit of the generic
-    construction, cross-checked against it in the tests.
+    The single upper root is always simple and is the M = 1 solvent; this
+    is the vectorised limit of the generic construction, cross-checked
+    against it in the tests.
     """
     a = system.coeffs[0, 0]
     d = system.n - 1
@@ -355,54 +319,28 @@ def _scalar_batch(system: EllipticSystem, xi: np.ndarray, t: float,
         raise RealAxisRoot("scalar characteristic root too close to real axis")
     if np.any(other[nz].imag > -tol):
         raise ImproperSplit("scalar roots do not split across the real axis")
-    k = np.ones(len(xi), dtype=complex)
-    k[nz] = np.exp(1j * tau[nz] * t)
-    out = k[:, None, None]
-    if not want_dt:
-        return out, None
-    dk = np.zeros(len(xi), dtype=complex)
-    dk[nz] = 1j * tau[nz] * k[nz]
-    return out, dk[:, None, None]
+    return {"tau": tau}
 
 
-def _collinear_batch(system: EllipticSystem, xi: np.ndarray, t: float,
-                     want_dt: bool):
-    """n = 2: all frequencies lie on a line, two direction solvents suffice."""
-    M = system.M
-    k = np.tile(np.eye(M, dtype=complex), (len(xi), 1, 1))
-    dk = np.zeros_like(k) if want_dt else None
+def _collinear_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
+    """Generator of n = 2, M > 1: every frequency lies on a line, so the
+    data of the solvents G(+1) and G(-1) are gathered per node, zero at
+    xi = 0."""
     x = xi[:, 0]
-    for sign in (1.0, -1.0):
-        m = sign * x > 0.0
-        if not m.any():
-            continue
-        ev = _direction_evaluator(system, [sign])
-        got = ev(np.abs(x[m]) * t, want_dt=want_dt)
-        if want_dt:
-            k[m] = got[0]
-            dk[m] = got[1] * np.abs(x[m])[:, None, None]
-        else:
-            k[m] = got
-    return k, dk
+    side = np.where(x > 0.0, 0, np.where(x < 0.0, 1, 2))
+    pair = _DirectionEvaluator(system, [[1.0], [-1.0]]).g
+    g = np.concatenate([pair, np.zeros_like(pair[:1])])
+    return {key: v[..., side] for key, v in _expm_stacks(g).items()}
 
 
-def _general_batch(system: EllipticSystem, xi: np.ndarray, t: float,
-                   want_dt: bool):
-    """Per-node solvents and exponentials, vectorised in chunks; any n, M."""
-    M = system.M
-    out_k = np.tile(np.eye(M, dtype=complex), (len(xi), 1, 1))
-    out_dk = np.zeros_like(out_k) if want_dt else None
+def _general_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
+    """Generator of any n, M: the solvent G(xi/|xi|) of every node, zero at
+    xi = 0, in the layout of :func:`_expm_stacks`."""
     norms = np.linalg.norm(xi, axis=1)
-    nz_idx = np.flatnonzero(norms > 0.0)
-    for start in range(0, len(nz_idx), _GENERAL_CHUNK):
-        idx = nz_idx[start:start + _GENERAL_CHUNK]
-        stacks = _expm_stacks(
-            _solvent_stacks(system, xi[idx] / norms[idx, None])["g"])
-        kq, dkq = _eval_from_stacks(system, stacks, t * norms[idx], want_dt)
-        out_k[idx] = np.moveaxis(kq, -1, 0)
-        if want_dt:
-            out_dk[idx] = np.moveaxis(dkq * norms[idx], -1, 0)
-    return out_k, out_dk
+    nz = norms > 0.0
+    g = np.zeros((len(xi), system.M, system.M), dtype=complex)
+    g[nz] = _solvent_stacks(system, xi[nz] / norms[nz, None])["g"]
+    return _expm_stacks(g)
 
 
 def _node_major(k: np.ndarray) -> np.ndarray:
@@ -415,60 +353,51 @@ def _nbytes(out) -> int:
 
 
 class PreparedSymbol:
-    """Reusable symbol evaluator for a fixed frequency set.
+    """Symbol evaluator for a fixed frequency set, the one path to Khat.
 
-    Multi-level solves hit the same frequencies once per height.  For a
-    matrix system in n >= 3 the per-node solvents are prepared once, in the
-    layout of :func:`_expm_stacks` with zeros at the zero frequency (where
-    Khat = I), so that :meth:`levels` evaluates every height of a solve in
-    one batched exponential; :meth:`at` is its one-height case and agrees
-    with it bit for bit.  Other systems evaluate each height by
-    :func:`symbol_batch`.  Per-height results of :meth:`at` are memoised up
-    to ``_MEMO_BYTES``, the oldest evicted first.
+    Construction stores one generator per node in ``stacks``: the upper
+    root tau for M = 1, and for M > 1 the solvent G(xi/|xi|) in the layout
+    of :func:`_expm_stacks` (in n = 2 gathered from G(+1) and G(-1)).  The
+    generator is zero at the zero frequency, where Khat = I.  Each height is
+    then only an exponential: :meth:`levels` evaluates every height of a
+    solve at once, and :meth:`at` is its one-height case, bit for bit, with
+    per-height results memoised up to ``_MEMO_BYTES``, the oldest evicted
+    first.
     """
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
         self.system = system
         self.xi = np.asarray(xi_nodes, dtype=float)
         self.norms = np.linalg.norm(self.xi, axis=1)
-        self.nz = np.flatnonzero(self.norms > 0.0)
-        self.stacks = None
         self._results: dict = {}
         self._lock = threading.Lock()
-        if system.M > 1 and system.n > 2:
-            solved = _expm_stacks(_solvent_stacks(
-                system, self.xi[self.nz] / self.norms[self.nz, None])["g"])
-            self.stacks = {}
-            for key, v in solved.items():
-                full = np.zeros(v.shape[:-1] + self.norms.shape, v.dtype)
-                full[..., self.nz] = v
-                self.stacks[key] = full
+        if system.M == 1:
+            self.stacks = _scalar_batch(system, self.xi)
+        elif system.n == 2:
+            self.stacks = _collinear_batch(system, self.xi)
+        else:
+            self.stacks = _general_batch(system, self.xi)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the per-node arrays: frequencies and solvent data."""
-        arrays = [self.xi, self.norms, self.nz, *(self.stacks or {}).values()]
+        """Bytes of the per-node arrays: frequencies and generator data."""
+        arrays = [self.xi, self.norms, *self.stacks.values()]
         return sum(a.nbytes for a in arrays)
 
     def levels(self, heights, want_dt: bool = False):
         """Khat at every height, shape (M, M, L, B) with the nodes last, and
         d/dt Khat when ``want_dt`` is set (else None)."""
         heights = np.asarray(heights, dtype=float)
-        if self.stacks is not None:
-            k, dk = _eval_from_stacks(self.system, self.stacks,
-                                      np.multiply.outer(heights, self.norms),
-                                      want_dt)
-            return k, (dk * self.norms if want_dt else None)
-        per = [symbol_batch(self.system, self.xi, t, want_dt) for t in heights]
-        k, dk = zip(*per) if want_dt else (per, None)
-        k = np.moveaxis(np.stack(k), (2, 3), (0, 1))
-        if want_dt:
-            dk = np.moveaxis(np.stack(dk), (2, 3), (0, 1))
-        return k, dk
+        if self.system.M == 1:
+            itau = 1j * self.stacks["tau"]
+            k = np.exp(np.multiply.outer(heights, itau))[None, None]
+            return k, (itau * k if want_dt else None)
+        k, dk = _eval_from_stacks(self.system, self.stacks,
+                                  np.multiply.outer(heights, self.norms),
+                                  want_dt)
+        return k, (dk * self.norms if want_dt else None)
 
     def at(self, t: float, want_dt: bool = False):
-        if self.stacks is None:
-            return symbol_batch(self.system, self.xi, t, want_dt=want_dt)
         key = (float(t), want_dt)
         hit = self._results.get(key)
         if hit is not None:
@@ -518,19 +447,24 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
     """Khat(xi', t) for a stack of frequencies (B, n-1); t a scalar >= 0.
 
     Returns (B, M, M), or a pair with the exact t-derivative when
-    ``want_dt`` is set.
+    ``want_dt`` is set.  Evaluated by an uncached :class:`PreparedSymbol`
+    per chunk of ``_SYMBOL_CHUNK`` nodes, so that one-off calls never hold
+    the generators of all nodes at once.
     """
     xi_nodes = np.asarray(xi_nodes, dtype=float)
     if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
         raise ValueError("xi_nodes must have shape (B, n-1)")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if system.M == 1:
-        k, dk = _scalar_batch(system, xi_nodes, t, want_dt)
-    elif system.n == 2:
-        k, dk = _collinear_batch(system, xi_nodes, t, want_dt)
-    else:
-        k, dk = _general_batch(system, xi_nodes, t, want_dt)
+    k = np.empty((len(xi_nodes), system.M, system.M), dtype=complex)
+    dk = np.empty_like(k) if want_dt else None
+    for start in range(0, len(xi_nodes), _SYMBOL_CHUNK):
+        sl = slice(start, start + _SYMBOL_CHUNK)
+        got = PreparedSymbol(system, xi_nodes[sl]).at(t, want_dt)
+        if want_dt:
+            k[sl], dk[sl] = got
+        else:
+            k[sl] = got
     return (k, dk) if want_dt else k
 
 
@@ -671,10 +605,10 @@ def _probe_extent(system: EllipticSystem, boundary_tol: float,
     for _ in range(4):
         v = rng.standard_normal(d)
         dirs.append(v / np.linalg.norm(v))
+    dirs = np.array(dirs)
     xi = _PROBE_START
     while xi <= xi_cap:
-        worst = max(float(np.abs(poisson_symbol_at(system, w * xi, 1.0)).max())
-                    for w in dirs)
+        worst = float(np.abs(symbol_batch(system, dirs * xi, 1.0)).max())
         if worst < boundary_tol:
             return xi
         xi *= 2.0
@@ -964,12 +898,9 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
     dirs = rng.standard_normal((100, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.exp(rng.uniform(np.log(0.1), np.log(20.0), 100))
-    worst = 0.0
-    for w, r in zip(dirs, radii):
-        xi = w * r
-        k1 = poisson_symbol_at(system, xi, 1.0)
-        k2 = poisson_symbol_at(system, xi, 0.3) @ poisson_symbol_at(system, xi, 0.7)
-        worst = max(worst, float(np.abs(k1 - k2).max()))
+    xi = dirs * radii[:, None]
+    k2 = symbol_batch(system, xi, 0.3) @ symbol_batch(system, xi, 0.7)
+    worst = float(np.abs(symbol_batch(system, xi, 1.0) - k2).max())
     metrics.append(make_metric(
         "semigroup_residual", worst, 1e-8, "le",
         "Khat(xi,1) = Khat(xi,0.3) Khat(xi,0.7) at 100 seeded frequencies"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halfspace import Grid, build_poisson_kernel, build_system
+from halfspace import Grid, build_poisson_kernel, build_system, kernels
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +39,19 @@ def random_lh3():
     a = a + 0.3 * (rng.standard_normal((3, 3, 3, 3))
                    + 1j * rng.standard_normal((3, 3, 3, 3)))
     return build_system("raw", tensor=a)
+
+
+@pytest.fixture(scope="session")
+def per_node_symbol():
+    """(system, xi, t) -> (Khat, d/dt Khat), each (B, M, M), from the
+    per-node solvents of ``kernels._general_batch``: the generic reference
+    for every system class."""
+    def evaluate(system, xi, t):
+        norms = np.linalg.norm(xi, axis=1)
+        k, dk = kernels._eval_from_stacks(
+            system, kernels._general_batch(system, xi), t * norms, True)
+        return np.moveaxis(k, -1, 0), np.moveaxis(dk * norms, -1, 0)
+    return evaluate
 
 
 @pytest.fixture(scope="session")

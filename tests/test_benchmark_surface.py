@@ -6,6 +6,9 @@ The tracer is never installed here, so nothing is patched.
 """
 import functools
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,7 +62,7 @@ def test_lame3_symbol_surface(perfbench):
     system = build_system("lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j)
     nodes = Grid(n=3, N=16, h=0.25).freq_nodes_fftorder()
 
-    args = (system, nodes, 0.7, True)
+    args = (system, nodes)
     out = kernels._general_batch(*args)
     assert tracing.ATTRS["kernels._general_batch"](args, {}, out) == \
         {"nodes": len(nodes)}
@@ -105,3 +108,42 @@ def test_lame3_solve_reaches_symbol_through_module_attribute(monkeypatch):
     poisson_extend(system, f, [0.1, 0.5, 2.0], gradient=True,
                    kernel=SimpleNamespace(tail_constant=1.0))
     assert calls == [((3, grid.node_count), True)]
+
+
+TRACED_PATHS = r"""
+import json, sys
+from types import SimpleNamespace
+import numpy as np
+import halfspace as hs
+import tracing
+
+tracer = tracing.Tracer()
+tracer.install(hs)
+for system, d in ((hs.build_system("laplacian", n=2), 1),
+                  (hs.build_system("lame", n=2, mu=1.0, lam=1.0), 1),
+                  (hs.build_system("lame", n=3, mu=1.0, lam=1.0), 2)):
+    hs.symbol_batch(system, np.linspace(-3.0, 3.0, 8 * d).reshape(-1, d), 0.7)
+system = hs.build_system("lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j)
+grid = hs.Grid(n=3, N=16, h=0.25)
+f = hs.harness.smooth_compact(grid, 3, 1, count=1)[0]
+hs.poisson_extend(system, f, [0.1, 0.5, 2.0], gradient=True,
+                  kernel=SimpleNamespace(tail_constant=1.0))
+json.dump(sorted({span[1] for span in tracer.spans}), sys.stdout)
+"""
+
+
+def test_tracer_sees_every_symbol_path():
+    """With the tracer installed, one symbol_batch per system class and one
+    Lame n=3 solve record a span under each private name it patches, so
+    every name stays on a path that runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(PERFBENCH), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", TRACED_PATHS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    seen = set(json.loads(done.stdout))
+    for name in ("_scalar_batch", "_collinear_batch", "_general_batch",
+                 "_eval_from_stacks", "_DirectionEvaluator.__init__",
+                 "PreparedSymbol.__init__"):
+        assert "kernels." + name in seen

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace import (EllipticSystem, Grid, ImproperSplit, OutOfDomain,
-                       RealAxisRoot, build_poisson_kernel, kernel_at,
-                       poisson_extend, poisson_symbol_at, poisson_symbol_dt_at,
-                       symbol_batch)
+                       RealAxisRoot, build_poisson_kernel, build_system,
+                       kernel_at, poisson_extend, poisson_symbol_at,
+                       poisson_symbol_dt_at, symbol_batch)
 from halfspace import kernels
 from halfspace.harness import smooth_compact
 from halfspace.kernels import (interior_pde_residual, kernel_derivative_spectrum,
@@ -49,10 +49,9 @@ class TestSymbol:
                 want = poisson_symbol_at(sys_, [x], 0.9)
                 assert np.abs(got[i] - want).max() < 1e-12
 
-    def test_batch_general_path_matches(self, lap3):
-        from halfspace.kernels import _general_batch
+    def test_batch_general_path_matches(self, lap3, per_node_symbol):
         xis = np.array([[1.0, 0.0], [0.3, -0.4], [3.0, 4.0], [7.0, 1.0]])
-        got, _ = _general_batch(lap3, xis, 0.9, False)
+        got, _ = per_node_symbol(lap3, xis, 0.9)
         want = symbol_batch(lap3, xis, 0.9)
         assert np.abs(got - want).max() < 1e-12
 
@@ -173,14 +172,85 @@ class TestLevels:
             assert np.array_equal(np.moveaxis(k[:, :, li], -1, 0), kt)
             assert np.array_equal(np.moveaxis(dk[:, :, li], -1, 0), dkt)
 
-    def test_levels_without_stacks_match_symbol_batch(self, lame2):
-        xi = _seeded_nodes(64, 6, d=1)
-        heights = [0.3, 1.1, 4.0]
-        k, dk = kernels.PreparedSymbol(lame2, xi).levels(heights, True)
-        for li, t in enumerate(heights):
-            kt, dkt = symbol_batch(lame2, xi, t, want_dt=True)
+
+def _class_system(n, M, complex_coeffs):
+    """Seeded tensor delta_ab delta_rs + 0.2 noise of one system class;
+    its Legendre-Hadamard margins are 0.26-1.0."""
+    rng = np.random.default_rng([n, M, complex_coeffs])
+    noise = rng.standard_normal((M, M, n, n))
+    if complex_coeffs:
+        noise = noise + 1j * rng.standard_normal((M, M, n, n))
+    tensor = np.einsum("ab,rs->abrs", np.eye(M), np.eye(n)) + 0.2 * noise
+    return build_system("raw", tensor=tensor)
+
+
+@pytest.fixture(scope="module", params=[
+    (n, M, c) for n in (2, 3) for M in (1, 2, 3) for c in (False, True)],
+    ids=lambda p: "n%d-M%d-%s" % (p[0], p[1], "complex" if p[2] else "real"))
+def class_system(request):
+    return _class_system(*request.param)
+
+
+class TestSystemClasses:
+    """One prepared path for every class n in {2, 3}, M in {1, 2, 3}."""
+
+    HEIGHTS = [0.0, 0.3, 1.1, 4.0]
+
+    def _nodes(self, system):
+        d = system.n - 1
+        return np.vstack([np.zeros((1, d)), _seeded_nodes(40, 6, d=d)])
+
+    def test_symbol_batch_is_a_row_of_levels(self, class_system):
+        xi = self._nodes(class_system)
+        k, dk = kernels.PreparedSymbol(class_system, xi).levels(
+            self.HEIGHTS, True)
+        for li, t in enumerate(self.HEIGHTS):
+            kt, dkt = symbol_batch(class_system, xi, t, want_dt=True)
             assert np.array_equal(np.moveaxis(k[:, :, li], -1, 0), kt)
             assert np.array_equal(np.moveaxis(dk[:, :, li], -1, 0), dkt)
+
+    def test_matches_per_node_solvents(self, class_system, per_node_symbol):
+        xi = self._nodes(class_system)
+        for t in self.HEIGHTS:
+            k, dk = symbol_batch(class_system, xi, t, want_dt=True)
+            want_k, want_dk = per_node_symbol(class_system, xi, t)
+            assert np.abs(k - want_k).max() <= 1e-12
+            assert np.abs(dk - want_dk).max() <= 1e-12
+
+    def test_identity_at_zero_frequency(self, class_system):
+        M = class_system.M
+        xi = self._nodes(class_system)
+        k, dk = symbol_batch(class_system, xi, 1.0, want_dt=True)
+        assert np.array_equal(k[0], np.eye(M))
+        assert np.array_equal(dk[0], np.zeros((M, M)))
+        k, dk = poisson_symbol_dt_at(class_system, xi[0], 1.0)
+        assert np.array_equal(k, np.eye(M))
+        assert np.array_equal(dk, np.zeros((M, M)))
+
+    def test_nbytes_counts_the_generators(self, class_system):
+        prep = kernels.PreparedSymbol(class_system, self._nodes(class_system))
+        generators = sum(v.nbytes for v in prep.stacks.values())
+        assert generators >= len(prep.xi) * 16 * class_system.M ** 2
+        assert prep.nbytes == generators + prep.xi.nbytes + prep.norms.nbytes
+
+
+def test_symbol_batch_prepares_node_chunks(lame2, monkeypatch):
+    """One-off calls hold the generators of one chunk of nodes at a time;
+    the chunks agree with one whole pass to round-off."""
+    xi = _seeded_nodes(40, 7, d=1)
+    whole = symbol_batch(lame2, xi, 0.8)
+    built = []
+    inner = kernels._collinear_batch
+
+    def recording(system, nodes):
+        built.append(len(nodes))
+        return inner(system, nodes)
+
+    monkeypatch.setattr(kernels, "_collinear_batch", recording)
+    monkeypatch.setattr(kernels, "_SYMBOL_CHUNK", 16)
+    chunked = symbol_batch(lame2, xi, 0.8)
+    assert built == [16, 16, 8]
+    assert np.abs(chunked - whole).max() <= 1e-15
 
 
 class TestPreparedCache:
@@ -368,7 +438,7 @@ class TestGuards:
         system = EllipticSystem(n=2, M=1, ellipticity_margin=1.0,
                                 coeffs=np.asarray(A, complex).reshape(1, 1, 2, 2))
         with pytest.raises(error):
-            kernels._general_batch(system, np.array([[1.0], [-2.0]]), 1.0, False)
+            kernels._general_batch(system, np.array([[1.0], [-2.0]]))
         with pytest.raises(error):
             poisson_symbol_at(system, [1.0], 1.0)
 

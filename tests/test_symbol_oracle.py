@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from halfspace import build_system, characteristic_roots, symbol_batch
-from halfspace.kernels import _general_batch, _solvent_stacks
+from halfspace.kernels import _solvent_stacks
 from halfspace.systems import symbol_pencil
 
 Q = 256
@@ -71,12 +71,12 @@ def _directions(system, count=12, seed=3):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def test_solvent_matches_contour(system):
+def test_solvent_matches_contour(system, per_node_symbol):
     omega = _directions(system)
     want = np.array([[contour_symbol(system, w, s) for s in HEIGHTS]
                      for w in omega])
     xi = (omega[:, None, :] * HEIGHTS[None, :, None]).reshape(-1, system.n - 1)
-    solvent, _ = _general_batch(system, xi, 1.0, False)
+    solvent, _ = per_node_symbol(system, xi, 1.0)
     dispatched = symbol_batch(system, xi, 1.0)
     want = want.reshape(solvent.shape)
     assert np.abs(solvent - want).max() <= 1e-12
