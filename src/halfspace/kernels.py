@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -76,7 +77,6 @@ _MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
 _PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
 _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
-_SYNTH_CHUNK = 1 << 16    # frequency nodes per symbol call in kernel synthesis
 _PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
 _PROBE_SEED = 7           # seeds the random probe directions
 
@@ -119,8 +119,8 @@ def _matrix_sign(x: np.ndarray) -> np.ndarray:
                        "root lies on the real axis")
 
 
-def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> dict:
-    """Upper solvents G(omega_b) for a stack of unit directions (B, d).
+def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> np.ndarray:
+    """Upper solvents G(omega_b), (B, M, M), of unit directions (B, d).
 
     The roots are checked as :func:`halfspace.systems.characteristic_roots`
     checks them, on the spectra of the upper solvent G and of the lower one
@@ -163,7 +163,7 @@ def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> dict:
     if np.any(np.linalg.eigvals(g).imag < tol) \
             or np.any(np.linalg.eigvals(-g - m1).imag > -tol):
         raise RealAxisRoot("characteristic root too close to the real axis")
-    return {"g": g, "omega": omega}
+    return g
 
 
 def _expm_stacks(g: np.ndarray) -> dict:
@@ -273,7 +273,7 @@ class _DirectionEvaluator:
     """Upper solvents G(omega) of a few unit directions omega (D, n-1)."""
 
     def __init__(self, system: EllipticSystem, omega):
-        self.g = _solvent_stacks(system, np.asarray(omega, dtype=float))["g"]
+        self.g = _solvent_stacks(system, np.asarray(omega, dtype=float))
 
 
 def poisson_symbol_at(system: EllipticSystem, xi_prime, t: float) -> np.ndarray:
@@ -339,7 +339,7 @@ def _general_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
     norms = np.linalg.norm(xi, axis=1)
     nz = norms > 0.0
     g = np.zeros((len(xi), system.M, system.M), dtype=complex)
-    g[nz] = _solvent_stacks(system, xi[nz] / norms[nz, None])["g"]
+    g[nz] = _solvent_stacks(system, xi[nz] / norms[nz, None])
     return _expm_stacks(g)
 
 
@@ -389,13 +389,20 @@ class PreparedSymbol:
         d/dt Khat when ``want_dt`` is set (else None)."""
         heights = np.asarray(heights, dtype=float)
         if self.system.M == 1:
-            itau = 1j * self.stacks["tau"]
-            k = np.exp(np.multiply.outer(heights, itau))[None, None]
-            return k, (itau * k if want_dt else None)
+            k = np.exp(np.multiply.outer(heights, 1j * self.stacks["tau"]))
+            k = k[None, None]
+            return k, (self.dt(k) if want_dt else None)
         k, dk = _eval_from_stacks(self.system, self.stacks,
                                   np.multiply.outer(heights, self.norms),
                                   want_dt)
         return k, (dk * self.norms if want_dt else None)
+
+    def dt(self, k: np.ndarray) -> np.ndarray:
+        """d/dt of a stack (M, M, L, B) of :meth:`levels`: the generator
+        product (i |xi'| G) k, or i tau k for M = 1."""
+        if self.system.M == 1:
+            return 1j * self.stacks["tau"] * k
+        return _soa_matmul(1j * self.stacks["g"][:, :, None], k) * self.norms
 
     def at(self, t: float, want_dt: bool = False):
         key = (float(t), want_dt)
@@ -442,6 +449,17 @@ def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray) -> PreparedSym
     return prep
 
 
+def _checked_nodes(system: EllipticSystem, xi_nodes, heights) -> np.ndarray:
+    """Frequencies as a float (B, n-1) array; ValueError on another shape
+    or on a negative height."""
+    xi_nodes = np.asarray(xi_nodes, dtype=float)
+    if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
+        raise ValueError("xi_nodes must have shape (B, n-1)")
+    if np.any(np.asarray(heights) < 0):
+        raise ValueError("t must be nonnegative")
+    return xi_nodes
+
+
 def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
                  want_dt: bool = False):
     """Khat(xi', t) for a stack of frequencies (B, n-1); t a scalar >= 0.
@@ -451,11 +469,7 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
     per chunk of ``_SYMBOL_CHUNK`` nodes, so that one-off calls never hold
     the generators of all nodes at once.
     """
-    xi_nodes = np.asarray(xi_nodes, dtype=float)
-    if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
-        raise ValueError("xi_nodes must have shape (B, n-1)")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    xi_nodes = _checked_nodes(system, xi_nodes, t)
     k = np.empty((len(xi_nodes), system.M, system.M), dtype=complex)
     dk = np.empty_like(k) if want_dt else None
     for start in range(0, len(xi_nodes), _SYMBOL_CHUNK):
@@ -468,42 +482,37 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
     return (k, dk) if want_dt else k
 
 
-def kernel_derivative_spectrum(system: EllipticSystem, xi_nodes: np.ndarray,
-                               t: float, alpha) -> np.ndarray:
-    """Spectrum of d^alpha K(., t): tangential factors (i xi)^alpha',
-    vertical derivatives analytic from the symbol (order <= 2).
-
-    ``alpha`` is a length-n multi-index, the last entry vertical.
-    """
+def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
+                       alpha) -> np.ndarray:
+    """d^alpha Khat(xi', t), (B, L, M, M), at every height for frequencies
+    (B, n-1): one uncached :class:`PreparedSymbol` per ``_SYMBOL_CHUNK``
+    nodes, its generator applied alpha_n times, times (i xi')^alpha'."""
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != system.n:
         raise ValueError("alpha must have length n")
-    an = alpha[-1]
-    if an > 2:
+    if alpha[-1] > 2:
         raise ValueError("vertical derivative order limited to 2")
-    if an == 0:
-        base = symbol_batch(system, xi_nodes, t)
-    else:
-        k, dk = symbol_batch(system, xi_nodes, t, want_dt=True)
-        if an == 1:
-            base = dk
-        else:
-            # from the vertical ODE: M2 K'' = M0 K - i M1 K'
-            d = system.n - 1
-            a = system.coeffs
-            m2inv = np.linalg.inv(a[:, :, -1, -1])
-            g1 = a[:, :, :d, -1] + a[:, :, -1, :d]
-            m1b = np.einsum("xyr,br->bxy", g1, xi_nodes)
-            m0b = np.einsum("xyrs,br,bs->bxy", a[:, :, :d, :d],
-                            xi_nodes, xi_nodes)
-            rhs = np.einsum("bxy,byz->bxz", m0b, k) \
-                - 1j * np.einsum("bxy,byz->bxz", m1b, dk)
-            base = np.einsum("xy,byz->bxz", m2inv, rhs)
-    factor = np.ones(len(xi_nodes), dtype=complex)
-    for r in range(system.n - 1):
-        if alpha[r]:
-            factor = factor * (1j * xi_nodes[:, r]) ** alpha[r]
-    return base * factor[:, None, None]
+    xi_nodes = _checked_nodes(system, xi_nodes, heights)
+    M = system.M
+    out = np.empty((len(xi_nodes), len(heights), M, M), dtype=complex)
+    for start in range(0, len(xi_nodes), _SYMBOL_CHUNK):
+        sl = slice(start, start + _SYMBOL_CHUNK)
+        prep = PreparedSymbol(system, xi_nodes[sl])
+        k, _ = prep.levels(heights)
+        for _ in range(alpha[-1]):
+            k = prep.dt(k)
+        out[sl] = k.transpose(3, 2, 0, 1)
+    factor = np.prod((1j * xi_nodes) ** np.array(alpha[:-1]), axis=1)
+    out *= factor[:, None, None, None]
+    return out
+
+
+def kernel_derivative_spectrum(system: EllipticSystem, xi_nodes: np.ndarray,
+                               t: float, alpha) -> np.ndarray:
+    """Spectrum of d^alpha K(., t), (B, M, M), for a length-n multi-index
+    ``alpha`` (last entry vertical, order <= 2): tangential factors
+    (i xi')^alpha', vertical derivatives as powers of the generator."""
+    return _derivative_levels(system, xi_nodes, [t], alpha)[:, 0]
 
 
 def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
@@ -511,21 +520,15 @@ def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
     """Sample d^alpha K(., t) on ``grid`` for each height t.
 
     Returns an array of shape (len(heights), *grid.shape, M, M), natural
-    spatial order.  alpha = None means the kernel itself.
+    spatial order.  alpha = None means the kernel itself.  The spectra of
+    all heights come from one symbol pass and one inverse FFT.
     """
     if alpha is None:
         alpha = (0,) * system.n
-    nodes = grid.freq_nodes_fftorder()
-    M = system.M
-    out = np.empty((len(heights),) + grid.shape + (M, M), dtype=complex)
-    for li, t in enumerate(heights):
-        spec = np.empty((len(nodes), M, M), dtype=complex)
-        for start in range(0, len(nodes), _SYNTH_CHUNK):
-            sl = slice(start, start + _SYNTH_CHUNK)
-            spec[sl] = kernel_derivative_spectrum(system, nodes[sl], float(t), alpha)
-        spec = spec.reshape(grid.shape + (M, M))
-        out[li] = grid_ifft(spec, grid)
-    return out
+    spec = _derivative_levels(system, grid.freq_nodes_fftorder(), heights,
+                              alpha)
+    fields = grid_ifft(spec.reshape(grid.shape + spec.shape[1:]), grid)
+    return np.ascontiguousarray(np.moveaxis(fields, grid.d, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -558,19 +561,13 @@ class PoissonKernelGrid:
     normalization_residual: float
     normalization_residual_full: float
     meta: dict = field(default_factory=dict)
-    _interp: dict = field(default_factory=dict, repr=False)
 
-    def entry_interpolator(self, i: int, j: int, part: str):
-        key = (i, j, part)
-        fn = self._interp.get(key)
-        if fn is None:
-            axes = (self.grid.axis(),) * self.grid.d
-            vals = self.values[..., i, j]
-            vals = vals.real if part == "re" else vals.imag
-            fn = interpolate.RegularGridInterpolator(
-                axes, vals, method="cubic", bounds_error=True)
-            self._interp[key] = fn
-        return fn
+    @cached_property
+    def interpolant(self) -> interpolate.RegularGridInterpolator:
+        """Cubic interpolant of the complex (..., M, M) values, built once."""
+        return interpolate.RegularGridInterpolator(
+            (self.grid.axis(),) * self.grid.d, self.values, method="cubic",
+            bounds_error=True)
 
 
 def _tail_shape(r2: np.ndarray, n: int) -> np.ndarray:
@@ -640,10 +637,7 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
 
     nodes = syn.freq_nodes_fftorder()
     M = system.M
-    spec = np.empty((len(nodes), M, M), dtype=complex)
-    for start in range(0, len(nodes), _SYNTH_CHUNK):
-        sl = slice(start, start + _SYNTH_CHUNK)
-        spec[sl] = symbol_batch(system, nodes[sl], 1.0)
+    spec = symbol_batch(system, nodes, 1.0)
     boundary = float(np.abs(spec[np.linalg.norm(nodes, axis=1)
                                  >= 0.98 * freq_extent]).max())
     if boundary >= boundary_tol:
@@ -716,25 +710,19 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
 
 
 def kernel_at(kernel: PoissonKernelGrid, x_prime, t: float) -> np.ndarray:
-    """K(x', t) = t^{1-n} P(x'/t) by bicubic interpolation on the grid."""
+    """K(x', t) = t^{1-n} P(x'/t) by cubic interpolation on the grid: (M, M)
+    at one point x' (n-1,), (P, M, M) at a stack of points (P, n-1)."""
     if not t > 0:
         raise OutOfDomain("kernel_at requires t > 0")
-    x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
-    y = x_prime / t
+    y = np.atleast_1d(np.asarray(x_prime, dtype=float)) / t
     g = kernel.grid
     lim = g.R - 2.5 * g.h
     if np.any(np.abs(y) > lim):
         raise OutOfDomain(
-            "|x'/t| = %s beyond the tabulated window %.3g" % (y, lim))
-    M = kernel.system.M
-    out = np.empty((M, M), dtype=complex)
-    pt = y[None, :]
-    for i in range(M):
-        for j in range(M):
-            re = kernel.entry_interpolator(i, j, "re")(pt)[0]
-            im = kernel.entry_interpolator(i, j, "im")(pt)[0]
-            out[i, j] = re + 1j * im
-    return t ** (1 - kernel.system.n) * out
+            "|x'/t| = %.3g beyond the tabulated window %.3g"
+            % (np.abs(y).max(), lim))
+    out = kernel.interpolant(y[None] if y.ndim == 1 else y)
+    return t ** (1 - kernel.system.n) * (out[0] if y.ndim == 1 else out)
 
 
 def discrete_operator(values: np.ndarray, spacings, coeffs: np.ndarray) -> np.ndarray:
@@ -854,6 +842,10 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
     rad = g.radii()
     mag = np.abs(kernel.values).max(axis=(-2, -1))
     band = (rad >= 10.0) & (rad <= 0.9 * g.R) & (mag > 0)
+    if np.count_nonzero(band) < 2:
+        raise OutOfDomain(
+            "far-field band 10 <= |x'| <= 0.9 R is empty for R = %.3g; "
+            "raise N" % g.R)
     slope = float(np.polyfit(np.log(rad[band]), np.log(mag[band]), 1)[0])
     metrics.append(make_metric(
         "far_field_slope_deviation", abs(slope + system.n), 0.1, "le",
@@ -861,14 +853,8 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
 
     # derivative bounds |d^a K| <= C |x|^{1-n-|a|} at t = 1, |a| <= 2
     d = system.n - 1
-    alphas = []
-    for r in range(system.n):
-        a1 = [0] * system.n
-        a1[r] = 1
-        alphas.append(tuple(a1))
-        a2 = [0] * system.n
-        a2[r] = 2
-        alphas.append(tuple(a2))
+    alphas = [tuple(order * int(r == s) for s in range(system.n))
+              for r in range(system.n) for order in (1, 2)]
     probe_grid = Grid(n=system.n, N=min(g.N, 512), h=g.h * max(1, g.N // 512))
     for alpha in alphas:
         stack = synthesize_kernel_levels(system, probe_grid, [1.0], alpha=alpha)[0]
@@ -905,7 +891,9 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
         "semigroup_residual", worst, 1e-8, "le",
         "Khat(xi,1) = Khat(xi,0.3) Khat(xi,0.7) at 100 seeded frequencies"))
 
-    # non-degeneracy probe: spherical means of |P(lambda w) a| per basis vector
+    # non-degeneracy probe: spherical means of |P(lambda w) a| per basis
+    # vector a; the norms (BLAS dot) and the means (rows of a 2-D array)
+    # sum in the order np.linalg.norm and np.mean use on one vector
     lam_hi = min(100.0, 0.9 * g.R)
     lams = np.logspace(-2, np.log10(lam_hi), 41)
     if d == 1:
@@ -913,16 +901,11 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
     else:
         ang = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         sphere = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    probe_min = np.inf
-    for b in range(M):
-        basis = np.zeros(M)
-        basis[b] = 1.0
-        best = 0.0
-        for lam in lams:
-            vals = [np.linalg.norm(kernel_at(kernel, lam * w, 1.0) @ basis)
-                    for w in sphere]
-            best = max(best, float(np.mean(vals)))
-        probe_min = min(probe_min, best)
+    pts = (lams[:, None, None] * sphere).reshape(-1, d)
+    cols = np.moveaxis(kernel_at(kernel, pts, 1.0), -1, 0)   # (M, P, M)
+    norms = np.sqrt(np.vecdot(cols.real, cols.real)
+                    + np.vecdot(cols.imag, cols.imag)).reshape(-1, len(sphere))
+    probe_min = float(norms.mean(axis=1).reshape(M, -1).max(axis=1).min())
     metrics.append(make_metric(
         "nondegeneracy_probe_min", probe_min, 0.0, "gt",
         "every basis vector sees positive spherical kernel mean at some scale"))

@@ -183,8 +183,8 @@ def _kernel_tail_constant(system: EllipticSystem) -> float:
         if system.n == 2:
             N, oversample = 256, 8
         else:
-            # matrix contour batches on 2-D grids are the expensive case;
-            # a small window suffices for an order-of-magnitude constant
+            # matrix solvents on 2-D grids are the expensive case; a small
+            # window suffices for an order-of-magnitude constant
             N, oversample = (256, 4) if system.M == 1 else (64, 4)
         _, ker = build_poisson_kernel(system, N=N, oversample=oversample,
                                       normalization_tol=None)
@@ -219,10 +219,10 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     """Extend boundary data to the given height levels.
 
     The symbol of every level is evaluated, exactly in t, in one batched
-    pass and all levels are inverted by one FFT; tangential derivatives (when ``gradient`` is requested) are
-    spectral multipliers and the vertical derivative is analytic from the
-    symbol.  Raises AliasRisk when a wrap tolerance is requested and the
-    periodisation bound exceeds it.
+    pass and all levels are inverted by one FFT; tangential derivatives
+    (when ``gradient`` is requested) are spectral multipliers and the
+    vertical derivative is analytic from the symbol.  Raises AliasRisk when
+    a wrap tolerance is requested and the periodisation bound exceeds it.
     """
     if system.n != f.grid.n:
         raise BadShape("system and data dimensions differ")

@@ -71,6 +71,11 @@ def lame2_kernel(lame2):
 
 
 @pytest.fixture(scope="session")
+def lame3_small_kernel(lame3_complex):
+    return build_poisson_kernel(lame3_complex, N=32, normalization_tol=None)
+
+
+@pytest.fixture(scope="session")
 def grid_mid():
     return Grid(n=2, N=1024, h=0.125)
 

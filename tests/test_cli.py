@@ -46,6 +46,14 @@ def test_invalid_system_exit(tmp_path):
     assert code == 2
 
 
+def test_kernel_window_too_small_exit(tmp_path, capsys):
+    code = run(["kernel", "--system", "laplacian", "--n", "2",
+                "--N", "128", "--out", str(tmp_path / "small")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "OutOfDomain" in err and "raise N" in err
+
+
 def test_verify_pass_and_exit_codes(tmp_path):
     out = tmp_path / "v"
     code = run(["verify", "counterexample_linear", "--out", str(out)])

@@ -227,6 +227,23 @@ class TestSystemClasses:
         assert np.array_equal(k, np.eye(M))
         assert np.array_equal(dk, np.zeros((M, M)))
 
+    def test_second_vertical_derivative_solves_the_ode(self, class_system):
+        """d_t^2 Khat from generator powers against the vertical ODE
+        M2 K'' = M0 K - i M1 K', solved for K''."""
+        xi = self._nodes(class_system)
+        d = class_system.n - 1
+        a = class_system.coeffs
+        m2inv = np.linalg.inv(a[:, :, -1, -1])
+        m1 = np.einsum("xyr,br->bxy", a[:, :, :d, -1] + a[:, :, -1, :d], xi)
+        m0 = np.einsum("xyrs,br,bs->bxy", a[:, :, :d, :d], xi, xi)
+        for t in self.HEIGHTS:
+            k, dk = symbol_batch(class_system, xi, t, want_dt=True)
+            want = m2inv @ (m0 @ k - 1j * m1 @ dk)
+            got = kernel_derivative_spectrum(class_system, xi, t,
+                                             (0,) * d + (2,))
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-10 * np.abs(want).max(axis=(1, 2)))
+
     def test_nbytes_counts_the_generators(self, class_system):
         prep = kernels.PreparedSymbol(class_system, self._nodes(class_system))
         generators = sum(v.nbytes for v in prep.stacks.values())
@@ -251,6 +268,31 @@ def test_symbol_batch_prepares_node_chunks(lame2, monkeypatch):
     chunked = symbol_batch(lame2, xi, 0.8)
     assert built == [16, 16, 8]
     assert np.abs(chunked - whole).max() <= 1e-15
+
+
+def test_synthesis_prepares_each_node_chunk_once(lame2, monkeypatch):
+    """All heights of one synthesis share the generators of a node chunk:
+    9 heights on 256 nodes build the collinear solvents once."""
+    built = []
+    inner = kernels._collinear_batch
+
+    def recording(system, nodes):
+        built.append(len(nodes))
+        return inner(system, nodes)
+
+    monkeypatch.setattr(kernels, "_collinear_batch", recording)
+    grid = Grid(n=2, N=256, h=1.0 / 16)
+    stack = synthesize_kernel_levels(lame2, grid, 1.0 + np.arange(-4, 5) / 16)
+    assert built == [256]
+    assert stack.shape == (9, 256, 2, 2)
+
+
+def test_derivative_spectrum_rejects_bad_multi_index(lame2):
+    xi = np.array([[1.0]])
+    with pytest.raises(ValueError, match="length n"):
+        kernel_derivative_spectrum(lame2, xi, 1.0, (0, 0, 1))
+    with pytest.raises(ValueError, match="limited to 2"):
+        kernel_derivative_spectrum(lame2, xi, 1.0, (0, 3))
 
 
 class TestPreparedCache:
@@ -373,6 +415,23 @@ class TestKernelAt:
         with pytest.raises(OutOfDomain):
             kernel_at(kernel, [1.0], 1e-4)
 
+    @pytest.mark.parametrize("name", ["lame2_kernel", "lame3_small_kernel"])
+    def test_stack_matches_single_points(self, name, request):
+        _, kernel = request.getfixturevalue(name)
+        d = kernel.grid.d
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-0.4, 0.4, (40, d)) * kernel.grid.R
+        stack = kernel_at(kernel, pts, 0.8)
+        assert stack.shape == (40,) + (kernel.system.M,) * 2
+        for p, k in zip(pts, stack):
+            assert np.array_equal(kernel_at(kernel, p, 0.8), k)
+
+    def test_stack_out_of_domain(self, lame2_kernel):
+        _, kernel = lame2_kernel
+        pts = np.array([[0.5], [-1.0], [2.0 * kernel.grid.R]])
+        with pytest.raises(OutOfDomain):
+            kernel_at(kernel, pts, 1.0)
+
     def test_unit_mass_at_heights(self, lap2_kernel):
         # int K(x'-y', t) dy' = 1 realised on the grid for several t
         table, kernel = lap2_kernel
@@ -408,6 +467,13 @@ class TestVerifyProperties:
         assert rep.value("semigroup_residual") < 1e-8
         assert rep.value("nondegeneracy_probe_min") > 0.0
         assert rep.value("far_field_slope_deviation") <= 0.1
+
+    def test_small_window_raises_named_error(self, lap2):
+        # R = 6.3 at N = 128: the far-field band 10 <= |x'| <= 0.9 R is empty
+        from halfspace import verify_kernel_properties
+        table, kernel = build_poisson_kernel(lap2, N=128)
+        with pytest.raises(OutOfDomain, match="raise N"):
+            verify_kernel_properties(lap2, kernel, table, pde_check=False)
 
 
 class TestRefinementMonotonicity:

@@ -85,7 +85,7 @@ def test_solvent_matches_contour(system, per_node_symbol):
 
 def test_solvent_residual(system):
     omega = _directions(system)
-    g = _solvent_stacks(system, omega)["g"]
+    g = _solvent_stacks(system, omega)
     for w, gw in zip(omega, g):
         p = symbol_pencil(system, w)
         residual = p.M2 @ gw @ gw + p.M1 @ gw + p.M0
