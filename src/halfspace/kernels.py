@@ -33,6 +33,27 @@ form.  Every class goes through one path, :class:`PreparedSymbol`: the
 generator (tau_+, or G per node) is stored once per frequency node, and each
 height is then only an exponential.
 
+Closed form.  Integrating Khat radially, int_0^oo r^(d-1) exp(r A) dr =
+(d-1)! (-A)^(-d) with A = i(y.omega + G(omega)) and d = n - 1, gives the
+spatial kernel P(y) = K(y, 1) = t^(n-1) K(t y, t) as an average over the
+unit directions omega:
+
+    n = 2:  P(y) = (i / 2 pi) [(y + G(+1))^(-1) + (G(-1) - y)^(-1)],
+    n = 3:  P(y) = -(2 pi)^(-2) int_0^(2 pi) (y.w + G(w))^(-2) dtheta,
+            w = (cos theta, sin theta).
+
+This is the Fourier-side form of the Agmon-Douglis-Nirenberg Poisson kernel
+and of its estimate |K(x', t)| <= C t (t^2 + |x'|^2)^(-n/2) (Agmon, Douglis
+& Nirenberg, Comm. Pure Appl. Math. 17, 1964; Martell, D. Mitrea, I. Mitrea
+& M. Mitrea, Rev. Mat. Iberoam. 32, 2016).  The n = 3 integrand is smooth
+and periodic, so the trapezoid rule converges geometrically.  The tail
+constant C that the solver's wrap bound uses is read from this formula on
+rays (:attr:`PreparedSymbol.tail_constant`), and the tests use it as the
+oracle of the FFT kernels below.  A point y takes the least power of two
+>= _TRAPEZOID_MIN and >= _TRAPEZOID_RATE (1 + |y|) / margin nodes, margin =
+min Im spec G: the integrand's poles lie about margin / |y| off the real
+angles, and the rule's error falls like exp(-nodes margin / |y|).
+
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; then Phat(0) = I expresses the unit-mass normalisation and
 the spatial kernel is synthesised with :func:`halfspace.grids.grid_ifft`.
@@ -48,6 +69,7 @@ from functools import cached_property
 from math import factorial
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import integrate, interpolate
 
 from .errors import (ImproperSplit, InsufficientDecay, OutOfDomain,
@@ -77,6 +99,8 @@ _MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
 _PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
 _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
+_TRAPEZOID_MIN = 64       # fewest circle nodes of the closed-form kernel
+_TRAPEZOID_RATE = 40.0    # circle nodes per unit of (1 + |y|) / root margin
 _PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
 _PROBE_SEED = 7           # seeds the random probe directions
 
@@ -352,6 +376,50 @@ def _nbytes(out) -> int:
     return sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
 
 
+def _unit_circle(d: int, count: int) -> np.ndarray:
+    """``count`` equally spaced unit vectors of R^d, d <= 2."""
+    theta = 2.0 * np.pi * np.arange(count) / count
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)[:, :d]
+
+
+def _closed_form_kernel(system: EllipticSystem, y: np.ndarray) -> np.ndarray:
+    """P(y) = K(y, 1), (B, M, M), at points y (B, d), d = n - 1 <= 2, as
+    the node mean of (d-1)!/(2 pi)^d |S^(d-1)| (-i(y.omega + G(omega)))^(-d),
+    the factor being 1/(d pi): nodes +-1 for d = 1, the trapezoid rule with
+    the node count of the module notes for d = 2.  det(s I + G) and
+    adj(s I + G)^d are polynomials in s = y.omega (Faddeev-LeVerrier)."""
+    d, M = system.n - 1, system.M
+    counts = np.full(len(y), 2)
+    if d == 2:
+        g = _solvent_stacks(system, _unit_circle(2, _TRAPEZOID_MIN))
+        need = _TRAPEZOID_RATE * (1.0 + np.linalg.norm(y, axis=1)) \
+            / np.linalg.eigvals(g).imag.min()
+        counts = 2 ** np.ceil(np.log2(np.maximum(need, _TRAPEZOID_MIN)))
+    omega = _unit_circle(d, int(counts.max()))
+    h = -_solvent_stacks(system, omega)
+    det, adj = [np.ones(len(h))], [np.broadcast_to(np.eye(M), h.shape)]
+    for k in range(1, M + 1):      # highest power of s first
+        hn = h @ adj[-1]
+        det.append(-np.trace(hn, axis1=1, axis2=2) / k)
+        adj.append(hn + det[-1][:, None, None] * np.eye(M))
+    det, adj = np.array(det[::-1]), adj[-2::-1]    # lowest power first
+    if d == 2:
+        adj = [sum(adj[i] @ adj[m - i] for i in range(M) if 0 <= m - i < M)
+               for m in range(2 * M - 1)]
+    out = np.zeros((len(y), M * M), dtype=complex)
+    for q in np.unique(counts).astype(int):
+        nodes = slice(None, None, len(omega) // q)
+        sel = np.flatnonzero(counts == q)
+        for rows in np.array_split(sel, -(-len(sel) * q // (1 << 16))):
+            s = y[rows] @ omega[nodes].T
+            den = polyval(s, det[:, nodes], tensor=False)
+            term = 1j ** d / (d * np.pi * q * den ** d)
+            for a in adj:
+                out[rows] += term @ a[nodes].reshape(q, M * M)
+                term = term * s
+    return out.reshape(-1, M, M)
+
+
 class PreparedSymbol:
     """Symbol evaluator for a fixed frequency set, the one path to Khat.
 
@@ -383,6 +451,16 @@ class PreparedSymbol:
         """Bytes of the per-node arrays: frequencies and generator data."""
         arrays = [self.xi, self.norms, *self.stacks.values()]
         return sum(a.nbytes for a in arrays)
+
+    @cached_property
+    def tail_constant(self) -> float:
+        """sup |P(y)| (1 + |y|^2)^(n/2), largest entry, of the closed-form
+        kernel on 32 rays (+-1 for n = 2) at |y| = 0 and 40 radii to 40."""
+        d = self.system.n - 1
+        radii = np.concatenate([[0.0], np.geomspace(1.0 / 16, 40.0, 40)])
+        y = np.kron(radii[:, None], _unit_circle(d, 2 if d == 1 else 32))
+        mag = np.abs(_closed_form_kernel(self.system, y)).max(axis=(1, 2))
+        return float((mag * (1.0 + (y * y).sum(axis=1)) ** (0.5 + 0.5 * d)).max())
 
     def levels(self, heights, want_dt: bool = False):
         """Khat at every height, shape (M, M, L, B) with the nodes last, and
@@ -483,27 +561,31 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
 
 
 def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
-                       alpha) -> np.ndarray:
-    """d^alpha Khat(xi', t), (B, L, M, M), at every height for frequencies
-    (B, n-1): one uncached :class:`PreparedSymbol` per ``_SYMBOL_CHUNK``
-    nodes, its generator applied alpha_n times, times (i xi')^alpha'."""
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != system.n:
+                       alphas) -> np.ndarray:
+    """d^alpha Khat(xi', t), (B, A, L, M, M), for each of the A multi-indices
+    ``alphas`` at every height for frequencies (B, n-1): one uncached
+    :class:`PreparedSymbol` per ``_SYMBOL_CHUNK`` nodes serves them all, its
+    generator applied alpha_n times, times (i xi')^alpha'."""
+    alphas = [tuple(int(x) for x in alpha) for alpha in alphas]
+    if any(len(alpha) != system.n for alpha in alphas):
         raise ValueError("alpha must have length n")
-    if alpha[-1] > 2:
+    if any(alpha[-1] > 2 for alpha in alphas):
         raise ValueError("vertical derivative order limited to 2")
     xi_nodes = _checked_nodes(system, xi_nodes, heights)
     M = system.M
-    out = np.empty((len(xi_nodes), len(heights), M, M), dtype=complex)
+    out = np.empty((len(xi_nodes), len(alphas), len(heights), M, M),
+                   dtype=complex)
     for start in range(0, len(xi_nodes), _SYMBOL_CHUNK):
         sl = slice(start, start + _SYMBOL_CHUNK)
         prep = PreparedSymbol(system, xi_nodes[sl])
-        k, _ = prep.levels(heights)
-        for _ in range(alpha[-1]):
-            k = prep.dt(k)
-        out[sl] = k.transpose(3, 2, 0, 1)
-    factor = np.prod((1j * xi_nodes) ** np.array(alpha[:-1]), axis=1)
-    out *= factor[:, None, None, None]
+        vertical = [prep.levels(heights)[0]]
+        while len(vertical) <= max(alpha[-1] for alpha in alphas):
+            vertical.append(prep.dt(vertical[-1]))
+        for j, alpha in enumerate(alphas):
+            out[sl, j] = vertical[alpha[-1]].transpose(3, 2, 0, 1)
+    for j, alpha in enumerate(alphas):
+        factor = np.prod((1j * xi_nodes) ** np.array(alpha[:-1]), axis=1)
+        out[:, j] *= factor[:, None, None, None]
     return out
 
 
@@ -512,7 +594,7 @@ def kernel_derivative_spectrum(system: EllipticSystem, xi_nodes: np.ndarray,
     """Spectrum of d^alpha K(., t), (B, M, M), for a length-n multi-index
     ``alpha`` (last entry vertical, order <= 2): tangential factors
     (i xi')^alpha', vertical derivatives as powers of the generator."""
-    return _derivative_levels(system, xi_nodes, [t], alpha)[:, 0]
+    return _derivative_levels(system, xi_nodes, [t], [alpha])[:, 0, 0]
 
 
 def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
@@ -525,10 +607,18 @@ def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
     """
     if alpha is None:
         alpha = (0,) * system.n
+    return _synthesize_derivatives(system, grid, heights, [alpha])[0]
+
+
+def _synthesize_derivatives(system: EllipticSystem, grid: Grid, heights,
+                            alphas) -> np.ndarray:
+    """d^alpha K(., t) for each multi-index of ``alphas`` and each height,
+    (A, L, *grid.shape, M, M), from one symbol pass and one inverse FFT."""
     spec = _derivative_levels(system, grid.freq_nodes_fftorder(), heights,
-                              alpha)
+                              alphas)
     fields = grid_ifft(spec.reshape(grid.shape + spec.shape[1:]), grid)
-    return np.ascontiguousarray(np.moveaxis(fields, grid.d, 0))
+    return np.ascontiguousarray(
+        np.moveaxis(fields, (grid.d, grid.d + 1), (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +946,8 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
     alphas = [tuple(order * int(r == s) for s in range(system.n))
               for r in range(system.n) for order in (1, 2)]
     probe_grid = Grid(n=system.n, N=min(g.N, 512), h=g.h * max(1, g.N // 512))
-    for alpha in alphas:
-        stack = synthesize_kernel_levels(system, probe_grid, [1.0], alpha=alpha)[0]
+    stacks = _synthesize_derivatives(system, probe_grid, [1.0], alphas)[:, 0]
+    for alpha, stack in zip(alphas, stacks):
         amag = np.abs(stack).max(axis=(-2, -1))
         r2 = sum(m * m for m in probe_grid.meshes()) + 1.0
         order = system.n - 1 + sum(alpha)

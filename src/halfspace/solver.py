@@ -5,7 +5,9 @@ of all height levels stacked and inverted by one FFT per field: the symbol
 is exact in t, so no kernel truncation enters the vertical direction.  The
 price is periodisation; data must sit in the central half of the grid (or
 carry a tail tag), and the wrap-around error bound derived from the kernel
-tail is attached to the field.
+tail is attached to the field.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2)
+comes from the closed-form kernel of :mod:`halfspace.kernels` on rays and is
+kept with the grid's prepared symbol; no kernel table is built.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from scipy import integrate
 
 from .errors import AliasRisk, BadShape, InsufficientLevels
 from .grids import Grid, grid_fft, grid_ifft
-from .kernels import build_poisson_kernel, prepared_symbol
+from .kernels import prepared_symbol
 from .systems import EllipticSystem
 
 __all__ = [
@@ -173,25 +175,6 @@ class HalfSpaceField:
                             space_tag="generic")
 
 
-_TAIL_CONSTANT_CACHE: dict = {}
-
-
-def _kernel_tail_constant(system: EllipticSystem) -> float:
-    """Fitted constant C with |K(z,t)| <= C t (t^2+|z|^2)^(-n/2), cached."""
-    key = system.key()
-    if key not in _TAIL_CONSTANT_CACHE:
-        if system.n == 2:
-            N, oversample = 256, 8
-        else:
-            # matrix solvents on 2-D grids are the expensive case; a small
-            # window suffices for an order-of-magnitude constant
-            N, oversample = (256, 4) if system.M == 1 else (64, 4)
-        _, ker = build_poisson_kernel(system, N=N, oversample=oversample,
-                                      normalization_tol=None)
-        _TAIL_CONSTANT_CACHE[key] = ker.tail_constant
-    return _TAIL_CONSTANT_CACHE[key]
-
-
 def _wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float,
                 tail_constant: float) -> float:
     """Kernel-tail bound on the periodisation error, per unit sup of f."""
@@ -214,7 +197,7 @@ def _level_fields(spectra: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
-                   *, gradient: bool = False, kernel=None,
+                   *, gradient: bool = False,
                    wrap_tol: float | None = None) -> HalfSpaceField:
     """Extend boundary data to the given height levels.
 
@@ -233,8 +216,10 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     if len(heights) == 0 or heights[0] <= 0:
         raise BadShape("heights must be positive")
 
-    tail_c = kernel.tail_constant if kernel is not None \
-        else _kernel_tail_constant(system)
+    grid = f.grid
+    nodes = grid.freq_nodes_fftorder()
+    prepared = prepared_symbol(system, nodes)
+    tail_c = prepared.tail_constant
     compact = f.centrally_supported()
     wrap = _wrap_bound(system, f, heights[-1], tail_c) if compact else np.inf
     if wrap_tol is not None:
@@ -244,12 +229,10 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
             raise AliasRisk("wrap-around bound %.2e exceeds %.2e"
                             % (wrap, wrap_tol))
 
-    grid = f.grid
     d = grid.d
     M = system.M
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
-    nodes = grid.freq_nodes_fftorder()
-    ksym, dksym = prepared_symbol(system, nodes).levels(heights, gradient)
+    ksym, dksym = prepared.levels(heights, gradient)
     fhat = np.ascontiguousarray(fhat.T)
     uhat = np.einsum("ijlb,jb->bli", ksym, fhat)
     dhat = np.einsum("ijlb,jb->bli", dksym, fhat) if gradient else None

@@ -287,6 +287,29 @@ def test_synthesis_prepares_each_node_chunk_once(lame2, monkeypatch):
     assert stack.shape == (9, 256, 2, 2)
 
 
+def test_derivative_multi_indices_share_one_preparation(lame2, monkeypatch):
+    """The derivative constants of verify_kernel_properties come from one
+    preparation of the probe nodes for all multi-indices, bit for bit equal
+    to one synthesis per multi-index."""
+    grid = Grid(n=2, N=256, h=1.0 / 8)
+    alphas = [(1, 0), (2, 0), (0, 1), (0, 2)]
+    single = [synthesize_kernel_levels(lame2, grid, [1.0], alpha=a)
+              for a in alphas]
+    built = []
+    inner = kernels._collinear_batch
+
+    def recording(system, nodes):
+        built.append(len(nodes))
+        return inner(system, nodes)
+
+    monkeypatch.setattr(kernels, "_collinear_batch", recording)
+    joint = kernels._synthesize_derivatives(lame2, grid, [1.0], alphas)
+    assert built == [256]
+    assert joint.shape == (4, 1, 256, 2, 2)
+    for one, stack in zip(single, joint):
+        assert np.array_equal(one, stack)
+
+
 def test_derivative_spectrum_rejects_bad_multi_index(lame2):
     xi = np.array([[1.0]])
     with pytest.raises(ValueError, match="length n"):
@@ -396,6 +419,76 @@ class TestBuild:
     def test_requires_power_of_two(self, lap2):
         with pytest.raises(ValueError):
             build_poisson_kernel(lap2, N=1000)
+
+
+def _tail_constant(system):
+    """The closed-form tail constant, on a fresh one-node PreparedSymbol."""
+    return kernels.PreparedSymbol(system, np.zeros((1, system.n - 1))) \
+        .tail_constant
+
+
+class TestClosedForm:
+    """P(y) = K(y, 1) from the solvents, the oracle of the FFT kernels."""
+
+    @staticmethod
+    def _points(d, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((400, d))
+        y *= rng.uniform(0.0, 20.0, (400, 1)) / np.linalg.norm(y, axis=1,
+                                                             keepdims=True)
+        return np.vstack([np.zeros((1, d)), y])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_laplacian_exact(self, n, lap2, lap3):
+        system = lap2 if n == 2 else lap3
+        y = self._points(n - 1, n)
+        exact = (1.0 + (y * y).sum(axis=1)) ** (-0.5 * n) / (np.pi * (n - 1))
+        got = kernels._closed_form_kernel(system, y)[:, 0, 0]
+        assert (np.abs(got - exact) / exact).max() <= 1e-12
+        assert abs(_tail_constant(system)
+                   - 1.0 / (np.pi * (n - 1))) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["lame2_kernel", "lame3_small_kernel"])
+    def test_fft_tables_within_their_images(self, name, request):
+        """The FFT table is the kernel periodised on the synthesis box of
+        half-width Rs: its error at y is the sum over k != 0 of P(y + 2 Rs k),
+        at most C sum (1 + |y + 2 Rs k|^2)^(-n/2) with C the closed-form tail
+        constant.  The lattice sum is cut at |k|_inf <= K; with
+        u = 2 Rs - |y|_inf, the shells beyond add at most C d 2^d / (K u^n).
+        1e-12 covers the symbol cut at the frequency box (below
+        boundary_tol = 1e-12) and round-off."""
+        _, kernel = request.getfixturevalue(name)
+        system, grid = kernel.system, kernel.grid
+        n, d, K = system.n, grid.d, (200 if grid.d == 1 else 20)
+        y = np.stack([m.ravel() for m in grid.meshes()], axis=1)
+        err = np.abs(kernel.values.reshape(-1, system.M, system.M)
+                     - kernels._closed_form_kernel(system, y)).max(axis=(1, 2))
+        c = _tail_constant(system)
+        rs = kernel.meta["synthesis_R"]
+        ks = np.stack(np.meshgrid(*[np.arange(-K, K + 1)] * d, indexing="ij"),
+                      axis=-1).reshape(-1, d)
+        ks = ks[np.any(ks != 0, axis=1)]
+        z = y[:, None, :] + 2.0 * rs * ks[None]
+        images = c * ((1.0 + (z * z).sum(axis=2)) ** (-0.5 * n)).sum(axis=1)
+        rest = c * d * 2 ** d / (K * (2.0 * rs - np.abs(y).max(axis=1)) ** n)
+        assert np.all(err <= images + rest + 1e-12)
+        assert err.max() > 0.1 * images.min()   # the images are what is seen
+
+    def test_node_count_rule_converged(self, random_lh3, monkeypatch):
+        """Doubling every trapezoid node count moves the tail constant by
+        less than 1e-6: the count grows with |y| / margin out to |y| = 40,
+        where a fixed 512 nodes are far from converged."""
+        base = _tail_constant(random_lh3)
+        monkeypatch.setattr(kernels, "_TRAPEZOID_MIN",
+                            2 * kernels._TRAPEZOID_MIN)
+        monkeypatch.setattr(kernels, "_TRAPEZOID_RATE",
+                            2 * kernels._TRAPEZOID_RATE)
+        assert abs(_tail_constant(random_lh3) - base) < 1e-6 * base
+
+    def test_tail_constant_kept_with_prepared_nodes(self, lame3_complex):
+        prep = kernels.PreparedSymbol(lame3_complex, _seeded_nodes(8, 3))
+        assert prep.tail_constant == pytest.approx(0.349026, abs=1e-6)
+        assert prep.__dict__["tail_constant"] is prep.tail_constant
 
 
 class TestKernelAt:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -7,7 +9,7 @@ from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        poisson_extend, trace_estimate, weighted_integrability)
 from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
-from halfspace.harness import smooth_compact
+from halfspace.harness import sign_changing, smooth_compact
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +94,54 @@ class TestExtend:
     def test_dimension_mismatch(self, lap3, grid):
         with pytest.raises(BadShape):
             poisson_extend(lap3, gaussian_datum(grid), [1.0])
+
+
+def _datum(kind, grid, M):
+    if kind == "gaussian":
+        prof = np.exp(-grid.axis() ** 2)[:, None] * np.eye(M)[0]
+        return BoundaryData(grid=grid, samples=prof, space_tag="lp")
+    make = smooth_compact if kind == "smooth_compact" else sign_changing
+    return make(grid, M, 3, count=1)[0]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "smooth_compact",
+                                  "windowed_cosine"])
+@pytest.mark.parametrize("system_name", ["lap2", "lame2"])
+def test_wrap_bound_exceeds_measured_periodisation(system_name, kind,
+                                                   request):
+    """With the closed-form tail constant the wrap bound still bounds the
+    periodisation error, measured against the same datum zero-padded to an
+    8x wider box at the same spacing."""
+    system = request.getfixturevalue(system_name)
+    grid, wide = Grid(n=2, N=256, h=0.125), Grid(n=2, N=2048, h=0.125)
+    f = _datum(kind, grid, system.M)
+    lo = (wide.N - grid.N) // 2
+    padded = np.zeros((wide.N, system.M), dtype=complex)
+    padded[lo:lo + grid.N] = f.samples
+    heights = [0.25, 1.0, 4.0]
+    u = poisson_extend(system, f, heights)
+    ref = poisson_extend(system, BoundaryData(grid=wide, samples=padded),
+                         heights)
+    err = np.abs(u.values - ref.values[:, lo:lo + grid.N]).max()
+    assert np.isfinite(u.meta["wrap_bound"])
+    assert 0.0 < err <= u.meta["wrap_bound"]
+
+
+def test_solve_builds_no_kernel(lame3_complex, monkeypatch):
+    """A fresh Lame n=3 solve takes its tail constant from the closed form,
+    never from an FFT kernel build."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_poisson_kernel called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "halfspace" \
+                and hasattr(module, "build_poisson_kernel"):
+            monkeypatch.setattr(module, "build_poisson_kernel", refuse)
+    monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+    f = smooth_compact(Grid(n=3, N=16, h=0.25), 3, 1, count=1)[0]
+    u = poisson_extend(lame3_complex, f, [0.5, 1.0])
+    assert u.meta["tail_constant"] == pytest.approx(0.349026, abs=1e-6)
+    assert np.isfinite(u.meta["wrap_bound"])
 
 
 class TestWeightedIntegrability:
