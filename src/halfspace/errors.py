@@ -30,7 +30,7 @@ class InsufficientDecay(HalfspaceError):
 
 
 class OutOfDomain(HalfspaceError):
-    """Requested evaluation point falls outside the tabulated grid."""
+    """Requested point or window lies outside what can be evaluated."""
 
 
 class AliasRisk(HalfspaceError):

@@ -48,16 +48,19 @@ and of its estimate |K(x', t)| <= C t (t^2 + |x'|^2)^(-n/2) (Agmon, Douglis
 & M. Mitrea, Rev. Mat. Iberoam. 32, 2016).  The n = 3 integrand is smooth
 and periodic, so the trapezoid rule converges geometrically.  The tail
 constant C that the solver's wrap bound uses is read from this formula on
-rays (:attr:`PreparedSymbol.tail_constant`), and the tests use it as the
+rays (:attr:`PreparedSymbol.tail_constant`), :func:`kernel_at` evaluates
+K(x', t) = t^(1-n) P(x'/t) by it at any point, and the tests use it as the
 oracle of the FFT kernels below.  A point y takes the least power of two
 >= _TRAPEZOID_MIN and >= _TRAPEZOID_RATE (1 + |y|) / margin nodes, margin =
 min Im spec G: the integrand's poles lie about margin / |y| off the real
-angles, and the rule's error falls like exp(-nodes margin / |y|).
+angles, and the rule's error falls like exp(-nodes margin / |y|).  More than
+_TRAPEZOID_MAX nodes raise OutOfDomain.  In n = 3 the nodes sum terms far
+above P(y) ~ |y|^(-3): the relative round-off grows like 1e-17 |y|^3.
 
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; then Phat(0) = I expresses the unit-mass normalisation and
 the spatial kernel is synthesised with :func:`halfspace.grids.grid_ifft`.
-The spatial synthesis runs on an `oversample`-times finer frequency grid
+The spatial synthesis runs on an _OVERSAMPLE-times finer frequency grid
 than the delivered table so that periodisation images land far outside the
 delivered window; the delivered grid is the central crop.
 """
@@ -70,9 +73,9 @@ from math import factorial
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import integrate, interpolate
+from scipy import integrate
 
-from .errors import (ImproperSplit, InsufficientDecay, OutOfDomain,
+from .errors import (BadShape, ImproperSplit, InsufficientDecay, OutOfDomain,
                      RealAxisRoot, SingularBoundaryMatrix)
 from .grids import Grid, grid_ifft
 from .report import VerificationReport, make_metric
@@ -101,6 +104,10 @@ _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
 _TRAPEZOID_MIN = 64       # fewest circle nodes of the closed-form kernel
 _TRAPEZOID_RATE = 40.0    # circle nodes per unit of (1 + |y|) / root margin
+_TRAPEZOID_MAX = 2 ** 18  # most circle nodes of one closed-form point
+_OVERSAMPLE = {2: 16, 3: 5}  # synthesis per delivered grid; key min(n, 3)
+_BOUNDARY_TOL = 1e-12     # symbol magnitude at the frequency-box boundary
+_XI_CAP = 4096.0          # largest frequency half-width _probe_extent tries
 _PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
 _PROBE_SEED = 7           # seeds the random probe directions
 
@@ -387,14 +394,22 @@ def _closed_form_kernel(system: EllipticSystem, y: np.ndarray) -> np.ndarray:
     the node mean of (d-1)!/(2 pi)^d |S^(d-1)| (-i(y.omega + G(omega)))^(-d),
     the factor being 1/(d pi): nodes +-1 for d = 1, the trapezoid rule with
     the node count of the module notes for d = 2.  det(s I + G) and
-    adj(s I + G)^d are polynomials in s = y.omega (Faddeev-LeVerrier)."""
+    adj(s I + G)^d are polynomials in s = y.omega (Faddeev-LeVerrier).  No
+    product sums over rows, so a point's value does not depend on the others."""
+    if system.n not in (2, 3):
+        raise BadShape("closed-form kernel covers n = 2 and 3, not %d" % system.n)
     d, M = system.n - 1, system.M
     counts = np.full(len(y), 2)
     if d == 2:
         g = _solvent_stacks(system, _unit_circle(2, _TRAPEZOID_MIN))
-        need = _TRAPEZOID_RATE * (1.0 + np.linalg.norm(y, axis=1)) \
-            / np.linalg.eigvals(g).imag.min()
+        radii = np.linalg.norm(y, axis=1)
+        need = _TRAPEZOID_RATE * (1.0 + radii) / np.linalg.eigvals(g).imag.min()
         counts = 2 ** np.ceil(np.log2(np.maximum(need, _TRAPEZOID_MIN)))
+        j = int(np.argmax(counts))
+        if counts[j] > _TRAPEZOID_MAX:
+            raise OutOfDomain("|y| = %.3g needs %d trapezoid nodes, over %d; "
+                              "use a larger t" % (radii[j], counts[j],
+                                                  _TRAPEZOID_MAX))
     omega = _unit_circle(d, int(counts.max()))
     h = -_solvent_stacks(system, omega)
     det, adj = [np.ones(len(h))], [np.broadcast_to(np.eye(M), h.shape)]
@@ -411,11 +426,12 @@ def _closed_form_kernel(system: EllipticSystem, y: np.ndarray) -> np.ndarray:
         nodes = slice(None, None, len(omega) // q)
         sel = np.flatnonzero(counts == q)
         for rows in np.array_split(sel, -(-len(sel) * q // (1 << 16))):
-            s = y[rows] @ omega[nodes].T
+            # per-row sums: BLAS orders a sum by the number of rows
+            s = sum(y[rows, r, None] * omega[nodes, r] for r in range(d))
             den = polyval(s, det[:, nodes], tensor=False)
             term = 1j ** d / (d * np.pi * q * den ** d)
             for a in adj:
-                out[rows] += term @ a[nodes].reshape(q, M * M)
+                out[rows] += (term[:, None] @ a[nodes].reshape(q, M * M))[:, 0]
                 term = term * s
     return out.reshape(-1, M, M)
 
@@ -635,10 +651,6 @@ class PoissonSymbolTable:
     values: np.ndarray        # (*freq_shape, M, M), natural order
     decay_rate: float
 
-    def freq_axis(self) -> np.ndarray:
-        step = 2.0 * self.freq_extent / self.N
-        return (np.arange(self.N) - self.N // 2) * step
-
 
 @dataclass
 class PoissonKernelGrid:
@@ -651,13 +663,6 @@ class PoissonKernelGrid:
     normalization_residual: float
     normalization_residual_full: float
     meta: dict = field(default_factory=dict)
-
-    @cached_property
-    def interpolant(self) -> interpolate.RegularGridInterpolator:
-        """Cubic interpolant of the complex (..., M, M) values, built once."""
-        return interpolate.RegularGridInterpolator(
-            (self.grid.axis(),) * self.grid.d, self.values, method="cubic",
-            bounds_error=True)
 
 
 def _tail_shape(r2: np.ndarray, n: int) -> np.ndarray:
@@ -682,8 +687,7 @@ def _tail_mass_outside_box(half_width: float, n: int) -> float:
     return total - box
 
 
-def _probe_extent(system: EllipticSystem, boundary_tol: float,
-                  xi_cap: float) -> float:
+def _probe_extent(system: EllipticSystem) -> float:
     """Double the frequency half-width until the symbol is below tolerance."""
     d = system.n - 1
     dirs = [np.eye(d)[r] * s for r in range(d) for s in (1.0, -1.0)]
@@ -694,33 +698,31 @@ def _probe_extent(system: EllipticSystem, boundary_tol: float,
         dirs.append(v / np.linalg.norm(v))
     dirs = np.array(dirs)
     xi = _PROBE_START
-    while xi <= xi_cap:
+    while xi <= _XI_CAP:
         worst = float(np.abs(symbol_batch(system, dirs * xi, 1.0)).max())
-        if worst < boundary_tol:
+        if worst < _BOUNDARY_TOL:
             return xi
         xi *= 2.0
     raise InsufficientDecay(
-        "symbol magnitude stays above %.1e out to |xi'| = %g" % (boundary_tol, xi_cap))
+        "symbol magnitude stays above %.1e out to |xi'| = %g"
+        % (_BOUNDARY_TOL, _XI_CAP))
 
 
 def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = None,
-                         N: int = 1024, *, oversample: int | None = None,
-                         boundary_tol: float = 1e-12,
-                         normalization_tol: float | None = 1e-3,
-                         xi_cap: float = 4096.0):
+                         N: int = 1024, *,
+                         normalization_tol: float | None = 1e-3):
     """Tabulate Phat on a frequency grid and synthesise P on the dual grid.
 
     Returns (PoissonSymbolTable, PoissonKernelGrid).  N must be a power of
     two; the frequency half-width is doubled adaptively until the boundary
-    symbol magnitude drops below ``boundary_tol`` unless given explicitly.
+    symbol magnitude drops below _BOUNDARY_TOL unless given explicitly.
     """
     if N & (N - 1):
         raise ValueError("N must be a power of two")
     d = system.n - 1
-    if oversample is None:
-        oversample = 16 if d == 1 else 5
+    oversample = _OVERSAMPLE[min(system.n, 3)]
     if freq_extent is None:
-        freq_extent = _probe_extent(system, boundary_tol, xi_cap)
+        freq_extent = _probe_extent(system)
     grid_h = np.pi / freq_extent
     syn = Grid(n=system.n, N=oversample * N, h=grid_h)
     out_grid = Grid(n=system.n, N=N, h=grid_h)
@@ -730,10 +732,10 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     spec = symbol_batch(system, nodes, 1.0)
     boundary = float(np.abs(spec[np.linalg.norm(nodes, axis=1)
                                  >= 0.98 * freq_extent]).max())
-    if boundary >= boundary_tol:
+    if boundary >= _BOUNDARY_TOL:
         raise InsufficientDecay(
             "boundary symbol magnitude %.2e >= %.1e; enlarge the frequency extent"
-            % (boundary, boundary_tol))
+            % (boundary, _BOUNDARY_TOL))
     spec = spec.reshape(syn.shape + (M, M))
 
     p_syn = grid_ifft(spec, syn)
@@ -749,8 +751,6 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     sub = (slice(syn.N // 2 - (N // 2) * oversample,
                  syn.N // 2 + (N // 2) * oversample, oversample),) * d
     table_values = np.ascontiguousarray(spec_nat[sub])
-    center = (N // 2,) * d
-    table_values[center] = np.eye(M)   # exact unit mass at zero frequency
 
     # exponential decay rate of the tabulated symbol
     fr = np.sqrt(sum(m * m for m in np.meshgrid(
@@ -800,18 +800,14 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
 
 
 def kernel_at(kernel: PoissonKernelGrid, x_prime, t: float) -> np.ndarray:
-    """K(x', t) = t^{1-n} P(x'/t) by cubic interpolation on the grid: (M, M)
-    at one point x' (n-1,), (P, M, M) at a stack of points (P, n-1)."""
+    """K(x', t) = t^{1-n} P(x'/t) by the closed form, at any x': (M, M) at
+    one point (n-1,), (P, M, M) at a stack (P, n-1), equal bit for bit.  In
+    n = 3 the relative round-off grows like 1e-17 |x'/t|^3 (Laplacian: about
+    1e-12 at 40, 1e-8 at 1000, 1e-6 at 3000); in n = 2 it stays at 1e-16."""
     if not t > 0:
         raise OutOfDomain("kernel_at requires t > 0")
     y = np.atleast_1d(np.asarray(x_prime, dtype=float)) / t
-    g = kernel.grid
-    lim = g.R - 2.5 * g.h
-    if np.any(np.abs(y) > lim):
-        raise OutOfDomain(
-            "|x'/t| = %.3g beyond the tabulated window %.3g"
-            % (np.abs(y).max(), lim))
-    out = kernel.interpolant(y[None] if y.ndim == 1 else y)
+    out = _closed_form_kernel(kernel.system, np.atleast_2d(y))
     return t ** (1 - kernel.system.n) * (out[0] if y.ndim == 1 else out)
 
 

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfspace import UnknownExperiment
+from halfspace import (UnknownExperiment, build_poisson_kernel, build_system,
+                       verify_kernel_properties)
 from halfspace.containers import write_report
 from halfspace.harness import (ExperimentConfig, default_config,
                                experiment_names, parse_complex,
@@ -135,9 +136,37 @@ def test_experiment_table_covered():
     assert sorted(name for name, _ in GOLDEN_ROWS) == experiment_names()
 
 
+# the kernel report, PDE check included, at seed 0 on the N = 4096 session
+# kernels lap2_kernel and lame2_kernel; tests/golden/ pins its JSON and CSV
+KERNEL_GOLDEN_SYSTEMS = {"lap2": ("laplacian", {"n": 2}),
+                         "lame2": ("lame", {"n": 2, "mu": 1.0, "lam": 1.0})}
+
+
+def write_kernel_report(outdir, name, system, built):
+    table, kernel = built
+    return write_report(outdir, verify_kernel_properties(
+        system, kernel, table, seed=0), "kernel_properties_" + name)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN_SYSTEMS))
+def test_kernel_report_matches_golden(name, request, tmp_path):
+    kind, kw = KERNEL_GOLDEN_SYSTEMS[name]
+    system = request.getfixturevalue(name)
+    assert system.key() == build_system(kind, **kw).key()
+    built = request.getfixturevalue(name + "_kernel")
+    for path in write_kernel_report(tmp_path, name, system, built)[:2]:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), \
+            "%s differs from its golden report" % path.name
+
+
 if __name__ == "__main__":
     # rewrite the golden reports: python tests/test_harness.py
     for name, kw in GOLDEN_ROWS:
         for path in write_report(GOLDEN, run_experiment(
                 default_config(name, **kw)))[2:]:
+            path.unlink()
+    for name, (kind, kw) in KERNEL_GOLDEN_SYSTEMS.items():
+        system = build_system(kind, **kw)
+        built = build_poisson_kernel(system, N=4096)
+        for path in write_kernel_report(GOLDEN, name, system, built)[2:]:
             path.unlink()

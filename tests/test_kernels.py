@@ -1,4 +1,5 @@
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -456,7 +457,7 @@ class TestClosedForm:
         constant.  The lattice sum is cut at |k|_inf <= K; with
         u = 2 Rs - |y|_inf, the shells beyond add at most C d 2^d / (K u^n).
         1e-12 covers the symbol cut at the frequency box (below
-        boundary_tol = 1e-12) and round-off."""
+        _BOUNDARY_TOL = 1e-12) and round-off."""
         _, kernel = request.getfixturevalue(name)
         system, grid = kernel.system, kernel.grid
         n, d, K = system.n, grid.d, (200 if grid.d == 1 else 20)
@@ -503,10 +504,23 @@ class TestKernelAt:
         k2 = kernel_at(kernel, [2.4], 1.4)
         assert np.abs(k2 - 0.5 * k1).max() < 1e-15
 
-    def test_out_of_domain(self, lap2_kernel):
+    @pytest.mark.parametrize("x, t", [(1.0, 1e-4), (1e6, 1.0)])
+    def test_laplacian_beyond_the_window(self, lap2_kernel, x, t):
+        # both points lie far outside the tabulated window |x'/t| < R
         _, kernel = lap2_kernel
-        with pytest.raises(OutOfDomain):
-            kernel_at(kernel, [1.0], 1e-4)
+        exact = t / (np.pi * (x * x + t * t))
+        assert abs(kernel_at(kernel, [x], t)[0, 0] - exact) <= 1e-15 * exact
+
+    def test_laplacian_3d(self, lap3):
+        _, kernel = build_poisson_kernel(lap3, N=32, normalization_tol=None)
+        rng = np.random.default_rng(5)
+        t = 0.6
+        pts = rng.standard_normal((200, 2))
+        pts *= rng.uniform(0.0, 40.0 * t, (200, 1)) / np.linalg.norm(
+            pts, axis=1, keepdims=True)
+        exact = t * (t * t + (pts * pts).sum(axis=1)) ** -1.5 / (2.0 * np.pi)
+        got = kernel_at(kernel, pts, t)[:, 0, 0]
+        assert (np.abs(got - exact) / exact).max() <= 1e-11
 
     @pytest.mark.parametrize("name", ["lame2_kernel", "lame3_small_kernel"])
     def test_stack_matches_single_points(self, name, request):
@@ -519,11 +533,13 @@ class TestKernelAt:
         for p, k in zip(pts, stack):
             assert np.array_equal(kernel_at(kernel, p, 0.8), k)
 
-    def test_stack_out_of_domain(self, lame2_kernel):
-        _, kernel = lame2_kernel
-        pts = np.array([[0.5], [-1.0], [2.0 * kernel.grid.R]])
-        with pytest.raises(OutOfDomain):
-            kernel_at(kernel, pts, 1.0)
+    def test_node_cap_raises_at_once(self, lame3_small_kernel):
+        # |x'/t| = 1e8 would need 2^32 trapezoid nodes
+        _, kernel = lame3_small_kernel
+        start = time.perf_counter()
+        with pytest.raises(OutOfDomain, match="a larger t"):
+            kernel_at(kernel, [1e4, 0.0], 1e-4)
+        assert time.perf_counter() - start < 1.0
 
     def test_unit_mass_at_heights(self, lap2_kernel):
         # int K(x'-y', t) dy' = 1 realised on the grid for several t
@@ -552,6 +568,14 @@ class TestPde:
 
 
 class TestVerifyProperties:
+    def test_probe_min_exact_on_laplacian(self, lap2, lap2_kernel):
+        # the probe's largest spherical mean is |P(0.01)| = 1/(pi (1 + 1e-4))
+        from halfspace import verify_kernel_properties
+        table, kernel = lap2_kernel
+        rep = verify_kernel_properties(lap2, kernel, table, pde_check=False)
+        assert abs(rep.value("nondegeneracy_probe_min")
+                   - 1.0 / (np.pi * (1.0 + 1e-4))) <= 1e-15
+
     def test_lame_kernel_report_passes(self, lame2, lame2_kernel):
         from halfspace import verify_kernel_properties
         table, kernel = lame2_kernel

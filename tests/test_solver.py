@@ -6,7 +6,8 @@ from scipy import integrate
 
 from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        HalfSpaceField, InsufficientLevels, TailTag,
-                       poisson_extend, trace_estimate, weighted_integrability)
+                       build_system, poisson_extend, trace_estimate,
+                       weighted_integrability)
 from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
 from halfspace.harness import sign_changing, smooth_compact
@@ -94,6 +95,14 @@ class TestExtend:
     def test_dimension_mismatch(self, lap3, grid):
         with pytest.raises(BadShape):
             poisson_extend(lap3, gaussian_datum(grid), [1.0])
+
+    def test_n4_raises_named_error(self):
+        # the closed-form kernel behind the wrap bound covers n = 2 and 3
+        g = Grid(n=4, N=8, h=0.5)
+        prof = np.exp(-sum(m * m for m in g.meshes()))[..., None]
+        f = BoundaryData(grid=g, samples=prof.astype(complex), space_tag="lp")
+        with pytest.raises(BadShape, match="n = 2 and 3"):
+            poisson_extend(build_system("laplacian", n=4), f, [1.0])
 
 
 def _datum(kind, grid, M):
