@@ -47,6 +47,18 @@ def test_named_entry_points_resolve(perfbench):
         importlib.import_module("halfspace." + layer)
 
 
+def test_residual_names_in_kernel_report(perfbench, lame2_kernel):
+    """The kernel_lame2 check reads the report metrics named in RESIDUALS;
+    each must be in a verify_kernel_properties report, and pass there."""
+    _, workloads = perfbench
+    from halfspace import verify_kernel_properties
+    table, kernel = lame2_kernel
+    report = verify_kernel_properties(kernel.system, kernel, table,
+                                      pde_check=False)
+    for name in workloads.RESIDUALS:
+        assert report.metric(name).passed, name
+
+
 def test_verify_sweep_configs(perfbench):
     _, workloads = perfbench
     sweep = workloads.VerifyLap2(0)

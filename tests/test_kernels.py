@@ -403,10 +403,9 @@ class TestBuild:
         assert klame.normalization_residual < 1e-3
 
     def test_tail_constant_near_classical(self, lap2_kernel):
-        # P = (1/pi)(1+x^2)^{-1}: the sup of |P|(1+x^2) is exactly 1/pi;
-        # periodisation images inflate the fit slightly at the window edge
+        # P = (1/pi)(1+x^2)^{-1}: the sup of |P|(1+x^2) is exactly 1/pi
         _, kernel = lap2_kernel
-        assert abs(kernel.tail_constant - 1.0 / np.pi) < 5e-3
+        assert abs(kernel.tail_constant - 1.0 / np.pi) < 1e-15
 
     def test_far_field_slope(self, lame2_kernel):
         _, kernel = lame2_kernel
@@ -421,6 +420,71 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_poisson_kernel(lap2, N=1000)
 
+    @pytest.mark.parametrize("name", ["lap2_kernel", "lame2_kernel",
+                                      "lame3_small_kernel"])
+    def test_table_is_kernel_at(self, name, request):
+        """The table is the closed form on the grid: sampled points equal
+        kernel_at at t = 1 bit for bit, one by one."""
+        _, kernel = request.getfixturevalue(name)
+        y = np.stack([m.ravel() for m in kernel.grid.meshes()], axis=1)
+        flat = kernel.values.reshape((-1,) + kernel.values.shape[-2:])
+        for j in np.random.default_rng(4).choice(len(y), 8, replace=False):
+            assert np.array_equal(kernel_at(kernel, y[j], 1.0), flat[j])
+
+    @pytest.mark.parametrize("N", [64, 128])
+    def test_lap3_builds_at_default_tolerance(self, lap3, N):
+        # the window sum plus the exact outer mass, not a periodised sum
+        _, kernel = build_poisson_kernel(lap3, N=N)
+        assert kernel.normalization_residual <= 1e-4
+        assert kernel.normalization_residual_full == 0.0
+        assert kernels.classical_oracle_residual(kernel) <= 1e-4
+
+
+class TestWindowMass:
+    """W_R, the exact mass of P on [-R, R]^(n-1), as a flux of F."""
+
+    @pytest.mark.parametrize("R", [0.5, 6.283185307179586, 16.0])
+    def test_laplacian_exact(self, lap2, lap3, R):
+        w2 = kernels._window_mass(lap2, R)[0, 0]
+        assert abs(w2 - 2.0 / np.pi * np.arctan(R)) <= 1e-14
+        w3 = kernels._window_mass(lap3, R)[0, 0]
+        exact = 2.0 / np.pi * np.arctan(R * R / np.sqrt(1.0 + 2.0 * R * R))
+        assert abs(w3 - exact) <= 1e-14
+
+    def test_field_divergence_is_kernel(self, lame3_complex):
+        # central differences of F against P, O(h^2) with h = 1e-3
+        y = np.array([[0.3, -0.7], [2.0, 1.5], [-4.0, 0.5]])
+        e, h = np.eye(2), 1e-3
+        div = sum((kernels._closed_form_kernel(lame3_complex, y + h * e[r],
+                                               div_field=True)[:, r]
+                   - kernels._closed_form_kernel(lame3_complex, y - h * e[r],
+                                                 div_field=True)[:, r])
+                  / (2.0 * h) for r in range(2))
+        p = kernels._closed_form_kernel(lame3_complex, y)
+        assert np.abs(div - p).max() <= 1e-6 * np.abs(p).max()
+
+    @pytest.mark.parametrize("name, R", [("lap3", 8.0),
+                                         ("lame3_complex", 2.0),
+                                         ("random_lh3", 1.0)])
+    def test_node_rule_converged(self, name, R, request, monkeypatch):
+        """Doubling every node count (Gauss-Legendre per side and the
+        trapezoid rule per point) moves W_R by at most 1e-14."""
+        system = request.getfixturevalue(name)
+        base = kernels._window_mass(system, R)
+        monkeypatch.setattr(kernels, "_TRAPEZOID_MIN",
+                            2 * kernels._TRAPEZOID_MIN)
+        monkeypatch.setattr(kernels, "_TRAPEZOID_RATE",
+                            2 * kernels._TRAPEZOID_RATE)
+        assert np.abs(kernels._window_mass(system, R) - base).max() <= 1e-14
+
+    @pytest.mark.parametrize("name", ["lame2", "lame3_complex"])
+    def test_mass_tends_to_identity(self, name, request):
+        # I - W_R decays like 1/R: a tail of order R^(-n) over the sphere
+        system = request.getfixturevalue(name)
+        rest = [np.abs(kernels._window_mass(system, R)
+                       - np.eye(system.M)).max() for R in (2.0, 8.0)]
+        assert rest[1] <= 0.35 * rest[0] and rest[1] <= 0.2
+
 
 def _tail_constant(system):
     """The closed-form tail constant, on a fresh one-node PreparedSymbol."""
@@ -429,7 +493,7 @@ def _tail_constant(system):
 
 
 class TestClosedForm:
-    """P(y) = K(y, 1) from the solvents, the oracle of the FFT kernels."""
+    """P(y) = K(y, 1) from the solvents, the values of every table."""
 
     @staticmethod
     def _points(d, seed):
@@ -451,9 +515,10 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("name", ["lame2_kernel", "lame3_small_kernel"])
     def test_fft_tables_within_their_images(self, name, request):
-        """The FFT table is the kernel periodised on the synthesis box of
-        half-width Rs: its error at y is the sum over k != 0 of P(y + 2 Rs k),
-        at most C sum (1 + |y + 2 Rs k|^2)^(-n/2) with C the closed-form tail
+        """An FFT synthesis on the table's grid, an oracle independent of
+        the closed form, is the kernel periodised on the box of half-width
+        Rs = R: its error at y is the sum over k != 0 of P(y + 2 Rs k), at
+        most C sum (1 + |y + 2 Rs k|^2)^(-n/2) with C the closed-form tail
         constant.  The lattice sum is cut at |k|_inf <= K; with
         u = 2 Rs - |y|_inf, the shells beyond add at most C d 2^d / (K u^n).
         1e-12 covers the symbol cut at the frequency box (below
@@ -462,10 +527,11 @@ class TestClosedForm:
         system, grid = kernel.system, kernel.grid
         n, d, K = system.n, grid.d, (200 if grid.d == 1 else 20)
         y = np.stack([m.ravel() for m in grid.meshes()], axis=1)
-        err = np.abs(kernel.values.reshape(-1, system.M, system.M)
+        fft = synthesize_kernel_levels(system, grid, [1.0])[0]
+        err = np.abs(fft.reshape(-1, system.M, system.M)
                      - kernels._closed_form_kernel(system, y)).max(axis=(1, 2))
         c = _tail_constant(system)
-        rs = kernel.meta["synthesis_R"]
+        rs = grid.R
         ks = np.stack(np.meshgrid(*[np.arange(-K, K + 1)] * d, indexing="ij"),
                       axis=-1).reshape(-1, d)
         ks = ks[np.any(ks != 0, axis=1)]
@@ -485,6 +551,25 @@ class TestClosedForm:
         monkeypatch.setattr(kernels, "_TRAPEZOID_RATE",
                             2 * kernels._TRAPEZOID_RATE)
         assert abs(_tail_constant(random_lh3) - base) < 1e-6 * base
+
+    def test_tail_constant_bounds_operator_norm(self, random_lh3,
+                                                monkeypatch):
+        """The wrap bound multiplies the constant by the Euclidean sup of f,
+        so it must dominate ||P(y)||_2 (1 + |y|^2)^(3/2), not only the
+        largest entry, at every ray point it reads."""
+        seen = []
+        inner = kernels._closed_form_kernel
+
+        def recording(system, y):
+            seen.append((y, inner(system, y)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(kernels, "_closed_form_kernel", recording)
+        c = _tail_constant(random_lh3)
+        (y, p), = seen
+        weighted = np.linalg.svd(p, compute_uv=False)[:, 0] \
+            * (1.0 + (y * y).sum(axis=1)) ** 1.5
+        assert len(y) == 41 * 32 and weighted.max() <= c * (1 + 1e-12)
 
     def test_tail_constant_kept_with_prepared_nodes(self, lame3_complex):
         prep = kernels.PreparedSymbol(lame3_complex, _seeded_nodes(8, 3))

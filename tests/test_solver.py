@@ -6,7 +6,8 @@ from scipy import integrate
 
 from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        HalfSpaceField, InsufficientLevels, TailTag,
-                       build_system, poisson_extend, trace_estimate,
+                       build_poisson_kernel, build_system,
+                       poisson_extend, trace_estimate,
                        weighted_integrability)
 from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
@@ -103,6 +104,10 @@ class TestExtend:
         f = BoundaryData(grid=g, samples=prof.astype(complex), space_tag="lp")
         with pytest.raises(BadShape, match="n = 2 and 3"):
             poisson_extend(build_system("laplacian", n=4), f, [1.0])
+
+    def test_n4_kernel_table_raises_named_error(self):
+        with pytest.raises(BadShape, match="n = 2 and 3"):
+            build_poisson_kernel(build_system("laplacian", n=4), N=8)
 
 
 def _datum(kind, grid, M):
