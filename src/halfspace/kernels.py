@@ -726,27 +726,36 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     and P by the closed form on the dual grid over [-R, R)^(n-1), h = pi /
     freq_extent, equal to ``kernel_at(kernel, y, 1.0)`` bit for bit.  N must
     be a power of two; unless given, the frequency half-width doubles until
-    the boundary symbol magnitude drops below _BOUNDARY_TOL."""
+    the symbol magnitude on every node with |xi'| >= 0.98 of it drops below
+    _BOUNDARY_TOL."""
     if N & (N - 1):
         raise ValueError("N must be a power of two")
     if system.n not in (2, 3):
         raise BadShape("kernel tables cover n = 2 and 3, not %d" % system.n)
     d, M = system.n - 1, system.M
-    if freq_extent is None:
+    probed = freq_extent is None
+    if probed:
         freq_extent = _probe_extent(system)
-    grid = Grid(n=system.n, N=N, h=np.pi / freq_extent)
-
-    spec = symbol_batch(system, grid.freq_nodes_fftorder(), 1.0)
-    table_values = np.fft.fftshift(spec.reshape(grid.shape + (M, M)),
-                                   axes=tuple(range(d)))
-    fr = np.sqrt(sum(m * m for m in np.meshgrid(
-        *[(np.arange(N) - N // 2) * (2 * freq_extent / N)] * d, indexing="ij")))
-    mag = np.abs(table_values).max(axis=(-2, -1))
-    boundary = float(mag[fr >= 0.98 * freq_extent].max())
-    if boundary >= _BOUNDARY_TOL:
-        raise InsufficientDecay(
-            "boundary symbol magnitude %.2e >= %.1e; enlarge the frequency extent"
-            % (boundary, _BOUNDARY_TOL))
+    while True:
+        grid = Grid(n=system.n, N=N, h=np.pi / freq_extent)
+        spec = symbol_batch(system, grid.freq_nodes_fftorder(), 1.0)
+        table_values = np.fft.fftshift(spec.reshape(grid.shape + (M, M)),
+                                       axes=tuple(range(d)))
+        fr = np.sqrt(sum(m * m for m in np.meshgrid(
+            *[(np.arange(N) - N // 2) * (2 * freq_extent / N)] * d,
+            indexing="ij")))
+        mag = np.abs(table_values).max(axis=(-2, -1))
+        boundary = float(mag[fr >= 0.98 * freq_extent].max())
+        if boundary < _BOUNDARY_TOL:
+            break
+        # the probe sees a few directions at |xi'| = xi only; the guard
+        # sees every node in the boundary band, so a probed extent that
+        # fails it keeps doubling
+        if not probed or 2.0 * freq_extent > _XI_CAP:
+            raise InsufficientDecay(
+                "boundary symbol magnitude %.2e >= %.1e; enlarge the "
+                "frequency extent" % (boundary, _BOUNDARY_TOL))
+        freq_extent *= 2.0
 
     # exponential decay rate of the tabulated symbol
     band = (fr >= 0.25 * freq_extent) & (fr <= 0.75 * freq_extent) & (mag > 0)

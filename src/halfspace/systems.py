@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import BadShape, EllipticityViolation, ImproperSplit, RealAxisRoot
 
@@ -35,6 +34,12 @@ __all__ = [
 #: roots closer than ``REAL_AXIS_TOL * (1 + |xi'|)`` to the real axis are
 #: treated as an ellipticity failure
 REAL_AXIS_TOL = 1e-8
+
+#: the margin refinement stops once no start falls by more than
+#: ``_REFINE_RTOL * max(1, |lambda|)`` in an iteration, or after
+#: ``_REFINE_MAXITER`` iterations
+_REFINE_RTOL = 1e-15
+_REFINE_MAXITER = 200
 
 
 def real_axis_tolerance(xi_norm):
@@ -101,22 +106,37 @@ def _hermitian_part_stack(coeffs: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return 0.5 * (sym + np.conj(np.swapaxes(sym, -1, -2)))
 
 
-def ellipticity_constant(system_or_coeffs, samples: int = 2048,
-                         seed: int = 0) -> float:
-    """Estimate the ellipticity margin by a seeded sphere sweep.
+def _refine_margin(coeffs: np.ndarray, xi: np.ndarray) -> tuple:
+    """Alternating minimisation of F(xi, v) = v^H Herm sym(xi) v over unit
+    xi and v from a stack of starts xi (K, n): (values (K,), minimisers).
 
-    Minimises ``lambda_min(Herm sym(xi)) / |xi|^2`` over unit directions:
-    the eigenvalue handles the minimisation over complex eta exactly, the
-    xi sphere is sampled pseudo-randomly and the worst samples are refined
-    by Nelder-Mead descent.  Deterministic for a fixed seed.  The result is
-    a sampled estimate, not a certified global minimum.
-    """
-    if isinstance(system_or_coeffs, EllipticSystem):
-        coeffs = system_or_coeffs.coeffs
-        n = system_or_coeffs.n
-    else:
-        coeffs = np.asarray(system_or_coeffs, dtype=complex)
-        n = coeffs.shape[-1]
+    F is a Hermitian form in v for fixed xi and a real quadratic form
+    xi^T Q(v) xi in xi for fixed v, so each half-step is an exact
+    minimisation by a bottom eigenvector and F never increases.  This needs
+    no gradient and stops where eigenvalues cross as anywhere else."""
+    # Hermitian in (alpha, beta) and symmetric in (r, s): Q(v) is real symmetric
+    sym = 0.5 * (coeffs + np.swapaxes(coeffs, 2, 3))
+    blocks = 0.5 * (sym + np.conj(np.swapaxes(sym, 0, 1)))
+    w, vecs = np.linalg.eigh(_hermitian_part_stack(coeffs, xi))
+    best, best_xi = w[:, 0], xi
+    for _ in range(_REFINE_MAXITER):
+        v = vecs[:, :, 0]
+        Q = np.einsum("ka,abrs,kb->krs", np.conj(v), blocks, v).real
+        xi = np.linalg.eigh(Q)[1][:, :, 0]
+        w, vecs = np.linalg.eigh(_hermitian_part_stack(coeffs, xi))
+        drop = best - w[:, 0]
+        better = drop > 0.0
+        best = np.where(better, w[:, 0], best)
+        best_xi = np.where(better[:, None], xi, best_xi)
+        if not np.any(drop > _REFINE_RTOL * np.maximum(1.0, np.abs(best))):
+            break
+    return best, best_xi
+
+
+def _margin_and_direction(coeffs: np.ndarray, samples: int,
+                          seed: int) -> tuple:
+    """(margin, unit xi attaining it) from the sphere sweep and refinement."""
+    n = coeffs.shape[-1]
     if samples < 1000:
         samples = 1000
     rng = np.random.default_rng(seed)
@@ -129,23 +149,31 @@ def ellipticity_constant(system_or_coeffs, samples: int = 2048,
 
     herm = _hermitian_part_stack(coeffs, xi)
     mins = np.linalg.eigvalsh(herm)[:, 0] / np.einsum("kr,kr->k", xi, xi)
+    floor = int(np.argmin(mins))
+    values, minimisers = _refine_margin(coeffs, xi[np.argsort(mins)[:3]])
+    k = int(np.argmin(values))
+    if values[k] < mins[floor]:
+        return float(values[k]), minimisers[k]
+    return float(mins[floor]), xi[floor]
 
-    def objective(v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.inf
-        h = _hermitian_part_stack(coeffs, v[None, :] / nv)[0]
-        return float(np.linalg.eigvalsh(h)[0])
 
-    best = float(mins.min())
-    order = np.argsort(mins)[:3]
-    for idx in order:
-        res = optimize.minimize(objective, xi[idx], method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-12,
-                                         "maxiter": 400})
-        if res.fun < best:
-            best = float(res.fun)
-    return best
+def ellipticity_constant(system_or_coeffs, samples: int = 2048,
+                         seed: int = 0) -> float:
+    """Estimate the ellipticity margin by a seeded sphere sweep.
+
+    Minimises ``lambda_min(Herm sym(xi)) / |xi|^2`` over unit directions:
+    the eigenvalue handles the minimisation over complex eta exactly, the
+    xi sphere is sampled pseudo-randomly and the three worst samples are
+    refined together by alternating exact minimisation over eta and xi
+    (each a bottom eigenvector).  The result never exceeds the sampled
+    minimum and is deterministic for a fixed seed.  It is an estimate, not
+    a certified global minimum: a start can stall at a local minimum.
+    """
+    if isinstance(system_or_coeffs, EllipticSystem):
+        coeffs = system_or_coeffs.coeffs
+    else:
+        coeffs = np.asarray(system_or_coeffs, dtype=complex)
+    return _margin_and_direction(coeffs, samples, seed)[0]
 
 
 def _validate_tensor(coeffs: np.ndarray) -> tuple:
@@ -209,9 +237,14 @@ def build_system(kind: str, *, n: int = 2, A=None, tensor=None,
     coeffs, n, M = _validate_tensor(coeffs)
     margin = ellipticity_constant(coeffs, samples=samples, seed=seed)
     if not margin > margin_tol:
+        # the estimate is deterministic: repeat it for the direction
+        xi = _margin_and_direction(coeffs, samples, seed)[1]
+        xi = xi * np.sign(xi[np.argmax(np.abs(xi))]) + 0.0
         raise EllipticityViolation(
-            "estimated ellipticity margin %.3g <= %.3g for %s"
-            % (margin, margin_tol, label))
+            "estimated ellipticity margin %.3g <= %.3g for %s, attained at "
+            "the unit direction xi = (%s): make the Hermitian part of "
+            "sym(xi) = a[:, :, r, s] xi_r xi_s exceed the tolerance there"
+            % (margin, margin_tol, label, ", ".join("%.4g" % x for x in xi)))
     return EllipticSystem(n=n, M=M, coeffs=coeffs,
                           ellipticity_margin=margin, label=label)
 
@@ -241,6 +274,7 @@ def companion_matrix(pencil: SymbolPencil) -> np.ndarray:
     C[M:, :M] = -M2inv_M0
     C[M:, M:] = -M2inv_M1
     return C
+
 
 def characteristic_roots(pencil: SymbolPencil) -> RootSplit:
     """Roots of det sym(xi', tau) = 0 split by half-plane.

@@ -697,6 +697,18 @@ class TestGuards:
         with pytest.raises(InsufficientDecay):
             build_poisson_kernel(lap2, freq_extent=4.0, N=256)
 
+    def test_probed_extent_passes_its_guard(self):
+        # the probe's directions read below tolerance at |xi'| = 64, while
+        # nodes off them in the boundary band do not; the build doubles on
+        from halfspace import verify_kernel_properties
+        system = build_system("scalar", A=[[1.0, 0.9], [0.9, 1.0]])
+        assert kernels._probe_extent(system) == 64.0
+        table, kernel = build_poisson_kernel(system, N=4096)
+        assert kernel.meta["freq_extent"] == 128.0
+        assert kernel.meta["boundary_symbol"] < kernels._BOUNDARY_TOL
+        assert kernel.normalization_residual < 1e-7
+        assert verify_kernel_properties(system, kernel, table).passed
+
     @pytest.mark.parametrize("A, error", [
         ([[-2.0, -1.5j], [-1.5j, 1.0]], ImproperSplit),   # roots i and 2i
         ([[-1.0, 0.3], [0.2, 1.0]], RealAxisRoot),        # real roots
