@@ -101,9 +101,9 @@ def grid_fft(samples: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.fftn(shifted, axes=sp_axes) * grid.cell_volume
 
 
-def grid_ifft(spectrum: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of :func:`grid_fft`; returns natural-order samples."""
-    d = grid.d
-    sp_axes = tuple(range(d))
+def grid_ifft(spectrum: np.ndarray, grid: Grid, sp_axes=None) -> np.ndarray:
+    """Inverse of :func:`grid_fft` over the first ``grid.d`` axes, or over
+    ``sp_axes``; returns natural-order samples."""
+    sp_axes = tuple(range(grid.d)) if sp_axes is None else sp_axes
     out = np.fft.ifftn(spectrum, axes=sp_axes) / grid.cell_volume
     return np.fft.fftshift(out, axes=sp_axes)

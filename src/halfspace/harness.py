@@ -643,12 +643,10 @@ def _kernel_column_field(system: EllipticSystem, grid: Grid, levels,
     """Field K(., t) a (optionally minus its shift by z'), synthesised
     spectrally, all levels by one inverse FFT."""
     nodes = grid.freq_nodes_fftorder()
-    k, _ = prepared_symbol(system, nodes).levels(levels)
-    spec = np.einsum("ijlb,j->bli", k, vector)
-    del k
+    block = np.broadcast_to(np.asarray(vector)[:, None], (system.M, len(nodes)))
+    spec, _ = prepared_symbol(system, nodes).apply(levels, block)
     if shift is not None:
-        phase = np.exp(-1j * nodes @ np.asarray(shift, float))
-        spec *= (1.0 - phase)[:, None, None]
+        spec *= 1.0 - np.exp(-1j * nodes @ np.asarray(shift, float))
     vals = _level_fields(spec, grid)
     return HalfSpaceField(grid=grid, heights=np.asarray(levels, float),
                           values=vals, provenance={"system": system.label,

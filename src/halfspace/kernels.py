@@ -30,8 +30,9 @@ batched BLAS: Dongarra et al., Procedia Comput. Sci. 108, 2017); one call
 covers every height of a solve.  For scalar systems (M = 1) the solvent
 is the upper root tau_+(xi') itself, and Khat = exp(i tau_+ t) in closed
 form.  Every class goes through one path, :class:`PreparedSymbol`: the
-generator (tau_+, or G per node) is stored once per frequency node, and each
-height is then only an exponential.
+generator (tau_+, or G per node) is stored once per frequency node.  A solve
+applies the Taylor polynomial to fhat and forms Khat only where squarings are
+due (the action of expm: Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
 
 Closed form.  Integrating Khat radially, int_0^oo r^(d-1) exp(r A) dr =
 (d-1)! (-A)^(-d) with A = i(y.omega + G(omega)) and d = n - 1, gives the
@@ -210,16 +211,33 @@ def _expm_stacks(g: np.ndarray) -> dict:
 
 
 def _soa_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for stacks of M x M matrices with the stack axes last."""
-    M = a.shape[0]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    """a @ b for stacks of M x M matrices a, M x p blocks b, stacks last."""
+    M, p = b.shape[:2]
+    out = np.empty((M, p) + np.broadcast(a[0, 0], b[0, 0]).shape, complex)
     for i in range(M):
-        for j in range(M):
+        for j in range(p):
             acc = a[i, 0] * b[0, j]
             for q in range(1, M):
                 acc += a[i, q] * b[q, j]
             out[i, j] = acc
     return out
+
+
+def _taylor_block(x: np.ndarray, b, degree: int, c=1.0) -> np.ndarray:
+    """T_m(c X) B for a block B (M, p, ...) by Horner's rule: w <- c X (B +
+    w) / j for j = m, ..., 1 from w = 0, then B + w; B = None is the
+    identity, added on the diagonal."""
+    w = (x if b is None else _soa_matmul(x, b)) * (c / degree)
+    for j in range(degree - 1, -1, -1):
+        if b is None:
+            for i in range(len(w)):
+                w[i, i] += 1.0
+        else:
+            w += b
+        if j:
+            w = _soa_matmul(x, w)
+            w *= c / j
+    return w
 
 
 def _taylor_degrees(nx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -244,10 +262,11 @@ def _taylor_degrees(nx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
-                      want_dt: bool):
+                      want_dt: bool, v: np.ndarray | None = None):
     """Khat = expm(i s G) from prepared per-node data (:func:`_expm_stacks`)
     for s of shape (B,) or (L, B), one row per height; returns Khat of shape
-    (M, M) + s.shape, and d/ds Khat = i G Khat when ``want_dt`` is set.
+    (M, M) + s.shape, and d/ds Khat = i G Khat when ``want_dt`` is set;
+    with a block v (M, p, B), Khat v and d/ds Khat v, (M, p) + s.shape.
 
     Taylor scaling-and-squaring: X = i s G is shifted by mu s and halved j
     times until alpha = s ||X0^2||^(1/2) <= 1; the degree of a row is the
@@ -256,7 +275,7 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
     one degree are evaluated together, in node chunks of _EXPM_BYTES, so a
     row's values do not depend on the other rows.  The factor exp(mu s /
     2^j) is applied before squaring, so decaying values never pass through
-    an overflowing intermediate.
+    an overflowing intermediate.  Only elements with j > 0 form Khat for v.
     """
     rows = np.atleast_2d(np.asarray(s, dtype=float))
     M = stacks["g"].shape[0]
@@ -264,7 +283,7 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
     squarings = np.ceil(np.log2(np.maximum(alpha, 1.0))).astype(int)
     c = rows * 0.5 ** squarings           # X = c X0 after scaling
     degrees = _taylor_degrees(c * stacks["nx"], c * stacks["alpha"])
-    k = np.empty((M, M) + rows.shape, dtype=complex)
+    k = np.empty((M, M if v is None else v.shape[1]) + rows.shape, complex)
     dk = np.empty_like(k) if want_dt else None
     for degree in np.unique(degrees):
         sel = np.flatnonzero(degrees == degree)
@@ -272,22 +291,24 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
         span = max(1, _EXPM_BYTES // (3 * 16 * M * M * len(sel)))
         for start in range(0, rows.shape[1], span):
             cols = slice(start, start + span)
-            cc = c[sel, cols]
-            x = stacks["x0"][:, :, None, cols] * cc
-            kc = x * (1.0 / degree)
-            for j in range(degree - 1, 0, -1):
-                for i in range(M):
-                    kc[i, i] += 1.0
-                kc = _soa_matmul(x, kc)
-                if j > 1:
-                    kc *= 1.0 / j
-            for i in range(M):
-                kc[i, i] += 1.0
-            kc *= np.exp(stacks["mu"][None, cols] * cc)
-            sq = squarings[sel, cols]
-            for round_ in range(1, int(sq.max(initial=0)) + 1):
-                mm = sq >= round_
-                kc[:, :, mm] = _soa_matmul(kc[:, :, mm], kc[:, :, mm])
+            cc, sq = c[sel, cols], squarings[sel, cols]
+            x0 = stacks["x0"][:, :, None, cols]
+            shift = np.exp(stacks["mu"][None, cols] * cc)
+            mat = np.s_[...] if v is None else sq > 0     # forming Khat
+            if v is None or mat.any():
+                x = np.broadcast_to(x0, (M, M) + cc.shape)[:, :, mat] * cc[mat]
+                km = _taylor_block(x, None, degree) * shift[mat]
+                for round_ in range(1, int(sq.max(initial=0)) + 1):
+                    mm = sq[mat] >= round_
+                    km[:, :, mm] = _soa_matmul(km[:, :, mm], km[:, :, mm])
+            if v is None:
+                kc = km
+            else:         # the action, and Khat v where squarings are due
+                vc = v[:, :, None, cols]
+                kc = _taylor_block(x0, vc, degree, cc) * shift
+                if mat.any():
+                    kc[:, :, mat] = _soa_matmul(
+                        km, np.broadcast_to(vc, kc.shape)[:, :, mat])
             k[:, :, sel, cols] = kc
             if want_dt:
                 dk[:, :, sel, cols] = _soa_matmul(
@@ -458,9 +479,9 @@ class PreparedSymbol:
     of :func:`_expm_stacks` (in n = 2 gathered from G(+1) and G(-1)).  The
     generator is zero at the zero frequency, where Khat = I.  Each height is
     then only an exponential: :meth:`levels` evaluates every height of a
-    solve at once, and :meth:`at` is its one-height case, bit for bit, with
-    per-height results memoised up to ``_MEMO_BYTES``, the oldest evicted
-    first.
+    solve at once, :meth:`apply` the action Khat v, and :meth:`at` is the
+    one-height case of levels, bit for bit, with per-height results memoised
+    up to ``_MEMO_BYTES``, the oldest evicted first.
     """
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
@@ -504,6 +525,17 @@ class PreparedSymbol:
                                   np.multiply.outer(heights, self.norms),
                                   want_dt)
         return k, (dk * self.norms if want_dt else None)
+
+    def apply(self, heights, v: np.ndarray, want_dt: bool = False):
+        """Khat v and d/dt Khat v (else None), each (L, M, B), at every
+        height for a block v (M, B) with the nodes last."""
+        if self.system.M == 1:     # einsum keeps the contraction's bytes
+            return tuple(a if a is None else np.einsum("ijlb,jb->lib", a, v)
+                         for a in self.levels(heights, want_dt))
+        w, dw = _eval_from_stacks(self.system, self.stacks, np.multiply.outer(
+            heights, self.norms), want_dt, v[:, None])
+        return w[:, 0].swapaxes(0, 1), (
+            dw[:, 0].swapaxes(0, 1) * self.norms if want_dt else None)
 
     def dt(self, k: np.ndarray) -> np.ndarray:
         """d/dt of a stack (M, M, L, B) of :meth:`levels`: the generator

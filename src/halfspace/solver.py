@@ -2,7 +2,9 @@
 
 The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
 of all height levels stacked and inverted by one FFT per field: the symbol
-is exact in t, so no kernel truncation enters the vertical direction.  The
+is exact in t, so no kernel truncation enters the vertical direction, and
+Khat fhat is the action of the exponential on fhat, without forming Khat
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  The
 price is periodisation; data must sit in the central half of the grid (or
 carry a tail tag), and the wrap-around error bound derived from the kernel
 tail is attached to the field.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2)
@@ -190,10 +192,12 @@ def _wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float,
 
 
 def _level_fields(spectra: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fields of stacked spectra (B, L, M), fft order, by one inverse FFT;
-    returns natural-order samples laid out level first, (L, *shape, M)."""
-    fields = grid_ifft(spectra.reshape(grid.shape + spectra.shape[1:]), grid)
-    return np.ascontiguousarray(np.moveaxis(fields, -2, 0))
+    """Fields of stacked spectra (L, M, B), fft order with the nodes last,
+    by one inverse FFT over the trailing axes; returns natural-order samples
+    laid out level first, (L, *shape, M)."""
+    fields = grid_ifft(spectra.reshape(spectra.shape[:2] + grid.shape), grid,
+                       tuple(range(-grid.d, 0)))
+    return np.ascontiguousarray(np.moveaxis(fields, 1, -1))
 
 
 def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
@@ -213,8 +217,10 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
         raise BadShape("datum has %d components, system wants %d"
                        % (f.M, system.M))
     heights = np.asarray(sorted(float(t) for t in heights))
-    if len(heights) == 0 or heights[0] <= 0:
-        raise BadShape("heights must be positive")
+    if not (len(heights) and np.isfinite(heights).all()
+            and np.all(np.diff(np.r_[0, heights]) > 0)):
+        raise BadShape("heights must be finite, positive and distinct, got %s"
+                       % heights.tolist())
 
     grid = f.grid
     nodes = grid.freq_nodes_fftorder()
@@ -232,11 +238,7 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     d = grid.d
     M = system.M
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
-    ksym, dksym = prepared.levels(heights, gradient)
-    fhat = np.ascontiguousarray(fhat.T)
-    uhat = np.einsum("ijlb,jb->bli", ksym, fhat)
-    dhat = np.einsum("ijlb,jb->bli", dksym, fhat) if gradient else None
-    del ksym, dksym
+    uhat, dhat = prepared.apply(heights, fhat.T, gradient)
     values = _level_fields(uhat, grid)
     grad = None
     if gradient:
@@ -245,8 +247,7 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
         grad[..., d, :] = _level_fields(dhat, grid)
         del dhat
         for r in range(d):
-            grad[..., r, :] = _level_fields(1j * nodes[:, r, None, None] * uhat,
-                                            grid)
+            grad[..., r, :] = _level_fields(1j * nodes[:, r] * uhat, grid)
 
     return HalfSpaceField(
         grid=grid, heights=heights, values=values, gradient=grad,

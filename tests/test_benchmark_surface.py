@@ -106,9 +106,9 @@ def test_lame3_solve_reaches_symbol_through_module_attribute(monkeypatch):
     calls = []
     inner = kernels._eval_from_stacks
 
-    def counting(system, stacks, s, want_dt):
+    def counting(system, stacks, s, want_dt, v=None):
         calls.append((np.shape(s), want_dt))
-        return inner(system, stacks, s, want_dt)
+        return inner(system, stacks, s, want_dt, v)
 
     monkeypatch.setattr(kernels, "_eval_from_stacks", counting)
     monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})

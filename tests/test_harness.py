@@ -81,6 +81,19 @@ def shared_lame_report():
     return run_experiment(cfg)
 
 
+@pytest.mark.parametrize("name", ["lp_wellposed", "linfty_maximum"])
+@pytest.mark.parametrize("moduli", [([1, 0], [1, 0]), ([1, 0.3], [2, -0.5])],
+                         ids=["real", "complex"])
+def test_lame3_wellposedness_small_config(name, moduli):
+    """The L^p and L^infinity experiments on an n = 3 matrix system."""
+    mu, lam = moduli
+    cfg = default_config(name, N=32, h=0.25, refine=False,
+                         system={"kind": "lame", "mu": mu, "lambda": lam,
+                                 "n": 3})
+    rep = run_experiment(cfg)
+    assert rep.passed, "\n".join(rep.summary_lines())
+
+
 def test_tolerance_overrides_respected():
     cfg = default_config("counterexample_linear",
                          tolerances={"trace": 1e-30})

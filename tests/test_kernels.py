@@ -174,6 +174,61 @@ class TestLevels:
             assert np.array_equal(np.moveaxis(dk[:, :, li], -1, 0), dkt)
 
 
+APPLY_HEIGHTS = np.geomspace(0.01, 8.0, 9)
+
+
+def _apply_setup(system):
+    """A prepared symbol on a small grid and a seeded complex block v."""
+    grid = Grid(n=system.n, N=256 if system.n == 2 else 16, h=0.25)
+    prep = kernels.PreparedSymbol(system, grid.freq_nodes_fftorder())
+    rng = np.random.default_rng(system.M)
+    shape = (system.M, len(prep.xi))
+    return prep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("row", ["lap2", "lap3", "complex_scalar", "lame2",
+                                 "lame3_complex", "random_lh3"])
+class TestApply:
+    """PreparedSymbol.apply, the action Khat v of the exponential, against
+    the contraction of the matrices of levels with v."""
+
+    def test_matches_contraction_of_levels(self, row, request):
+        system = request.getfixturevalue(row)
+        prep, v = _apply_setup(system)
+        got = prep.apply(APPLY_HEIGHTS, v, want_dt=True)
+        for g, k in zip(got, prep.levels(APPLY_HEIGHTS, want_dt=True)):
+            want = np.einsum("ijlb,jb->lib", k, v)
+            assert g.shape == want.shape == (len(APPLY_HEIGHTS),) + v.shape
+            if system.M == 1:
+                assert np.array_equal(g, want)
+            err = np.abs(g - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
+        assert prep.apply(APPLY_HEIGHTS, v)[1] is None
+
+    def test_batched_equals_per_height_and_chunks(self, row, request,
+                                                  monkeypatch):
+        prep, v = _apply_setup(request.getfixturevalue(row))
+        w, dw = prep.apply(APPLY_HEIGHTS, v, want_dt=True)
+        for li, t in enumerate(APPLY_HEIGHTS):
+            wt, dwt = prep.apply([t], v, want_dt=True)
+            assert np.array_equal(w[li], wt[0])
+            assert np.array_equal(dw[li], dwt[0])
+        # one node per chunk: squarings are decided per element, not chunk
+        monkeypatch.setattr(kernels, "_EXPM_BYTES", 1)
+        wc, dwc = prep.apply(APPLY_HEIGHTS, v, want_dt=True)
+        assert np.array_equal(w, wc) and np.array_equal(dw, dwc)
+
+
+def test_apply_heights_mix_action_and_squaring(random_lh3):
+    """The heights of TestApply send some random_lh3 elements of one row
+    through the action and others through the squared matrix."""
+    prep, _ = _apply_setup(random_lh3)
+    alpha = np.multiply.outer(APPLY_HEIGHTS, prep.norms) * prep.stacks["alpha"]
+    squared = alpha > 1.0
+    assert 0.2 < squared.mean() < 0.9
+    assert np.any(squared.any(axis=1) & ~squared.all(axis=1))
+
+
 def _class_system(n, M, complex_coeffs):
     """Seeded tensor delta_ab delta_rs + 0.2 noise of one system class;
     its Legendre-Hadamard margins are 0.26-1.0."""

@@ -109,6 +109,18 @@ class TestExtend:
         with pytest.raises(BadShape, match="n = 2 and 3"):
             build_poisson_kernel(build_system("laplacian", n=4), N=8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("heights", [[0.5, np.nan], [np.inf], [0.5, 0.5],
+                                         [], [0.0, 1.0], [-1.0]])
+    def test_bad_heights_fail_before_the_symbol_pass(self, lap2, grid,
+                                                     heights, monkeypatch):
+        def no_symbol(*args, **kwargs):
+            raise AssertionError("symbol pass reached")
+
+        monkeypatch.setattr(kernels.PreparedSymbol, "apply", no_symbol)
+        with pytest.raises(BadShape, match="finite, positive and distinct"):
+            poisson_extend(lap2, gaussian_datum(grid), heights)
+
 
 def _datum(kind, grid, M):
     if kind == "gaussian":
@@ -248,8 +260,11 @@ class TestThreads:
 
 
 def per_height_reference(system, f, heights):
-    """One symbol contraction and one inverse FFT per height and component,
-    the way poisson_extend solved before it stacked the heights."""
+    """One symbol application and one inverse FFT per height and component,
+    the way poisson_extend solved before it stacked the heights: for M = 1
+    the contraction of the symbol ``at`` each height, for M > 1 its action
+    at each height (the contraction differs from the action in the last
+    bits)."""
     grid, M, d = f.grid, system.M, f.grid.d
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
     nodes = grid.freq_nodes_fftorder()
@@ -258,14 +273,17 @@ def per_height_reference(system, f, heights):
     grad = np.empty((len(heights),) + grid.shape + (system.n, M),
                     dtype=complex)
     for li, t in enumerate(heights):
-        ksym, dksym = prepared.at(t, want_dt=True)
-        uhat = np.einsum("bij,bj->bi", ksym, fhat)
+        if M == 1:
+            ksym, dksym = prepared.at(t, want_dt=True)
+            uhat = np.einsum("bij,bj->bi", ksym, fhat)
+            dhat = np.einsum("bij,bj->bi", dksym, fhat)
+        else:
+            uhat, dhat = (a[0].T for a in prepared.apply([t], fhat.T, True))
         values[li] = grid_ifft(uhat.reshape(grid.shape + (M,)), grid)
         for r in range(d):
             ghat = 1j * nodes[:, r, None] * uhat
             grad[li, ..., r, :] = grid_ifft(
                 ghat.reshape(grid.shape + (M,)), grid)
-        dhat = np.einsum("bij,bj->bi", dksym, fhat)
         grad[li, ..., d, :] = grid_ifft(dhat.reshape(grid.shape + (M,)), grid)
     return values, grad
 
