@@ -1,10 +1,17 @@
 """Command-line front end: build kernels, solve Dirichlet problems,
 compute norms, and run verification experiments.
 
+Every command takes --system --n --mu --lambda --A --config --out, and:
+kernel --N --seed; solve --N --R --levels --datum --wrap-tol --seed;
+spaces --N --R --datum --p --theta --seed; verify EXPERIMENT --N --kappa
+--theta --seed; all --N --R --levels --wrap-tol --kappa --theta --seed.
+The JSON file of --config may hold only keys its command reads: "system",
+and for verify and all also N h kappa theta seed params tolerances; complex
+values travel as [re, im] pairs.  A given flag beats the file, the file
+beats the default, and the file's "system" replaces the system options.
 Exit codes: 0 success, 1 tolerance failure, 2 usage or configuration error.
-Configuration may come from flags or a JSON file (--config); complex values
-travel as [re, im] pairs.  The resolved configuration snapshot, artifact
-checksums and stage timings land in manifest.json next to the outputs.
+Every run writes manifest.json: the resolved configuration, a sha256 per
+artifact and the time of each stage.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import containers
-from .errors import HalfspaceError, UnknownExperiment
+from .errors import HalfspaceError
 from .grids import Grid
 from .harness import (default_config, experiment_names, run_experiment,
                       system_from_spec, clipped_log, smooth_compact)
@@ -31,156 +38,142 @@ from .spaces import norm
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
 
+_VERIFY_KEYS = "system N h kappa theta seed params tolerances".split()
 
-class _Manifest:
-    def __init__(self, outdir: Path, config: dict):
-        self.outdir = outdir
+
+class _Run:
+    """One command's output directory and its manifest.json: the recorded
+    config, the seconds of each stage and the sha256 of each artifact."""
+
+    def __init__(self, out, config: dict):
+        self.outdir = Path(out)
+        self.outdir.mkdir(parents=True, exist_ok=True)
         self.data = {"config": _plain(config), "artifacts": {}, "timings": {}}
         self._t0 = time.perf_counter()
-        self._stage_start = self._t0
 
     def stage(self, name: str):
-        now = time.perf_counter()
-        self.data["timings"][name] = now - self._stage_start
-        self._stage_start = now
+        done = self.data["timings"]
+        done[name] = time.perf_counter() - self._t0 - sum(done.values())
 
-    def artifact(self, path: Path):
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        self.data["artifacts"][Path(path).name] = digest
-
-    def write(self):
+    def finish(self, stage: str, artifacts, report=None) -> int:
+        """End ``stage``, write manifest.json, print the report; exit code."""
+        self.stage(stage)
+        self.data["artifacts"].update((p.name, hashlib.sha256(
+            p.read_bytes()).hexdigest()) for p in artifacts)
         self.data["timings"]["total"] = time.perf_counter() - self._t0
-        path = self.outdir / "manifest.json"
-        path.write_text(json.dumps(self.data, sort_keys=True, indent=1))
-        return path
+        (self.outdir / "manifest.json").write_text(
+            json.dumps(self.data, sort_keys=True, indent=1))
+        for line in report.summary_lines() if report is not None else ():
+            print(line)
+        return 0 if report is None or report.passed else TOLERANCE_ERROR
 
 
-def _system_spec_from_args(args) -> dict:
-    spec = {"kind": args.system, "n": args.n}
-    if args.system == "lame":
-        spec["mu"] = _pair(args.mu)
-        spec["lambda"] = _pair(getattr(args, "lam"))
-    if args.system == "scalar":
-        if not args.A:
-            raise HalfspaceError("scalar system needs --A")
-        spec["A"] = json.loads(args.A)
-    return spec
+def _config_reader(keys):
+    """argparse type of --config: the JSON object, holding only ``keys``."""
+    def read(path):
+        try:
+            cfg = json.loads(Path(path).read_text())
+            unread = ", ".join(sorted(set(cfg.keys()) - set(keys)))
+        except (OSError, ValueError, AttributeError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        if unread:
+            raise argparse.ArgumentTypeError("%s: no use for %s (reads %s)" % (
+                path, unread, ", ".join(keys)))
+        return cfg
+    return read
 
 
-def _pair(text: str):
-    parts = [float(v) for v in str(text).split(",")]
-    if len(parts) == 1:
-        parts.append(0.0)
-    return parts[:2]
+def _system_spec(args) -> dict:
+    """The config file's system, else the one the system options give."""
+    if args.config.get("system"):
+        return args.config["system"]
+    if args.system == "scalar" and not args.A:
+        raise HalfspaceError("scalar system needs --A")
+    extra = {"lame": {"mu": args.mu, "lambda": args.lam},
+             "scalar": {"A": args.A}}.get(args.system, {})
+    return {"kind": args.system, "n": args.n, **extra}
 
 
-def _levels_from_args(args) -> list:
-    if args.levels:
-        if ":" in args.levels:
-            lo, hi, count = args.levels.split(":")
-            return list(np.geomspace(float(lo), float(hi), int(count)))
-        return [float(v) for v in args.levels.split(",")]
-    return [0.25, 0.5, 1.0, 2.0]
+def _pair(text: str) -> list:
+    """A complex flag, "re" or "re,im", as [re, im]."""
+    return [float(v) for v in (text + ",0").split(",")[:2]]
 
 
-def _load_config_file(args) -> dict:
-    if args.config:
-        return json.loads(Path(args.config).read_text())
-    return {}
+def _levels(text) -> list:
+    if not text:
+        return [0.25, 0.5, 1.0, 2.0]
+    if ":" in text:
+        lo, hi, count = text.split(":")
+        return list(np.geomspace(float(lo), float(hi), int(count)))
+    return [float(v) for v in text.split(",")]
 
 
-def _make_datum(args, grid: Grid, M: int) -> BoundaryData:
-    kind = args.datum
-    x0 = grid.meshes()[0]
-    rad = grid.radii()
+def _make_datum(kind: str, seed: int, grid: Grid, M: int) -> BoundaryData:
     if kind == "constant":
         samples = np.full(grid.shape + (M,), 1.0 + 0j)
         return BoundaryData(grid=grid, samples=samples, space_tag="bounded",
                             meta={"label": "constant"})
-    if kind == "gaussian":
-        prof = np.exp(-rad ** 2)
-        d = np.zeros(M, complex)
-        d[0] = 1.0
-        return BoundaryData(grid=grid, samples=prof[..., None] * d,
-                            space_tag="lp", meta={"label": "gaussian"})
+    if kind in ("gaussian", "wide"):
+        # wide intentionally saturates the support margin (alias-risk path)
+        width = 1.0 if kind == "gaussian" else 0.9 * grid.R
+        prof = np.exp(-(grid.radii() / width) ** 2)
+        samples = prof[..., None] * np.eye(M, dtype=complex)[0]
+        return BoundaryData(grid=grid, samples=samples, space_tag="lp",
+                            meta={"label": kind})
     if kind == "bump":
-        return smooth_compact(grid, M, args.seed, count=1)[0]
+        return smooth_compact(grid, M, seed, count=1)[0]
     if kind == "log":
         return clipped_log(grid, M)
-    if kind == "wide":
-        # intentionally saturates the support margin (alias-risk path)
-        prof = np.exp(-(rad / (0.9 * grid.R)) ** 2)
-        d = np.zeros(M, complex)
-        d[0] = 1.0
-        return BoundaryData(grid=grid, samples=prof[..., None] * d,
-                            space_tag="lp", meta={"label": "wide"})
     raise HalfspaceError("unknown datum %r" % (kind,))
 
 
 def cmd_kernel(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _load_config_file(args).get("system") or _system_spec_from_args(args)
-    manifest = _Manifest(outdir, {"command": "kernel", "system": spec,
-                                  "N": args.N, "seed": args.seed})
+    spec = _system_spec(args)
+    run = _Run(args.out, {"command": "kernel", "system": spec,
+                          "N": args.N, "seed": args.seed})
     system = system_from_spec(spec)
-    manifest.stage("validate")
+    run.stage("validate")
     table, kernel = build_poisson_kernel(system, N=args.N)
-    manifest.stage("build")
-    kpath = outdir / "kernel.bin"
-    spath = outdir / "symbol.bin"
-    containers.save_kernel(kpath, kernel)
-    containers.save_symbol_table(spath, table)
-    containers.kernel_slices_csv(outdir / "kernel_slices.csv", kernel)
+    run.stage("build")
+    paths = [run.outdir / name
+             for name in ("kernel.bin", "symbol.bin", "kernel_slices.csv")]
+    containers.save_kernel(paths[0], kernel)
+    containers.save_symbol_table(paths[1], table)
+    containers.kernel_slices_csv(paths[2], kernel)
     report = verify_kernel_properties(system, kernel, table, seed=args.seed)
-    paths = containers.write_report(outdir, report, "kernel_properties")
-    manifest.stage("verify")
-    for p in [kpath, spath, outdir / "kernel_slices.csv"] + list(paths):
-        manifest.artifact(p)
-    manifest.write()
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.passed else TOLERANCE_ERROR
+    paths += containers.write_report(run.outdir, report, "kernel_properties")
+    return run.finish("verify", paths, report)
 
 
 def cmd_solve(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _load_config_file(args).get("system") or _system_spec_from_args(args)
-    manifest = _Manifest(outdir, {"command": "solve", "system": spec,
-                                  "N": args.N, "R": args.R,
-                                  "datum": args.datum, "levels": args.levels,
-                                  "seed": args.seed})
+    spec = _system_spec(args)
+    run = _Run(args.out, {"command": "solve", "system": spec,
+                          "N": args.N, "R": args.R, "datum": args.datum,
+                          "levels": args.levels, "seed": args.seed})
     system = system_from_spec(spec)
     grid = Grid(n=system.n, N=args.N, h=2.0 * args.R / args.N)
-    datum = _make_datum(args, grid, system.M)
-    levels = _levels_from_args(args)
-    field = poisson_extend(system, datum, levels,
+    datum = _make_datum(args.datum, args.seed, grid, system.M)
+    field = poisson_extend(system, datum, _levels(args.levels),
                            wrap_tol=args.wrap_tol)
-    manifest.stage("solve")
-    fpath = outdir / "field.bin"
+    fpath, cpath = run.outdir / "field.bin", run.outdir / "field.csv"
     containers.save_field(fpath, field, system)
-    containers.field_csv(outdir / "field.csv", field)
-    manifest.artifact(fpath)
-    manifest.artifact(outdir / "field.csv")
-    manifest.write()
+    containers.field_csv(cpath, field)
+    run.finish("solve", [fpath, cpath])
     print("field written: %d levels on %d^%d nodes (wrap bound %.2e)"
           % (len(field.heights), grid.N, grid.d, field.meta["wrap_bound"]))
     return 0
 
 
 def cmd_spaces(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    spec = _load_config_file(args).get("system") or _system_spec_from_args(args)
+    spec = _system_spec(args)
+    run = _Run(args.out, {"command": "spaces", "system": spec,
+                          "datum": args.datum, "N": args.N,
+                          "R": args.R, "seed": args.seed})
     system = system_from_spec(spec)
     grid = Grid(n=system.n, N=args.N, h=2.0 * args.R / args.N)
-    manifest = _Manifest(outdir, {"command": "spaces", "system": spec,
-                                  "datum": args.datum, "N": args.N,
-                                  "R": args.R, "seed": args.seed})
-    datum = _make_datum(args, grid, system.M)
+    datum = _make_datum(args.datum, args.seed, grid, system.M)
     cubes = DyadicCubeFamily(grid, int(np.log2(grid.N)) - 2)
-    out = {
+    out = _plain({
         "l2": norm(datum, "lp", p=2.0),
         "lp": norm(datum, "lp", p=args.p),
         "sup": norm(datum, "lp", p=np.inf),
@@ -190,122 +183,92 @@ def cmd_spaces(args) -> int:
         "weighted_l1": norm(datum, "l1_weight", m=float(system.n)),
         "morrey": norm(datum, "morrey", cubes=cubes, p=2.0,
                        lam=0.5 * (system.n - 1)),
-    }
-    path = outdir / "norms.json"
-    path.write_text(json.dumps(_plain(out), sort_keys=True, indent=1))
-    manifest.stage("norms")
-    manifest.artifact(path)
-    manifest.write()
-    print(json.dumps(_plain(out), sort_keys=True, indent=1))
+    })
+    path = run.outdir / "norms.json"
+    path.write_text(json.dumps(out, sort_keys=True, indent=1))
+    run.finish("norms", [path])
+    print(path.read_text())
     return 0
 
 
 def cmd_verify(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    file_cfg = _load_config_file(args)
-    overrides = {}
-    if "system" in file_cfg or args.system != "laplacian" or args.n != 2:
-        overrides["system"] = file_cfg.get("system") \
-            or _system_spec_from_args(args)
-    for key in ("N", "h", "kappa", "epsilon", "theta", "seed"):
-        if key in file_cfg:
-            overrides[key] = file_cfg[key]
-    if args.N:
-        overrides["N"] = args.N
-    overrides.setdefault("kappa", args.kappa)
-    overrides.setdefault("epsilon", args.epsilon)
-    overrides.setdefault("theta", args.theta)
-    overrides.setdefault("seed", args.seed)
-    if "params" in file_cfg:
-        overrides["params"] = file_cfg["params"]
-    if "tolerances" in file_cfg:
-        overrides["tolerances"] = file_cfg["tolerances"]
-    cfg = default_config(args.experiment, **overrides)
-    manifest = _Manifest(outdir, {"command": "verify",
-                                  "experiment": args.experiment,
-                                  "config": cfg.snapshot()})
+    flags = {key: getattr(args, key) for key in ("N", "kappa", "theta", "seed")
+             if getattr(args, key) is not None}
+    cfg = default_config(args.experiment, **{
+        **args.config, "system": _system_spec(args), **flags})
+    run = _Run(args.out, {"command": "verify", "experiment": args.experiment,
+                          "config": cfg.snapshot()})
     report = run_experiment(cfg)
-    manifest.stage("experiment")
-    for p in containers.write_report(outdir, report):
-        manifest.artifact(p)
-    manifest.write()
-    for line in report.summary_lines():
-        print(line)
+    code = run.finish("experiment",
+                      containers.write_report(run.outdir, report), report)
     print("experiment %s: %s" % (report.experiment,
                                  "PASS" if report.passed else "FAIL"))
-    return 0 if report.passed else TOLERANCE_ERROR
+    return code
 
 
 def cmd_all(args) -> int:
-    status = 0
-    base = Path(args.out)
-    args.out = str(base / "kernel")
-    status = max(status, cmd_kernel(args))
-    args.out = str(base / "solve")
-    args.datum = "gaussian"
-    status = max(status, cmd_solve(args))
-    for name in ("lp_wellposed", "linfty_maximum", "counterexample_linear"):
-        args.out = str(base / name)
-        args.experiment = name
-        status = max(status, cmd_verify(args))
-    args.out = str(base)
-    return status
+    # every step runs at one N and seed: the flag, else the file, else default
+    seed = args.config.get("seed", 0) if args.seed is None else args.seed
+    base = dict(vars(args), datum="gaussian", seed=seed,
+                N=args.N or args.config.get("N", 1024))
+    steps = dict(kernel=cmd_kernel, solve=cmd_solve, lp_wellposed=cmd_verify,
+                 linfty_maximum=cmd_verify, counterexample_linear=cmd_verify)
+    return max(fn(argparse.Namespace(**dict(base, experiment=name,
+                                            out=Path(args.out) / name)))
+               for name, fn in steps.items())
+
+
+_FLAGS = {
+    "system": dict(default="laplacian",
+                   choices=["laplacian", "lame", "scalar"]),
+    "n": dict(type=int, default=2),
+    "mu": dict(type=_pair, default="1,0"),
+    "lambda": dict(dest="lam", type=_pair, default="1,0"),
+    "A": dict(type=json.loads,
+              help="scalar matrix as JSON [[ [re,im], ... ], ...]"),
+    "N": dict(type=int, default=1024),
+    "R": dict(type=float, default=64.0),
+    "levels": dict(help="comma list or lo:hi:count (geometric)"),
+    "datum": dict(default="gaussian",
+                  choices=["constant", "gaussian", "bump", "log", "wide"]),
+    "wrap-tol": dict(type=float),
+    "kappa": dict(type=float),
+    "p": dict(type=float, default=2.0),
+    "theta": dict(type=float, default=0.5),
+    "seed": dict(type=int, default=0),
+    "out": dict(default="out", help="output directory"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hsp",
-        description="Poisson kernels and Dirichlet solves in the half-space")
+    parser = argparse.ArgumentParser(prog="hsp", description=(
+        "Poisson kernels and Dirichlet solves in the half-space"))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, N_default):
-        p.add_argument("--system", default="laplacian",
-                       choices=["laplacian", "lame", "scalar"])
-        p.add_argument("--n", type=int, default=2)
-        p.add_argument("--mu", default="1,0")
-        p.add_argument("--lambda", dest="lam", default="1,0")
-        p.add_argument("--A", default=None,
-                       help="scalar matrix as JSON [[ [re,im], ... ], ...]")
-        p.add_argument("--N", type=int, default=N_default)
-        p.add_argument("--R", type=float, default=64.0)
-        p.add_argument("--levels", default=None,
-                       help="comma list or lo:hi:count (geometric)")
-        p.add_argument("--kappa", type=float, default=1.0)
-        p.add_argument("--epsilon", type=float, default=0.0)
-        p.add_argument("--p", type=float, default=2.0)
-        p.add_argument("--theta", type=float, default=0.5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default="out", help="output directory")
-
-    pk = sub.add_parser("kernel", help="build and verify a Poisson kernel")
-    common(pk, 1024)
-    pk.set_defaults(fn=cmd_kernel)
-
-    ps = sub.add_parser("solve", help="extend boundary data into the half-space")
-    common(ps, 1024)
-    ps.add_argument("--datum", default="gaussian",
-                    choices=["constant", "gaussian", "bump", "log", "wide"])
-    ps.add_argument("--wrap-tol", type=float, default=None)
-    ps.set_defaults(fn=cmd_solve)
-
-    pn = sub.add_parser("spaces", help="compute function-space norms of a datum")
-    common(pn, 1024)
-    pn.add_argument("--datum", default="gaussian",
-                    choices=["constant", "gaussian", "bump", "log", "wide"])
-    pn.set_defaults(fn=cmd_spaces)
-
-    pv = sub.add_parser("verify", help="run a named verification experiment")
-    pv.add_argument("experiment", help="one of: %s" % ", ".join(experiment_names()))
-    common(pv, 0)
-    pv.set_defaults(fn=cmd_verify)
-
-    pa = sub.add_parser("all", help="kernel + solve + a default experiment set")
-    common(pa, 1024)
-    pa.add_argument("--datum", default="gaussian")
-    pa.add_argument("--wrap-tol", type=float, default=None)
-    pa.set_defaults(fn=cmd_all)
+    for name, fn, text, flags in [
+        ("kernel", cmd_kernel, "build and verify a Poisson kernel",
+         "N seed"),
+        ("solve", cmd_solve, "extend boundary data into the half-space",
+         "N R levels datum wrap-tol seed"),
+        ("spaces", cmd_spaces, "compute function-space norms of a datum",
+         "N R datum p theta seed"),
+        ("verify", cmd_verify, "run a named verification experiment",
+         "N kappa theta seed"),
+        ("all", cmd_all, "kernel + solve + a default experiment set",
+         "N R levels wrap-tol kappa theta seed"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        if name == "verify":
+            p.add_argument("experiment", choices=experiment_names())
+        for flag in ("system n mu lambda A " + flags + " out").split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        keys = ("system",)
+        if name in ("verify", "all"):
+            # unset, so that a config file's value shows through
+            p.set_defaults(N=None, theta=None, seed=None)
+            keys = _VERIFY_KEYS
+        p.add_argument("--config", type=_config_reader(keys), default={},
+                       help="JSON config file")
     return parser
 
 
@@ -317,14 +280,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.fn(args)
-    except UnknownExperiment as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return USAGE_ERROR
-    except HalfspaceError as exc:
+    except (HalfspaceError, ValueError, OSError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -1,8 +1,8 @@
 """Flat binary containers and CSV/plot exports for kernels and fields.
 
-Layout: an eight-byte magic, a little-endian struct header carrying the
-geometry, the system tensor (so a container is self-describing), then the
-payload as raw row-major complex doubles.  Round-trips are bit-identical.
+Layout: eight-byte magic, the system (header, full label, tensor), a struct
+header carrying the geometry, then raw row-major arrays, all little-endian.
+Round-trips are bit-identical; a short or over-long file raises BadShape.
 """
 from __future__ import annotations
 
@@ -25,114 +25,114 @@ __all__ = [
     "write_plot_data", "write_report",
 ]
 
-_MAGIC_KERNEL = b"HSPKERN1"
-_MAGIC_SYMBOL = b"HSPSYMB1"
-_MAGIC_FIELD = b"HSPFELD1"
+_MAGIC = {"kernel": b"HSPKERN1", "symbol": b"HSPSYMB1", "field": b"HSPFELD1"}
+_SYSTEM = "<II d I"     # n, M, ellipticity margin, label length
 
 
-def _write_system(fh, system: EllipticSystem):
-    label = system.label.encode()[:64]
-    fh.write(struct.pack("<II d I", system.n, system.M,
-                         system.ellipticity_margin, len(label)))
-    fh.write(label)
-    fh.write(np.ascontiguousarray(system.coeffs, dtype=complex).tobytes())
+def _save(path, kind: str, system: EllipticSystem, head_fmt: str, head,
+          arrays):
+    """Write the one layout: magic, system header, label, tensor, the
+    struct header ``head``, then each array as raw row-major bytes."""
+    label = system.label.encode()
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC[kind])
+        fh.write(struct.pack(_SYSTEM, system.n, system.M,
+                             system.ellipticity_margin, len(label)))
+        fh.write(label)
+        fh.write(np.ascontiguousarray(system.coeffs, dtype=complex).tobytes())
+        fh.write(struct.pack(head_fmt, *head))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read_system(fh) -> EllipticSystem:
-    n, M, margin, lab_len = struct.unpack("<II d I", fh.read(20))
-    label = fh.read(lab_len).decode()
-    count = M * M * n * n
-    coeffs = np.frombuffer(fh.read(count * 16), dtype=complex).reshape(M, M, n, n)
-    return EllipticSystem(n=n, M=M, coeffs=coeffs.copy(),
-                          ellipticity_margin=margin, label=label)
+def _load(path, kind: str, head_fmt: str, layout):
+    """Read the layout ``_save`` writes; ``layout(system, head)`` lists the
+    (dtype, shape) of each array.  A wrong magic, a short file or bytes
+    left after the last array raise BadShape."""
+    data = Path(path).read_bytes()
+    if data[:8] != _MAGIC[kind]:
+        raise BadShape("not a %s container: %s" % (kind, path))
+    pos = 8
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(data):
+            raise BadShape("%s container %s is cut short" % (kind, path))
+        pos += size
+        return data[pos - size:pos]
+
+    def array(dtype, shape):
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        return np.frombuffer(take(size), dtype=dtype).reshape(shape).copy()
+
+    n, M, margin, lab_len = struct.unpack(_SYSTEM, take(20))
+    label = take(lab_len).decode()
+    system = EllipticSystem(n=n, M=M, coeffs=array(complex, (M, M, n, n)),
+                            ellipticity_margin=margin, label=label)
+    head = struct.unpack(head_fmt, take(struct.calcsize(head_fmt)))
+    arrays = [array(dtype, shape) for dtype, shape in layout(system, head)]
+    if pos != len(data):
+        raise BadShape("%s container %s has %d bytes after its payload"
+                       % (kind, path, len(data) - pos))
+    return system, head, arrays
+
+
+def _table_layout(system: EllipticSystem, head) -> list:
+    """A kernel's or symbol's values: (N,)^(n-1) nodes of M x M blocks."""
+    return [(complex, (head[0],) * (system.n - 1) + (system.M, system.M))]
 
 
 def save_kernel(path, kernel: PoissonKernelGrid):
     extent = float(kernel.meta.get("freq_extent", np.pi / kernel.grid.h))
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_KERNEL)
-        _write_system(fh, kernel.system)
-        fh.write(struct.pack("<I dddddd", kernel.grid.N, extent,
-                             kernel.grid.R, kernel.grid.h,
-                             kernel.tail_constant,
-                             kernel.normalization_residual,
-                             kernel.normalization_residual_full))
-        fh.write(np.ascontiguousarray(kernel.values).tobytes())
+    _save(path, "kernel", kernel.system, "<I dddddd",
+          (kernel.grid.N, extent, kernel.grid.R, kernel.grid.h,
+           kernel.tail_constant, kernel.normalization_residual,
+           kernel.normalization_residual_full), [kernel.values])
 
 
 def load_kernel(path) -> PoissonKernelGrid:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC_KERNEL:
-            raise BadShape("not a kernel container: %s" % (path,))
-        system = _read_system(fh)
-        N, extent, R, h, tail_c, res, res_full = struct.unpack(
-            "<I dddddd", fh.read(52))
-        grid = Grid(n=system.n, N=N, h=h)
-        count = N ** grid.d * system.M * system.M
-        values = np.frombuffer(fh.read(count * 16), dtype=complex)
-        values = values.reshape(grid.shape + (system.M, system.M)).copy()
-    return PoissonKernelGrid(system=system, grid=grid, values=values,
-                             tail_constant=tail_c,
+    system, (N, extent, R, h, tail_c, res, res_full), (values,) = _load(
+        path, "kernel", "<I dddddd", _table_layout)
+    return PoissonKernelGrid(system=system, grid=Grid(n=system.n, N=N, h=h),
+                             values=values, tail_constant=tail_c,
                              normalization_residual=res,
                              normalization_residual_full=res_full,
                              meta={"freq_extent": extent})
 
 
 def save_symbol_table(path, table: PoissonSymbolTable):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_SYMBOL)
-        _write_system(fh, table.system)
-        fh.write(struct.pack("<I dd", table.N, table.freq_extent,
-                             table.decay_rate))
-        fh.write(np.ascontiguousarray(table.values).tobytes())
+    _save(path, "symbol", table.system, "<I dd",
+          (table.N, table.freq_extent, table.decay_rate), [table.values])
 
 
 def load_symbol_table(path) -> PoissonSymbolTable:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC_SYMBOL:
-            raise BadShape("not a symbol container: %s" % (path,))
-        system = _read_system(fh)
-        N, extent, rate = struct.unpack("<I dd", fh.read(20))
-        count = N ** (system.n - 1) * system.M * system.M
-        values = np.frombuffer(fh.read(count * 16), dtype=complex)
-        values = values.reshape((N,) * (system.n - 1)
-                                + (system.M, system.M)).copy()
+    system, (N, extent, rate), (values,) = _load(
+        path, "symbol", "<I dd", _table_layout)
     return PoissonSymbolTable(system=system, freq_extent=extent, N=N,
                               values=values, decay_rate=rate)
 
 
 def save_field(path, field: HalfSpaceField, system: EllipticSystem):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_FIELD)
-        _write_system(fh, system)
-        fh.write(struct.pack("<I d I I", field.grid.N, field.grid.h,
-                             len(field.heights),
-                             1 if field.gradient is not None else 0))
-        fh.write(np.ascontiguousarray(field.heights, dtype=float).tobytes())
-        fh.write(np.ascontiguousarray(field.values).tobytes())
-        if field.gradient is not None:
-            fh.write(np.ascontiguousarray(field.gradient).tobytes())
+    grad = [] if field.gradient is None else [field.gradient]
+    _save(path, "field", system, "<I d I I",
+          (field.grid.N, field.grid.h, len(field.heights), len(grad)),
+          [np.asarray(field.heights, dtype=float), field.values] + grad)
+
+
+def _field_layout(system: EllipticSystem, head) -> list:
+    N, _, L, has_grad = head
+    values = (L,) + (N,) * (system.n - 1) + (system.M,)
+    layout = [(float, (L,)), (complex, values)]
+    if has_grad:
+        layout.append((complex, values[:-1] + (system.n, system.M)))
+    return layout
 
 
 def load_field(path):
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC_FIELD:
-            raise BadShape("not a field container: %s" % (path,))
-        system = _read_system(fh)
-        N, h, L, has_grad = struct.unpack("<I d I I", fh.read(20))
-        grid = Grid(n=system.n, N=N, h=h)
-        heights = np.frombuffer(fh.read(L * 8), dtype=float).copy()
-        count = L * N ** grid.d * system.M
-        values = np.frombuffer(fh.read(count * 16), dtype=complex)
-        values = values.reshape((L,) + grid.shape + (system.M,)).copy()
-        gradient = None
-        if has_grad:
-            gcount = count * system.n
-            gradient = np.frombuffer(fh.read(gcount * 16), dtype=complex)
-            gradient = gradient.reshape(
-                (L,) + grid.shape + (system.n, system.M)).copy()
-    field = HalfSpaceField(grid=grid, heights=heights, values=values,
-                           gradient=gradient,
+    system, (N, h, _, _), (heights, values, *grad) = _load(
+        path, "field", "<I d I I", _field_layout)
+    field = HalfSpaceField(grid=Grid(n=system.n, N=N, h=h), heights=heights,
+                           values=values, gradient=grad[0] if grad else None,
                            provenance={"system": system.label})
     return field, system
 

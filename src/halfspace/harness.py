@@ -85,7 +85,6 @@ class ExperimentConfig:
     N: int = 1024
     h: float = 0.125
     kappa: float = 1.0
-    epsilon: float = 0.0
     theta: float = 0.5
     seed: int = 0
     refine: bool = True
@@ -228,8 +227,7 @@ def clipped_log(grid: Grid, M: int, lam: float = 1.0) -> BoundaryData:
     vals = np.where(rad > 0, np.log(np.maximum(lam * rad, 1e-300)),
                     np.log(lam * grid.h / 2.0))
     singular = rad == 0.0
-    d = np.zeros(M, dtype=complex)
-    d[0] = 1.0
+    d = np.eye(M, dtype=complex)[0]
     return BoundaryData(grid=grid, samples=vals[..., None] * d,
                         space_tag="weighted_l1",
                         tail=TailTag(exponent=0.0, log=True),
@@ -244,8 +242,7 @@ def slg_profile(grid: Grid, theta: float, M: int, seed: int) -> BoundaryData:
     x0 = grid.meshes()[0]
     prof = (1.0 + rad ** 2) ** (0.5 * theta) \
         * (1.0 + 0.2 * np.cos(8 * base * x0 + rng.uniform(0, 2 * np.pi)))
-    d = np.zeros(M, dtype=complex)
-    d[0] = 1.0
+    d = np.eye(M, dtype=complex)[0]
     return BoundaryData(grid=grid, samples=prof[..., None] * d,
                         space_tag="slg", tail=TailTag(exponent=theta),
                         meta={"label": "slg_profile", "theta": theta})
@@ -657,8 +654,7 @@ def _counterexample_kernel_column(cfg, system, grid, rep) -> dict:
     """The kernel column: null trace, divergent sup-inside integral,
     bounded sup-outside integral; measured on the grid and on its two
     successive refinements."""
-    a = np.zeros(system.M, dtype=complex)
-    a[0] = 1.0
+    a = np.eye(system.M, dtype=complex)[0]
     eps0 = 1.0
 
     def truncated_integral(grid):
@@ -710,8 +706,7 @@ def _counterexample_kernel_column(cfg, system, grid, rep) -> dict:
 def _counterexample_linear(cfg, system, grid, rep) -> dict:
     """The linear field t a: null trace, constant star seminorms, failed
     Poisson representation."""
-    a = np.zeros(system.M, dtype=complex)
-    a[0] = 1.0
+    a = np.eye(system.M, dtype=complex)[0]
     rhos = cfg.params.get("rhos", [1.0, 4.0, 16.0])
     eps = 1e-3
     heights = np.unique(np.concatenate(
@@ -738,8 +733,7 @@ def _counterexample_dipole(cfg, system, grid, rep) -> dict:
     """Kernel-difference dipole: null trace off the poles, pole and far
     exponents, p-mass stability below the critical index; measured on the
     grid and, whatever the configuration, on its refinement."""
-    a = np.zeros(system.M, dtype=complex)
-    a[0] = 1.0
+    a = np.eye(system.M, dtype=complex)[0]
     z = float(cfg.params.get("z", 6.0))
     shift = np.zeros(system.n - 1)
     shift[0] = z

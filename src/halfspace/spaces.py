@@ -263,8 +263,7 @@ def make_atom(grid: Grid, center, side: float, p: float, q: float,
     if np.abs(prof).max() == 0.0:
         raise BadShape("degenerate atom profile")
     if direction is None:
-        direction = np.zeros(M, dtype=complex)
-        direction[0] = 1.0
+        direction = np.eye(M, dtype=complex)[0]
     direction = np.asarray(direction, dtype=complex)
     vals = np.zeros(grid.shape + (M,), dtype=complex)
     vals[mask] = prof[:, None] * direction[None, :]
@@ -354,8 +353,8 @@ def build_molecule(system: EllipticSystem, alpha, center, p: float, q: float,
 
 def molecule_check(system: EllipticSystem, alpha, center, p: float, q: float,
                    *, grid: Grid | None = None, shells: int = 6,
-                   slope_fit_start: int = 3, two_sided_slope: bool = False,
-                   seed: int = 0) -> VerificationReport:
+                   slope_fit_start: int = 3,
+                   two_sided_slope: bool = False) -> VerificationReport:
     """Quantify the molecule normalisation of a kernel derivative.
 
     The molecule built from d^alpha K at height t is tabulated relative to

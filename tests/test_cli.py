@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from halfspace import BoundaryData, poisson_extend
-from halfspace.cli import main
+from halfspace.cli import build_parser, main
 from halfspace.containers import load_field, load_kernel
 
 
@@ -97,6 +99,18 @@ def test_all_command(tmp_path):
     assert (out / "kernel" / "kernel.bin").exists()
     assert (out / "solve" / "field.bin").exists()
     assert (out / "lp_wellposed" / "lp_wellposed.json").exists()
+    # a config file may hold the keys of the experiments that all runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 0.25, "seed": 2, "theta": 0.5,
+                               "params": {}, "tolerances": {}}))
+    out = tmp_path / "all_cfg"
+    code = run(["all", "--N", "512", "--R", "32", "--config", str(cfg),
+                "--out", str(out)])
+    assert code == 0
+    for name in ("lp_wellposed", "linfty_maximum", "counterexample_linear"):
+        got = json.loads((out / name / "manifest.json").read_text())
+        assert got["config"]["config"]["h"] == 0.25
+        assert got["config"]["config"]["seed"] == 2
 
 
 def test_config_file_system(tmp_path):
@@ -129,3 +143,79 @@ def test_solve_gaussian_oracle_inline(tmp_path):
                          samples=np.exp(-field.grid.radii() ** 2)[:, None])
     wrap = poisson_extend(system, datum, field.heights).meta["wrap_bound"]
     assert abs(got - oracle) <= max(1e-6, 3.0 * wrap)
+
+
+# every option each subcommand accepts, -h and verify's experiment aside;
+# a new flag joins this table on purpose
+SYSTEM_OPTIONS = {"--system", "--n", "--mu", "--lambda", "--A", "--config",
+                  "--out"}
+ACCEPTED = {
+    "kernel": SYSTEM_OPTIONS | {"--N", "--seed"},
+    "solve": SYSTEM_OPTIONS | {"--N", "--R", "--levels", "--datum",
+                               "--wrap-tol", "--seed"},
+    "spaces": SYSTEM_OPTIONS | {"--N", "--R", "--datum", "--p", "--theta",
+                                "--seed"},
+    "verify": SYSTEM_OPTIONS | {"--N", "--kappa", "--theta", "--seed"},
+    "all": SYSTEM_OPTIONS | {"--N", "--R", "--levels", "--wrap-tol",
+                             "--kappa", "--theta", "--seed"},
+}
+
+
+def test_each_subcommand_accepts_only_its_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for action in p._actions
+                  for flag in action.option_strings
+                  if flag not in ("-h", "--help")}
+           for name, p in sub.choices.items()}
+    assert got == ACCEPTED
+    assert sum(len(flags) for flags in got.values()) == 60
+
+
+REMOVED = [("kernel", flag) for flag in ("--R", "--levels", "--kappa",
+                                         "--epsilon", "--p", "--theta")] \
+    + [("solve", flag) for flag in ("--kappa", "--epsilon", "--p", "--theta")] \
+    + [("spaces", flag) for flag in ("--levels", "--kappa", "--epsilon")] \
+    + [("verify", flag) for flag in ("--R", "--levels", "--p", "--epsilon")] \
+    + [("all", flag) for flag in ("--p", "--epsilon", "--datum")]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED,
+                         ids=["%s%s" % pair for pair in REMOVED])
+def test_removed_flag_is_usage_error(command, flag, tmp_path, capsys):
+    head = [command] + (["counterexample_linear"] if command == "verify"
+                        else [])
+    value = "gaussian" if flag == "--datum" else "1"
+    out = tmp_path / "o"
+    assert run(head + [flag, value, "--out", str(out)]) == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,entry", [
+    (["verify", "counterexample_linear"], {"epsilon": 0.1}),
+    (["kernel"], {"seed": 1}),
+], ids=["verify-epsilon", "kernel-seed"])
+def test_config_key_the_command_does_not_read(argv, entry, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "o"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert "no use for %s" % next(iter(entry)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,want", [
+    ([], {"seed": 5, "N": 256, "kappa": 2.0}),
+    (["--seed", "3"], {"seed": 3, "N": 256, "kappa": 2.0}),
+    (["--N", "512", "--kappa", "1.5"], {"seed": 5, "N": 512, "kappa": 1.5}),
+], ids=["file", "flag-seed", "flag-N-kappa"])
+def test_verify_flag_beats_file_beats_default(flags, want, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "N": 256, "kappa": 2.0}))
+    out = tmp_path / "v"
+    run(["verify", "counterexample_linear", "--config", str(cfg),
+         "--out", str(out)] + flags)
+    got = json.loads((out / "manifest.json").read_text())["config"]["config"]
+    assert {key: got[key] for key in want} == want
+    assert got["theta"] == 0.5 and got["h"] == 0.125

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halfspace import Grid, BoundaryData, poisson_extend
+from halfspace import Grid, BoundaryData, build_system, poisson_extend
 from halfspace.containers import (field_csv, kernel_slices_csv, load_field,
                                   load_kernel, load_symbol_table, save_field,
                                   save_kernel, save_symbol_table, write_report)
@@ -83,3 +83,61 @@ def test_report_emission(tmp_path):
     assert "alpha" in (tmp_path / "demo.json").read_text()
     dat = (tmp_path / "demo_series.dat").read_text().splitlines()
     assert len(dat) == 2
+
+
+def _saved_container(kind, tmp_path, lap2_kernel, lame2):
+    """A container of ``kind`` written to tmp_path, with its save and load;
+    the field is a Lame n = 2 one, with or without its gradient."""
+    table, kernel = lap2_kernel
+    path = tmp_path / (kind + ".bin")
+    if kind == "kernel":
+        save_kernel(path, kernel)
+        return path, save_kernel, load_kernel
+    if kind == "symbol":
+        save_symbol_table(path, table)
+        return path, save_symbol_table, load_symbol_table
+    grid = Grid(n=2, N=64, h=0.25)
+    f = BoundaryData(grid=grid, samples=np.exp(-grid.axis() ** 2)[:, None]
+                     * np.array([1.0, 0.5j]))
+    u = poisson_extend(lame2, f, [0.5, 1.0],
+                       gradient=kind == "field_gradient")
+    save_field(path, u, lame2)
+    return path, lambda p, c: save_field(p, *c), load_field
+
+
+CONTAINER_KINDS = ["kernel", "symbol", "field", "field_gradient"]
+
+
+@pytest.mark.parametrize("kind", CONTAINER_KINDS)
+def test_save_load_save_bytes_identical(kind, tmp_path, lap2_kernel, lame2):
+    path, save, load = _saved_container(kind, tmp_path, lap2_kernel, lame2)
+    again = tmp_path / "again.bin"
+    save(again, load(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", CONTAINER_KINDS)
+@pytest.mark.parametrize("cut", ["to12", "to40", "short8", "junk4"])
+def test_bad_length_raises_bad_shape(kind, cut, tmp_path, lap2_kernel, lame2):
+    path, _, load = _saved_container(kind, tmp_path, lap2_kernel, lame2)
+    data = path.read_bytes()
+    path.write_bytes({"to12": data[:12], "to40": data[:40],
+                      "short8": data[:-8], "junk4": data + b"\0" * 4}[cut])
+    with pytest.raises(BadShape, match=str(path)):
+        load(path)
+
+
+def test_long_label_roundtrip(tmp_path):
+    rng = np.random.default_rng(7)
+    mu, lam = rng.uniform(0.5, 1.5, 2) + 1j * rng.uniform(-0.3, 0.3, 2)
+    system = build_system("lame", n=2, mu=mu, lam=lam)
+    assert len(system.label.encode()) > 64
+    grid = Grid(n=2, N=64, h=0.25)
+    f = BoundaryData(grid=grid, samples=np.exp(-grid.axis() ** 2)[:, None]
+                     * np.array([1.0, 0.0]))
+    path = tmp_path / "long.bin"
+    save_field(path, poisson_extend(system, f, [0.5]), system)
+    field, back = load_field(path)
+    assert back.label == system.label
+    assert field.provenance["system"] == system.label
+    assert np.array_equal(back.coeffs, system.coeffs)
