@@ -149,7 +149,8 @@ def cmd_solve(args) -> int:
     spec = _system_spec(args)
     run = _Run(args.out, {"command": "solve", "system": spec,
                           "N": args.N, "R": args.R, "datum": args.datum,
-                          "levels": args.levels, "seed": args.seed})
+                          "levels": args.levels, "wrap_tol": args.wrap_tol,
+                          "seed": args.seed})
     system = system_from_spec(spec)
     grid = Grid(n=system.n, N=args.N, h=2.0 * args.R / args.N)
     datum = _make_datum(args.datum, args.seed, grid, system.M)
@@ -167,8 +168,9 @@ def cmd_solve(args) -> int:
 def cmd_spaces(args) -> int:
     spec = _system_spec(args)
     run = _Run(args.out, {"command": "spaces", "system": spec,
-                          "datum": args.datum, "N": args.N,
-                          "R": args.R, "seed": args.seed})
+                          "datum": args.datum, "N": args.N, "R": args.R,
+                          "p": args.p, "theta": args.theta,
+                          "seed": args.seed})
     system = system_from_spec(spec)
     grid = Grid(n=system.n, N=args.N, h=2.0 * args.R / args.N)
     datum = _make_datum(args.datum, args.seed, grid, system.M)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BadShape, UnknownExperiment
 from .grids import Grid
@@ -38,7 +37,8 @@ from .operators import (ConeSpec, DyadicCubeFamily, hardy_littlewood,
                         nontangential_max, pointwise_max_principle_check)
 from .report import VerificationReport
 from .solver import (BoundaryData, HalfSpaceField, TailTag, _level_fields,
-                     poisson_extend, trace_estimate, weighted_integrability)
+                     _radial_tail, poisson_extend, trace_estimate,
+                     weighted_integrability)
 from .spaces import (bmo_norm, carleson_norms, holder_seminorm,
                      make_atom, norm, star_seminorm)
 from .systems import EllipticSystem, build_system
@@ -489,10 +489,9 @@ def _scg_local_max(cfg, system, grid, rep) -> dict:
                       * grid.cell_volume)
         # analytic tail of the log datum beyond the grid
         amp = f.tail.amplitude
-        tail, _ = integrate.quad(
-            lambda r: amp * np.log(max(r, 2.0)) * r ** (grid.d - 1)
-            * rho / (rho ** system.n + r ** system.n),
-            grid.R, np.inf, limit=200)
+        tail = _radial_tail(
+            lambda r: amp * np.log(np.maximum(r, 2.0)) * r ** (grid.d - 1)
+            * rho / (rho ** system.n + r ** system.n), grid.R, 1.0)
         outer += (2.0 if grid.d == 1 else 2 * np.pi) * tail
         worst = max(worst, lhs / (inner + outer))
     rep.add("local_max_constant", worst, None, "finite",

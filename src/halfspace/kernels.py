@@ -103,7 +103,7 @@ _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
 _TRAPEZOID_MIN = 64       # fewest circle nodes of the closed-form kernel
 _TRAPEZOID_RATE = 40.0    # circle nodes per unit of (1 + |y|) / root margin
 _TRAPEZOID_MAX = 2 ** 18  # most circle nodes of one closed-form point
-_GAUSS_PANEL = 16         # Gauss-Legendre nodes per panel of a window side
+_GAUSS_PANEL = 16         # Gauss-Legendre nodes per panel of a quadrature
 _BOUNDARY_TOL = 1e-12     # symbol magnitude at the frequency-box boundary
 _XI_CAP = 4096.0          # largest frequency half-width _probe_extent tries
 _PROBE_START = 8.0        # first frequency half-width tried by _probe_extent

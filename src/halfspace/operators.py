@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BadShape, CubeTooSmall
 from .grids import Grid
@@ -127,24 +126,44 @@ def _cone_footprint(radius_nodes: float, d: int) -> np.ndarray:
     return (X * X + Y * Y) < radius_nodes ** 2
 
 
-def _disc_max_into(out: np.ndarray, mag: np.ndarray, radius_nodes: float):
-    """out = max(out, max of mag over the disc of :func:`_cone_footprint`).
-
-    The disc is a union of rows: row dy keeps the offsets |dx| <= w(dy),
-    the largest w with w*w + dy*dy < radius**2.  Each width's 1-D running
-    maximum (van Herk, Pattern Recognit. Lett. 13, 1992) is taken once and
-    applied at the shifts +dy and -dy; cells off the grid count as 0, as in
-    the footprint filter, and mag >= 0.
-    """
-    rows, cols = mag.shape
+def _row_widths(radius_nodes: float, d: int) -> tuple:
+    """Half-width of each row dy = 0, 1, ... of :func:`_cone_footprint`:
+    the largest w with w*w + dy*dy < radius**2."""
+    if d == 1:
+        return (_half_width(radius_nodes),)
     ax = np.arange(_half_width(radius_nodes) + 1)
-    widths = (ax[:, None] ** 2 + ax ** 2 < radius_nodes ** 2).sum(axis=1) - 1
-    for w in np.unique(widths[(widths >= 0) & (ax < rows)]):
-        run = ndimage.maximum_filter1d(mag, size=2 * min(w, cols - 1) + 1,
-                                       axis=1, mode="constant", cval=0.0)
-        for dy in np.flatnonzero((widths == w) & (ax < rows)):
-            np.maximum(out[:rows - dy], run[dy:], out=out[:rows - dy])
-            np.maximum(out[dy:], run[:rows - dy], out=out[dy:])
+    inside = ax[:, None] ** 2 + ax ** 2 < radius_nodes ** 2
+    return tuple((inside.sum(axis=1) - 1).tolist())
+
+
+def _window_maxima(a: np.ndarray, widths) -> dict:
+    """{(g, w): max of a[g] over the offsets |dx| <= w along the last axis}
+    for each w in widths[g], cells off the axis counting as 0.
+
+    One zero-padded sparse table of maxima over 2^k cells (van Herk, Pattern
+    Recognit. Lett. 13, 1992): a window of 2w + 1 cells is the max of two
+    overlapping blocks of the largest 2^k <= 2w + 1 cells, which is exact.
+    The table is flat, its rows apart by the widest window's zeros, so that
+    each level is one contiguous maximum.
+    """
+    n = a.shape[-1]
+    # a half-width of n already reaches a padding cell from every node
+    wanted = sorted({(min(w, n), w, g) for g, ws in enumerate(widths)
+                     for w in ws})
+    pad = wanted[-1][0]
+    shape = a.shape[:-1] + (n + pad,)
+    slab = a[0].size // n * shape[-1]
+    table = np.zeros(len(a) * slab + 2 * pad)
+    table[pad:pad + len(a) * slab].reshape(shape)[..., :n] = a
+    out, size = {}, 1
+    for c, w, g in wanted:
+        while 2 * size <= 2 * c + 1:
+            table = np.maximum(table[:-size], table[size:])
+            size *= 2
+        row = table[g * slab:(g + 1) * slab].reshape(shape[1:])
+        lo, hi = pad - c, pad + c + 1 - size
+        out[g, w] = np.maximum(row[..., lo:lo + n], row[..., hi:hi + n])
+    return out
 
 
 def nontangential_max(u: HalfSpaceField, cone: ConeSpec) -> BoundaryData:
@@ -152,30 +171,33 @@ def nontangential_max(u: HalfSpaceField, cone: ConeSpec) -> BoundaryData:
 
     Per node the maximum of |u| over grid points (y', t) with
     |x' - y'| < kappa t and epsilon < t <= t_max.  Nodes whose truncated
-    cone contains no sampled level are flagged and set to zero.
+    cone contains no sampled level are flagged and set to zero.  Levels of
+    one footprint share one maximum of |u| (max commutes); each row dy of a
+    footprint applies its running maximum at the shifts +dy and -dy, cells
+    off the grid counting as 0, as in the filter by :func:`_cone_footprint`.
     """
     grid = u.grid
     top = cone.resolve_top(grid)
     levels = np.flatnonzero((u.heights > cone.epsilon) & (u.heights <= top))
     out = np.zeros(grid.shape)
-    if len(levels) == 0:
-        data = BoundaryData(grid=grid, samples=out[..., None].astype(complex),
-                            space_tag="generic")
-        data.meta["empty_cone"] = np.ones(grid.shape, dtype=bool)
-        data.meta["values"] = out
-        return data
-    mag = u.magnitude()
+    mag = u.magnitude().reshape((len(u.heights), -1, grid.shape[-1]))
+    rows, shared = mag.shape[1], {}
     for li in levels:
-        radius = cone.kappa * u.heights[li] / grid.h
-        if grid.d == 1:
-            size = 2 * _half_width(radius) + 1
-            np.maximum(out, ndimage.maximum_filter1d(
-                mag[li], size=size, mode="constant", cval=0.0), out=out)
-        else:
-            _disc_max_into(out, mag[li], radius)
+        # keyed by the footprint's rows that reach the grid
+        key = _row_widths(cone.kappa * u.heights[li] / grid.h, grid.d)[:rows]
+        shared[key] = np.maximum(shared[key], mag[li]) if key in shared \
+            else mag[li]
+    footprints = list(shared)
+    runs = _window_maxima(np.stack(list(shared.values())), footprints) \
+        if shared else {}
+    flat = out.reshape(mag.shape[1:])
+    for g, widths in enumerate(footprints):
+        for dy, w in enumerate(widths):
+            np.maximum(flat[:rows - dy], runs[g, w][dy:], out=flat[:rows - dy])
+            np.maximum(flat[dy:], runs[g, w][:rows - dy], out=flat[dy:])
     data = BoundaryData(grid=grid, samples=out[..., None].astype(complex),
                         space_tag="generic")
-    data.meta["empty_cone"] = np.zeros(grid.shape, dtype=bool)
+    data.meta["empty_cone"] = np.full(grid.shape, len(levels) == 0)
     data.meta["values"] = out
     return data
 

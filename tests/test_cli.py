@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,38 @@ def test_spaces_command(tmp_path):
     norms = json.loads((out / "norms.json").read_text())
     assert abs(norms["l2"] - (np.pi / 2) ** 0.25) < 1e-4
     assert norms["bmo"] > 0
+
+
+def test_manifest_records_every_setting_of_the_artifacts(tmp_path):
+    # runs that differ only in --p write different norms.json, so their
+    # recorded configs must differ too; solve records its --wrap-tol
+    configs = []
+    for p in ("2", "3"):
+        out = tmp_path / ("p" + p)
+        assert run(["spaces", "--datum", "log", "--N", "256", "--R", "16",
+                    "--p", p, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        configs.append(manifest["config"])
+    assert configs[0] != configs[1]
+    assert (configs[0]["p"], configs[1]["p"]) == (2.0, 3.0)
+    assert configs[0]["theta"] == 0.5
+    out = tmp_path / "solve"
+    assert run(["solve", "--datum", "gaussian", "--N", "256", "--R", "16",
+                "--wrap-tol", "1e3", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["wrap_tol"] == 1e3
+
+
+def test_package_imports_numpy_only():
+    # scipy is a test dependency only: the package and its CLI load none
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, halfspace, halfspace.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_usage_error():

@@ -7,7 +7,8 @@ from halfspace import (BoundaryData, ConeSpec, DyadicCubeFamily, Grid,
                        HalfSpaceField, hardy_littlewood, nontangential_max,
                        poisson_extend, pointwise_max_principle_check)
 from halfspace.errors import BadShape, CubeTooSmall
-from halfspace.operators import _cone_footprint, hardy_littlewood_bruteforce
+from halfspace.operators import (_cone_footprint, _row_widths, _window_maxima,
+                                 hardy_littlewood_bruteforce)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,34 @@ class TestPlanarBoundary:
         u = self.sparse_field(grid, heights, rng)
         got = nontangential_max(u, cone).meta["values"]
         assert np.array_equal(got, self.footprint_max(u, cone))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (3, 9), (2, 5, 9)])
+    def test_window_maxima_match_filter1d(self, shape, rng):
+        # signed values, so that the zero cells off the axis show
+        a = rng.standard_normal(shape)
+        a[rng.random(shape) < 0.2] = 0.0
+        widths = [[0, 1, 3], [4, 8], [9, 20]][:len(a)]
+        runs = _window_maxima(a, widths)
+        assert sorted(runs) == sorted((g, w) for g in range(len(a))
+                                      for w in widths[g])
+        for (g, w), got in runs.items():
+            want = ndimage.maximum_filter1d(a[g], size=2 * w + 1, axis=-1,
+                                            mode="constant", cval=0.0)
+            assert np.array_equal(got, want), (shape, g, w)
+
+    @pytest.mark.parametrize("n,N", [(2, 64), (3, 32)])
+    def test_shared_footprints_match_footprint_filter(self, n, N, rng):
+        # dense heights: several levels share one footprint, and their
+        # maximum is taken before the running maxima
+        grid = Grid(n=n, N=N, h=0.25)
+        heights = np.linspace(0.1, 3.0, 60)
+        keys = {_row_widths(t / grid.h, grid.d) for t in heights}
+        assert len(keys) < len(heights)
+        u = self.sparse_field(grid, heights, rng)
+        for cone in (ConeSpec(kappa=1.0), ConeSpec(1.5, epsilon=0.3,
+                                                   t_max=2.0)):
+            got = nontangential_max(u, cone).meta["values"]
+            assert np.array_equal(got, self.footprint_max(u, cone))
 
     def test_hardy_littlewood_matches_bruteforce(self, grid3, rng):
         # staged axis means differ from flat means by summation order only

@@ -12,6 +12,7 @@ from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
 from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
 from halfspace.harness import sign_changing, smooth_compact
+from halfspace.solver import _radial_tail
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,48 @@ class TestWeightedIntegrability:
         f = BoundaryData(grid=grid, samples=np.ones((1024, 1), complex))
         with pytest.raises(ValueError):
             weighted_integrability(f, 0.0)
+
+
+TAIL_RADII = [4.0, 16.0, 128.0]
+
+
+def tight_quad(g, R):
+    return integrate.quad(g, R, np.inf, epsabs=0, epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize("R", TAIL_RADII)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("haslog", [False, True])
+def test_weighted_tail_matches_tight_quad(R, n, haslog):
+    # the tagged tail of weighted_integrability, amp r^a [log r] r^(d-1) /
+    # (1 + r^m) beyond R, with zero samples inside the grid
+    d, m = n - 1, float(n)
+    grid = Grid(n=n, N=int(2 * R), h=1.0)
+    f = BoundaryData(grid=grid, samples=np.zeros(grid.shape + (1,), complex),
+                     tail=TailTag(exponent=0.0, log=haslog, amplitude=1.0))
+    surface = 2.0 if d == 1 else 2.0 * np.pi
+    got = weighted_integrability(f, m) / surface
+
+    def radial(r):
+        v = r ** (d - 1) / (1.0 + r ** m)
+        return v * np.log(r) if haslog else v
+
+    want = tight_quad(radial, R)
+    assert abs(got / want - 1.0) <= 1e-14
+    assert abs(_radial_tail(radial, R, m - d) / want - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("R", TAIL_RADII)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rho", [2.0, 16.0])
+def test_local_max_tail_matches_tight_quad(R, n, rho):
+    # the log datum's weighted tail of scg_local_max
+    def radial(r):
+        return np.log(np.maximum(r, 2.0)) * r ** (n - 2) * rho \
+            / (rho ** n + r ** n)
+
+    want = tight_quad(radial, R)
+    assert abs(_radial_tail(radial, R, 1.0) / want - 1.0) <= 1e-14
 
 
 class TestTrace:
