@@ -57,10 +57,6 @@ class Grid:
         """Node coordinates along one axis, natural (ascending) order."""
         return (np.arange(self.N) - self.N // 2) * self.h
 
-    def freq_axis(self) -> np.ndarray:
-        """Frequency nodes along one axis, natural (ascending) order."""
-        return (np.arange(self.N) - self.N // 2) * self.freq_spacing
-
     @property
     def freq_spacing(self) -> float:
         return 2.0 * np.pi / (self.N * self.h)

@@ -34,6 +34,14 @@ generator (tau_+, or G per node) is stored once per frequency node.  A solve
 applies the Taylor polynomial to fhat and forms Khat only where squarings are
 due (the action of expm: Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
 
+Solvent table.  G depends on the system and omega only: each system solves
+it once, on first use, into a table held on the system object
+(:class:`_DirectionEvaluator`), G(+-1) for n = 2 and G at Q equispaced angles
+for n = 3, where Q doubles from _TRAPEZOID_MIN until the trigonometric
+interpolant meets direct solves at the midpoints to _TABLE_TOL of max |G|
+(past _TRAPEZOID_MAX angles, OutOfDomain); it converges geometrically for the
+analytic, periodic G(theta) (Trefethen & Weideman, SIAM Rev. 56, 2014).
+
 Closed form.  Integrating Khat radially, int_0^oo r^(d-1) exp(r A) dr =
 (d-1)! (-A)^(-d) with A = i(y.omega + G(omega)) and d = n - 1, gives the
 spatial kernel P(y) = K(y, 1) = t^(n-1) K(t y, t) as an average over the
@@ -48,7 +56,7 @@ Agmon-Douglis-Nirenberg Poisson kernel and of its estimate |K(x', t)| <=
 C t (t^2 + |x'|^2)^(-n/2) (Agmon, Douglis & Nirenberg, Comm. Pure Appl.
 Math. 17, 1964; Martell, D. Mitrea, I. Mitrea & M. Mitrea, Rev. Mat.
 Iberoam. 32, 2016).  P gives the tail constant C of the solver's wrap bound
-on rays (:attr:`PreparedSymbol.tail_constant`), K(x', t) = t^(1-n) P(x'/t)
+(:attr:`PreparedSymbol.tail_constant`), K(x', t) = t^(1-n) P(x'/t)
 at any point (:func:`kernel_at`) and the tables of
 :func:`build_poisson_kernel`.  The mass W_R of P on [-R, R]^(n-1), for
 n = 3 the flux of F out of the box, gives the mass I - W_R beyond a table's
@@ -57,8 +65,9 @@ rule converges geometrically: a point y takes the least power of two
 >= _TRAPEZOID_MIN and >= _TRAPEZOID_RATE (1 + |y|) / margin nodes, margin =
 min Im spec G: the integrand's poles lie about margin / |y| off the real
 angles, and the rule's error falls like exp(-nodes margin / |y|).  More
-than _TRAPEZOID_MAX nodes raise OutOfDomain.  In n = 3 the nodes sum terms
-far above P(y) ~ |y|^(-3): the relative round-off grows like 1e-17 |y|^3.
+than _TRAPEZOID_MAX nodes raise OutOfDomain; q <= Q nodes are table entries.
+In n = 3 the nodes sum terms far above P(y) ~ |y|^(-3): the relative
+round-off grows like 1e-17 |y|^3.
 
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; Phat(0) = I is the unit mass, that of a table periodised.
@@ -102,7 +111,9 @@ _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
 _TRAPEZOID_MIN = 64       # fewest circle nodes of the closed-form kernel
 _TRAPEZOID_RATE = 40.0    # circle nodes per unit of (1 + |y|) / root margin
-_TRAPEZOID_MAX = 2 ** 18  # most circle nodes of one closed-form point
+_TRAPEZOID_MAX = 2 ** 18  # most circle nodes of one closed-form point or table
+_TABLE_TOL = 1e-14        # interpolation error of a solvent table, of max |G|
+_POLISH_ROUNDS = 5        # local grids that refine the tail constant's sup
 _GAUSS_PANEL = 16         # Gauss-Legendre nodes per panel of a quadrature
 _BOUNDARY_TOL = 1e-12     # symbol magnitude at the frequency-box boundary
 _XI_CAP = 4096.0          # largest frequency half-width _probe_extent tries
@@ -319,10 +330,48 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
 
 
 class _DirectionEvaluator:
-    """Upper solvents G(omega) of a few unit directions omega (D, n-1)."""
+    """The solvent table of one system (module notes): G at the Q directions
+    of :func:`_unit_circle`.  Doubling Q keeps the angles' floats, so any
+    circle of q <= Q nodes reads table entries, the solves at those floats."""
 
-    def __init__(self, system: EllipticSystem, omega):
-        self.g = _solvent_stacks(system, np.asarray(omega, dtype=float))
+    def __init__(self, system: EllipticSystem):
+        q = 2 if system.n == 2 else _TRAPEZOID_MIN
+        self.g = _solvent_stacks(system, _unit_circle(system.n - 1, q))
+        while system.n == 3:
+            mid = _solvent_stacks(system, _unit_circle(2, 2 * q)[1::2])
+            err = np.abs(self.at(2.0 * np.pi * np.arange(1, 2 * q, 2) / (2 * q)) - mid)
+            if err.max() <= _TABLE_TOL * np.abs(self.g).max():
+                break
+            if 2 * q > _TRAPEZOID_MAX:
+                raise OutOfDomain("the solvent of %s needs over %d angles: use a "
+                                  "system with a larger margin" % (system.label, q))
+            self.g = np.stack([self.g, mid], 1).reshape((2 * q,) + mid.shape[1:])
+            q *= 2
+
+    def at(self, theta) -> np.ndarray:
+        """G at angles theta (P,) by the barycentric interpolant sum_k w_k G_k /
+        sum_k w_k, w_k = (-1)^k cot((theta - theta_k) / 2) (Berrut & Trefethen,
+        SIAM Rev. 46, 2004), G_k at theta_k; one row product per point."""
+        Q, M = len(self.g), self.g.shape[-1]
+        flat = self.g.reshape(Q, -1)
+        signed = np.hstack([flat.real, flat.imag, np.ones((Q, 1))]) \
+            * (-1.0) ** np.arange(Q)[:, None]
+        theta = np.asarray(theta, dtype=float)[:, None]
+        sums = np.empty((len(theta), signed.shape[1]))
+        for rows in np.array_split(np.arange(len(theta)), max(1, len(theta) * Q >> 16)):
+            with np.errstate(divide="ignore"):
+                w = 1.0 / np.tan(0.5 * (theta[rows] - 2.0 * np.pi * np.arange(Q) / Q))
+            hit = np.isinf(w).any(axis=1)
+            w[hit] = np.isinf(w[hit])
+            sums[rows] = (w[:, None] @ signed)[:, 0]
+        return ((sums[:, :M * M] + 1j * sums[:, M * M:-1])
+                / sums[:, -1:]).reshape(-1, M, M)
+
+
+def _solvents(system: EllipticSystem) -> _DirectionEvaluator:
+    """The solvent table of ``system``, built on first use and held on it."""
+    return vars(system).get("_solvents") or vars(system).setdefault(
+        "_solvents", _DirectionEvaluator(system))
 
 
 def poisson_symbol_at(system: EllipticSystem, xi_prime, t: float) -> np.ndarray:
@@ -377,18 +426,18 @@ def _collinear_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
     xi = 0."""
     x = xi[:, 0]
     side = np.where(x > 0.0, 0, np.where(x < 0.0, 1, 2))
-    pair = _DirectionEvaluator(system, [[1.0], [-1.0]]).g
+    pair = _solvents(system).g
     g = np.concatenate([pair, np.zeros_like(pair[:1])])
     return {key: v[..., side] for key, v in _expm_stacks(g).items()}
 
 
 def _general_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
-    """Generator of any n, M: the solvent G(xi/|xi|) of every node, zero at
+    """Generator of any n, M: the solvent G(xi/|xi|) of every node, read
+    from the system's table at the node's angle (0 or pi for n = 2), zero at
     xi = 0, in the layout of :func:`_expm_stacks`."""
-    norms = np.linalg.norm(xi, axis=1)
-    nz = norms > 0.0
+    nz = np.linalg.norm(xi, axis=1) > 0.0
     g = np.zeros((len(xi), system.M, system.M), dtype=complex)
-    g[nz] = _solvent_stacks(system, xi[nz] / norms[nz, None])
+    g[nz] = _solvents(system).at(np.arctan2(xi[nz, 1:].sum(1), xi[nz, 0]))
     return _expm_stacks(g)
 
 
@@ -409,8 +458,8 @@ def _unit_circle(d: int, count: int) -> np.ndarray:
 
 def _node_counts(system: EllipticSystem, radii: np.ndarray) -> np.ndarray:
     """Nodes for points at |y| = radii by the rule of the module notes."""
-    d = system.n - 1
-    g = _solvent_stacks(system, _unit_circle(d, 2 if d == 1 else _TRAPEZOID_MIN))
+    q = 2 if system.n == 2 else _TRAPEZOID_MIN
+    g = _solvents(system).at(2.0 * np.pi * np.arange(q) / q)
     need = _TRAPEZOID_RATE * (1.0 + radii) / np.linalg.eigvals(g).imag.min()
     return 2 ** np.ceil(np.log2(np.maximum(need, _TRAPEZOID_MIN)))
 
@@ -435,8 +484,9 @@ def _closed_form_kernel(system: EllipticSystem, y: np.ndarray,
         if counts[j] > _TRAPEZOID_MAX:
             raise OutOfDomain("|y| = %.3g needs %d trapezoid nodes, over %d; use "
                               "a larger t" % (radii[j], counts[j], _TRAPEZOID_MAX))
-    omega = _unit_circle(d, int(counts.max()))
-    h = -_solvent_stacks(system, omega)
+    top = int(counts.max())
+    omega = _unit_circle(d, top)
+    h = -_solvents(system).at(2.0 * np.pi * np.arange(top) / top)
     det, adj = [np.ones(len(h))], [np.broadcast_to(np.eye(M), h.shape)]
     for k in range(1, M + 1):      # highest power of s first
         hn = h @ adj[-1]
@@ -476,7 +526,7 @@ class PreparedSymbol:
 
     Construction stores one generator per node in ``stacks``: the upper
     root tau for M = 1, and for M > 1 the solvent G(xi/|xi|) in the layout
-    of :func:`_expm_stacks` (in n = 2 gathered from G(+1) and G(-1)).  The
+    of :func:`_expm_stacks`, read from the system's solvent table.  The
     generator is zero at the zero frequency, where Khat = I.  Each height is
     then only an exponential: :meth:`levels` evaluates every height of a
     solve at once, :meth:`apply` the action Khat v, and :meth:`at` is the
@@ -506,12 +556,27 @@ class PreparedSymbol:
     @cached_property
     def tail_constant(self) -> float:
         """sup ||P(y)||_2 (1 + |y|^2)^(n/2), operator norm, of the closed-form
-        kernel on 32 rays (+-1 for n = 2) at |y| = 0 and 40 radii to 40."""
-        d = self.system.n - 1
-        radii = np.concatenate([[0.0], np.geomspace(1.0 / 16, 40.0, 40)])
-        y = np.kron(radii[:, None], _unit_circle(d, 2 if d == 1 else 32))
-        mag = np.linalg.norm(_closed_form_kernel(self.system, y), 2, (1, 2))
-        return float((mag * (1.0 + (y * y).sum(axis=1)) ** (0.5 + 0.5 * d)).max())
+        kernel for |y| <= 40: the best of 32 rays (+-1 for n = 2) at |y| = 0
+        and 40 radii to 40, raised by _POLISH_ROUNDS grids of 5 radii (by 5
+        angles for n = 3) around the best point, each a quarter as wide."""
+        d, rays = self.system.n - 1, 2 if self.system.n == 2 else 32
+
+        def best_of(angle, radius):
+            angle, radius = [a.ravel() for a in np.meshgrid(angle, radius)]
+            y = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)[:, :d]
+            mag = np.linalg.norm(_closed_form_kernel(self.system, y), 2, (1, 2))
+            values = mag * (1.0 + (y * y).sum(axis=1)) ** (0.5 + 0.5 * d)
+            return max(zip(values, angle, radius), key=lambda v: v[0])
+
+        best = best_of(2.0 * np.pi * np.arange(rays) / rays,
+                       np.concatenate([[0.0], np.geomspace(1.0 / 16, 40.0, 40)]))
+        step = np.outer([2.0 * np.pi / rays * (d - 1), max(0.2 * best[2], 1 / 16)],
+                        np.linspace(-1.0, 1.0, 5))
+        for k in range(_POLISH_ROUNDS):
+            grid = np.array(best[1:])[:, None] + step / 4 ** k
+            near = best_of(np.unique(grid[0]), np.unique(np.clip(grid[1], 0, 40)))
+            best = near if near[0] > best[0] else best
+        return float(best[0])
 
     def levels(self, heights, want_dt: bool = False):
         """Khat at every height, shape (M, M, L, B) with the nodes last, and

@@ -178,26 +178,27 @@ def nontangential_max(u: HalfSpaceField, cone: ConeSpec) -> BoundaryData:
     """
     grid = u.grid
     top = cone.resolve_top(grid)
-    levels = np.flatnonzero((u.heights > cone.epsilon) & (u.heights <= top))
+    # the heights ascend, so the cone's levels are one slice
+    cut = slice(*np.searchsorted(u.heights, [cone.epsilon, top], side="right"))
     out = np.zeros(grid.shape)
-    mag = u.magnitude().reshape((len(u.heights), -1, grid.shape[-1]))
-    rows, shared = mag.shape[1], {}
-    for li in levels:
+    flat = out.reshape(-1, grid.shape[-1])
+    mag = np.linalg.norm(u.values[cut], axis=-1).reshape((-1,) + flat.shape)
+    rows, shared = len(flat), {}
+    for t, level in zip(u.heights[cut], mag):
         # keyed by the footprint's rows that reach the grid
-        key = _row_widths(cone.kappa * u.heights[li] / grid.h, grid.d)[:rows]
-        shared[key] = np.maximum(shared[key], mag[li]) if key in shared \
-            else mag[li]
+        key = _row_widths(cone.kappa * t / grid.h, grid.d)[:rows]
+        shared[key] = np.maximum(shared[key], level) if key in shared \
+            else level
     footprints = list(shared)
     runs = _window_maxima(np.stack(list(shared.values())), footprints) \
         if shared else {}
-    flat = out.reshape(mag.shape[1:])
     for g, widths in enumerate(footprints):
         for dy, w in enumerate(widths):
             np.maximum(flat[:rows - dy], runs[g, w][dy:], out=flat[:rows - dy])
             np.maximum(flat[dy:], runs[g, w][:rows - dy], out=flat[dy:])
     data = BoundaryData(grid=grid, samples=out[..., None].astype(complex),
                         space_tag="generic")
-    data.meta["empty_cone"] = np.full(grid.shape, len(levels) == 0)
+    data.meta["empty_cone"] = np.full(grid.shape, len(mag) == 0)
     data.meta["values"] = out
     return data
 
@@ -217,18 +218,6 @@ def hardy_littlewood(f: BoundaryData, cubes: DyadicCubeFamily) -> BoundaryData:
                         space_tag="generic")
     data.meta["values"] = running
     return data
-
-
-def hardy_littlewood_bruteforce(f: BoundaryData,
-                                cubes: DyadicCubeFamily) -> np.ndarray:
-    """Direct enumeration over every cube; cross-check for small grids."""
-    mag = f.magnitude()
-    out = np.zeros(f.grid.shape)
-    for level in cubes.levels:
-        for index in cubes.iter_cubes(level):
-            sl = cubes.cube_slices(level, index)
-            out[sl] = np.maximum(out[sl], mag[sl].mean())
-    return out
 
 
 def pointwise_max_principle_check(u: HalfSpaceField, trace: BoundaryData,

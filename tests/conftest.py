@@ -43,13 +43,16 @@ def random_lh3():
 
 @pytest.fixture(scope="session")
 def per_node_symbol():
-    """(system, xi, t) -> (Khat, d/dt Khat), each (B, M, M), from the
-    per-node solvents of ``kernels._general_batch``: the generic reference
-    for every system class."""
+    """(system, xi, t) -> (Khat, d/dt Khat), each (B, M, M), from direct
+    per-node solves by ``kernels._solvent_stacks``, not from the system's
+    solvent table: the generic reference for every system class."""
     def evaluate(system, xi, t):
         norms = np.linalg.norm(xi, axis=1)
+        g = np.zeros((len(xi), system.M, system.M), dtype=complex)
+        g[norms > 0] = kernels._solvent_stacks(
+            system, xi[norms > 0] / norms[norms > 0, None])
         k, dk = kernels._eval_from_stacks(
-            system, kernels._general_batch(system, xi), t * norms, True)
+            system, kernels._expm_stacks(g), t * norms, True)
         return np.moveaxis(k, -1, 0), np.moveaxis(dk * norms, -1, 0)
     return evaluate
 

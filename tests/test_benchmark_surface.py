@@ -135,21 +135,28 @@ system = hs.build_system("lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j)
 grid = hs.Grid(n=3, N=16, h=0.25)
 f = hs.harness.smooth_compact(grid, 3, 1, count=1)[0]
 hs.poisson_extend(system, f, [0.1, 0.5, 2.0], gradient=True)
-json.dump(sorted({span[1] for span in tracer.spans}), sys.stdout)
+names = [span[1] for span in tracer.spans]
+json.dump({"names": sorted(set(names)), "table_builds": names.count(
+    "kernels._DirectionEvaluator.__init__")}, sys.stdout)
 """
 
 
 def test_tracer_sees_every_symbol_path():
     """With the tracer installed, one symbol_batch per system class and one
     Lame n=3 solve record a span under each private name it patches, so
-    every name stays on a path that runs."""
+    every name stays on a path that runs.  kernels.direction_evaluator_builds
+    counts solvent tables: one per system whose symbol or closed form needs
+    solvents, here the two Lame systems of the symbol_batch calls and the
+    solved one, while the Laplacian takes its scalar root in closed form."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), str(PERFBENCH), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", TRACED_PATHS], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    seen = set(json.loads(done.stdout))
+    out = json.loads(done.stdout)
+    seen = set(out["names"])
+    assert out["table_builds"] == 3
     for name in ("_scalar_batch", "_collinear_batch", "_general_batch",
                  "_eval_from_stacks", "_DirectionEvaluator.__init__",
                  "PreparedSymbol.__init__"):

@@ -611,7 +611,9 @@ class TestClosedForm:
                                                 monkeypatch):
         """The wrap bound multiplies the constant by the Euclidean sup of f,
         so it must dominate ||P(y)||_2 (1 + |y|^2)^(3/2), not only the
-        largest entry, at every ray point it reads."""
+        largest entry, at every ray point and every polished point it
+        reads; on random_lh3 the polish reads above the rays and one of
+        its points attains the constant."""
         seen = []
         inner = kernels._closed_form_kernel
 
@@ -621,10 +623,37 @@ class TestClosedForm:
 
         monkeypatch.setattr(kernels, "_closed_form_kernel", recording)
         c = _tail_constant(random_lh3)
-        (y, p), = seen
-        weighted = np.linalg.svd(p, compute_uv=False)[:, 0] \
-            * (1.0 + (y * y).sum(axis=1)) ** 1.5
-        assert len(y) == 41 * 32 and weighted.max() <= c * (1 + 1e-12)
+        weighted = [np.linalg.svd(p, compute_uv=False)[:, 0]
+                    * (1.0 + (y * y).sum(axis=1)) ** 1.5 for y, p in seen]
+        assert len(seen[0][0]) == 41 * 32
+        assert len(seen) == 1 + kernels._POLISH_ROUNDS
+        assert all(len(y) == 25 for y, _ in seen[1:])
+        assert max(w.max() for w in weighted) == c
+        assert weighted[0].max() < c * (1 - 1e-3)
+
+    @pytest.mark.parametrize("name", ["random_lh3", "complex_scalar"])
+    def test_tail_constant_matches_optimizer(self, name, request):
+        """Nelder-Mead from the best ray point (scipy.optimize, an oracle
+        independent of the polish) finds the same sup to 1e-6."""
+        from scipy.optimize import minimize
+        system = request.getfixturevalue(name)
+        d = system.n - 1
+
+        def weighted(y):
+            y = np.atleast_2d(y)
+            p = kernels._closed_form_kernel(system, y)
+            return np.linalg.norm(p, 2, (1, 2)) \
+                * (1.0 + (y * y).sum(axis=1)) ** (0.5 * system.n)
+
+        radii = np.concatenate([[0.0], np.geomspace(1.0 / 16, 40.0, 40)])
+        rays = np.kron(radii[:, None],
+                       kernels._unit_circle(d, 2 if d == 1 else 32))
+        start = rays[np.argmax(weighted(rays))]
+        oracle = -minimize(lambda y: -weighted(y)[0], start,
+                           method="Nelder-Mead",
+                           options={"xatol": 1e-9, "fatol": 1e-15}).fun
+        assert oracle > weighted(start)[0] * (1 + 1e-4)
+        assert abs(_tail_constant(system) - oracle) <= 1e-6 * oracle
 
     def test_tail_constant_kept_with_prepared_nodes(self, lame3_complex):
         prep = kernels.PreparedSymbol(lame3_complex, _seeded_nodes(8, 3))
@@ -692,6 +721,92 @@ class TestKernelAt:
         for li in range(3):
             total = stack[li].reshape(-1, 1, 1).sum(axis=0) * grid.cell_volume
             assert np.abs(total - 1.0).max() < 1e-12
+
+
+def _near_margin_scalar():
+    """Scalar n = 3 system A = [[1, 0, b], [0, 1, 0], [b, 0, 1]] whose
+    characteristic roots come within 0.05 of the real axis; its solvent
+    table needs 1024 angles."""
+    b = 0.99875
+    return build_system("scalar", A=[[1.0, 0.0, b], [0.0, 1.0, 0.0],
+                                     [b, 0.0, 1.0]])
+
+
+class TestSolventTable:
+    """One table of solvents G per system, read by every consumer."""
+
+    def test_lame2_kernel_op_solves_once(self, monkeypatch):
+        from halfspace import verify_kernel_properties
+        calls = []
+        inner = kernels._solvent_stacks
+
+        def counting(system, omega):
+            calls.append(len(omega))
+            return inner(system, omega)
+
+        monkeypatch.setattr(kernels, "_solvent_stacks", counting)
+        system = build_system("lame", n=2, mu=1.2 + 0.1j, lam=1.5 - 0.3j)
+        table, kernel = build_poisson_kernel(system, N=4096)
+        assert verify_kernel_properties(system, kernel, table).passed
+        assert calls == [2]
+
+    @pytest.mark.parametrize("name", [
+        "lap3", "lame3", "lame3_complex", "random_lh3", "near_margin"] + [
+        "class-M%d-%s" % (M, c) for M in (1, 2, 3) for c in ("real", "complex")])
+    def test_interpolant_matches_direct_solves(self, name, request):
+        if name == "near_margin":
+            system = _near_margin_scalar()
+        elif name.startswith("class"):
+            system = _class_system(3, int(name[7]), name.endswith("complex"))
+        else:
+            system = request.getfixturevalue(name)
+        theta = np.random.default_rng(9).uniform(-np.pi, np.pi, 10 ** 4)
+        direct = kernels._solvent_stacks(
+            system, np.stack([np.cos(theta), np.sin(theta)], axis=1))
+        err = np.abs(kernels._solvents(system).at(theta) - direct)
+        assert np.all(err.max(axis=(1, 2))
+                      <= 1e-13 * np.abs(direct).max(axis=(1, 2)))
+        if name == "near_margin":
+            assert len(kernels._solvents(system).g) == 1024
+
+    @pytest.mark.parametrize("name", ["lame3_complex", "random_lh3"])
+    def test_general_batch_rows_bit_for_bit(self, name, request):
+        system = request.getfixturevalue(name)
+        nodes = Grid(n=3, N=16, h=0.25).freq_nodes_fftorder()
+        rows = np.random.default_rng(2).choice(len(nodes), 37, replace=False)
+        full = kernels._general_batch(system, nodes)
+        part = kernels._general_batch(system, nodes[rows])
+        for key, value in full.items():
+            assert np.array_equal(value[..., rows], part[key])
+
+    def test_closed_form_stack_equals_points_past_the_table(self, random_lh3):
+        """Points whose node count exceeds the table's read the interpolant
+        at the circle's angles, the same floats in a stack or alone."""
+        y = _seeded_nodes(12, 11) * 2.0
+        counts = kernels._node_counts(random_lh3, np.linalg.norm(y, axis=1))
+        assert counts.max() > len(kernels._solvents(random_lh3).g)
+        stack = kernels._closed_form_kernel(random_lh3, y)
+        for point, value in zip(y, stack):
+            assert np.array_equal(
+                kernels._closed_form_kernel(random_lh3, point[None])[0], value)
+
+    def test_table_past_the_cap_raises_at_once(self, monkeypatch):
+        """With the cap at 256 angles the near-margin system raises once the
+        256-angle table fails its midpoints, before any larger solve."""
+        solved = []
+        inner = kernels._solvent_stacks
+
+        def counting(system, omega):
+            solved.append(len(omega))
+            return inner(system, omega)
+
+        monkeypatch.setattr(kernels, "_solvent_stacks", counting)
+        monkeypatch.setattr(kernels, "_TRAPEZOID_MAX", 256)
+        system = _near_margin_scalar()
+        with pytest.raises(OutOfDomain, match="larger margin"):
+            kernels._closed_form_kernel(system, np.array([[0.5, 0.0]]))
+        assert solved == [64, 64, 128, 256]
+        assert "_solvents" not in vars(system)
 
 
 class TestPde:
