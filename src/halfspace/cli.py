@@ -32,7 +32,7 @@ from .harness import (default_config, experiment_names, run_experiment,
 from .kernels import build_poisson_kernel, verify_kernel_properties
 from .operators import DyadicCubeFamily
 from .report import _plain
-from .solver import BoundaryData, poisson_extend
+from .solver import BoundaryData, poisson_extend, wrap_bound
 from .spaces import norm
 
 USAGE_ERROR = 2
@@ -161,7 +161,8 @@ def cmd_solve(args) -> int:
     containers.field_csv(cpath, field)
     run.finish("solve", [fpath, cpath])
     print("field written: %d levels on %d^%d nodes (wrap bound %.2e)"
-          % (len(field.heights), grid.N, grid.d, field.meta["wrap_bound"]))
+          % (len(field.heights), grid.N, grid.d,
+             wrap_bound(system, datum, field.heights[-1])))
     return 0
 
 

@@ -7,7 +7,6 @@ Round-trips are bit-identical; a short or over-long file raises BadShape.
 from __future__ import annotations
 
 import csv
-import json
 import struct
 from pathlib import Path
 

@@ -181,15 +181,15 @@ def lp_battery(grid: Grid, M: int, seed: int) -> list:
 
 
 def periodic_bandlimited(grid: Grid, M: int, seed: int, count: int = 3,
-                         kmax: int = 24, label: str = "periodic") -> list:
-    """Random trigonometric polynomials on exact grid frequencies."""
+                         label: str = "periodic") -> list:
+    """Random trigonometric polynomials of 24 exact grid frequencies."""
     rng = np.random.default_rng(seed)
     base = np.pi / grid.R            # frequency quantum of the box
     x0 = grid.meshes()[0]
     out = []
     for j in range(count):
         prof = np.zeros(grid.shape)
-        for k in range(1, kmax + 1):
+        for k in range(1, 25):
             amp = rng.standard_normal() / k
             prof = prof + amp * np.cos(k * base * x0 + rng.uniform(0, 2 * np.pi))
         prof /= max(np.abs(prof).max(), 1e-12)
@@ -570,13 +570,14 @@ def _holder_wellposed(cfg, system, grid, rep) -> dict:
 
 
 def _cone_holder(u: HalfSpaceField, kappa: float, theta: float,
-                 seed: int, vertices: int = 16, pairs: int = 4000) -> float:
-    """Largest Hoelder quotient of u over pairs inside sampled cones."""
+                 seed: int) -> float:
+    """Largest Hoelder quotient of u over 4000 sampled pairs inside each of
+    16 sampled cones."""
     rng = np.random.default_rng(seed)
     grid = u.grid
     pts = np.stack([m.ravel() for m in grid.meshes()], axis=-1)
     best = 0.0
-    vidx = rng.integers(0, grid.node_count, vertices)
+    vidx = rng.integers(0, grid.node_count, 16)
     values = u.values.reshape(len(u.heights), -1, u.M)
     for v in vidx:
         # gather at most 64 sampled points per level inside the cone
@@ -593,8 +594,8 @@ def _cone_holder(u: HalfSpaceField, kappa: float, theta: float,
         vals = np.concatenate(vals)
         if len(coords) < 2:
             continue
-        i = rng.integers(0, len(coords), pairs)
-        j = rng.integers(0, len(coords), pairs)
+        i = rng.integers(0, len(coords), 4000)
+        j = rng.integers(0, len(coords), 4000)
         keep = i != j
         i, j = i[keep], j[keep]
         dv = np.linalg.norm(vals[i] - vals[j], axis=-1)
@@ -662,9 +663,10 @@ def _counterexample_kernel_column(cfg, system, grid, rep) -> dict:
         u = _kernel_column_field(system, grid, levels, a)
         rad = grid.radii()
         w = 1.0 / (1.0 + rad ** system.n)
-        sup_t = u.magnitude().max(axis=0)
+        mag = u.magnitude()
+        sup_t = mag.max(axis=0)
         inside = float((sup_t * w)[rad > 0].sum() * grid.cell_volume)
-        outside = float(max((u.magnitude()[li] * w).sum() * grid.cell_volume
+        outside = float(max((mag[li] * w).sum() * grid.cell_volume
                             for li in range(len(levels))))
         # trace from grid-resolved heights: below ~4h the column is a spike
         # the grid cannot represent, so extrapolate from ratio-2 levels

@@ -928,19 +928,19 @@ def discrete_operator(values: np.ndarray, spacings, coeffs: np.ndarray) -> np.nd
 
 
 def interior_pde_residual(system: EllipticSystem, h: float = 1.0 / 16,
-                          N: int = 256, t0: float = 1.0,
-                          box: float = 2.0) -> float:
+                          N: int = 256) -> float:
     """Max-norm residual of the discrete operator on kernel columns.
 
     Kernel columns are synthesised spectrally on a stack of uniformly spaced
-    heights around ``t0`` and hit with second-order centered differences, so
-    the result isolates the O(h^2) truncation of the stencil.
+    heights around t = 1 and hit with second-order centered differences, so
+    the result, the maximum over |x'| <= 2, isolates the O(h^2) truncation
+    of the stencil.
     """
     grid = Grid(n=system.n, N=N, h=h)
-    levels = t0 + h * np.arange(-4, 5)
+    levels = 1.0 + h * np.arange(-4, 5)
     stack = synthesize_kernel_levels(system, grid, levels)
     M = system.M
-    mask = grid.radii() <= box
+    mask = grid.radii() <= 2.0
     mask = mask[tuple(slice(1, -1) for _ in range(grid.d))]
     res = 0.0
     for col in range(M):

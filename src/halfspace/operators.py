@@ -8,7 +8,7 @@ introduces relative to the all-cubes supremum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,10 +6,11 @@ is exact in t, so no kernel truncation enters the vertical direction, and
 Khat fhat is the action of the exponential on fhat, without forming Khat
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  The
 price is periodisation; data must sit in the central half of the grid (or
-carry a tail tag), and the wrap-around error bound derived from the kernel
-tail is attached to the field.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2)
-comes from the closed-form kernel of :mod:`halfspace.kernels` on rays and is
-kept with the grid's prepared symbol; no kernel table is built.
+carry a tail tag).  :func:`wrap_bound` computes the wrap-around error bound
+from the kernel tail on request; a solve computes it only for its
+``wrap_tol`` guard.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2) comes from
+the closed-form kernel of :mod:`halfspace.kernels` on rays and is kept with
+the grid's prepared symbol; no kernel table is built.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ __all__ = [
     "BoundaryData",
     "HalfSpaceField",
     "worker_count",
+    "wrap_bound",
     "poisson_extend",
     "weighted_integrability",
     "trace_estimate",
@@ -151,7 +153,6 @@ class HalfSpaceField:
     values: np.ndarray             # (L, *spatial, M)
     gradient: np.ndarray | None = None   # (L, *spatial, n, M)
     provenance: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.heights = np.asarray(self.heights, dtype=float)
@@ -169,23 +170,21 @@ class HalfSpaceField:
     def magnitude(self) -> np.ndarray:
         return np.linalg.norm(self.values, axis=-1)
 
-    def level(self, index: int) -> BoundaryData:
-        return BoundaryData(grid=self.grid, samples=self.values[index],
-                            space_tag="generic")
 
-
-def _wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float,
-                tail_constant: float) -> float:
-    """Kernel-tail bound on the periodisation error, per unit sup of f."""
-    margin = f.grid.R - f.support_radius()
-    if margin <= 0:
+def wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float) -> float:
+    """Kernel-tail bound on the periodisation error of the solve of f up to
+    height t_max: C t_max (2 / margin) sup|f| in n = 2 (2 pi / margin in
+    n = 3), with C the tail constant of the grid's prepared symbol and the
+    margin R less the support radius; inf when f is not centrally
+    supported."""
+    grid = f.grid
+    radius = f.support_radius()
+    margin = grid.R - radius
+    if radius > 0.5 * grid.R + grid.h or margin <= 0:
         return np.inf
-    n = system.n
-    if n == 2:
-        geom = 2.0 / margin
-    else:
-        geom = 2.0 * np.pi / margin
-    return float(tail_constant * t_max * geom * f.magnitude().max())
+    geom = 2.0 / margin if system.n == 2 else 2.0 * np.pi / margin
+    tail_c = prepared_symbol(system, grid.freq_nodes_fftorder()).tail_constant
+    return float(tail_c * t_max * geom * f.magnitude().max())
 
 
 def _level_fields(spectra: np.ndarray, grid: Grid) -> np.ndarray:
@@ -205,11 +204,16 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     The symbol of every level is evaluated, exactly in t, in one batched
     pass and all levels are inverted by one FFT; tangential derivatives
     (when ``gradient`` is requested) are spectral multipliers and the
-    vertical derivative is analytic from the symbol.  Raises AliasRisk when
-    a wrap tolerance is requested and the periodisation bound exceeds it.
+    vertical derivative is analytic from the symbol.  The periodisation
+    bound is computed only when a wrap tolerance is requested (call
+    :func:`wrap_bound` for it otherwise); AliasRisk is raised when it
+    exceeds the tolerance, or when the datum is neither centrally supported
+    nor tail-tagged.
     """
     if system.n != f.grid.n:
         raise BadShape("system and data dimensions differ")
+    if system.n not in (2, 3):
+        raise BadShape("solves cover n = 2 and 3, not %d" % system.n)
     if f.M != system.M:
         raise BadShape("datum has %d components, system wants %d"
                        % (f.M, system.M))
@@ -219,19 +223,19 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
         raise BadShape("heights must be finite, positive and distinct, got %s"
                        % heights.tolist())
 
-    grid = f.grid
-    nodes = grid.freq_nodes_fftorder()
-    prepared = prepared_symbol(system, nodes)
-    tail_c = prepared.tail_constant
-    compact = f.centrally_supported()
-    wrap = _wrap_bound(system, f, heights[-1], tail_c) if compact else np.inf
     if wrap_tol is not None:
-        if not compact and f.tail is None:
-            raise AliasRisk("data not centrally supported and not tail-tagged")
-        if compact and wrap > wrap_tol:
+        wrap = wrap_bound(system, f, heights[-1])
+        if wrap == np.inf and not f.centrally_supported():
+            if f.tail is None:
+                raise AliasRisk(
+                    "data not centrally supported and not tail-tagged")
+        elif wrap > wrap_tol:
             raise AliasRisk("wrap-around bound %.2e exceeds %.2e"
                             % (wrap, wrap_tol))
 
+    grid = f.grid
+    nodes = grid.freq_nodes_fftorder()
+    prepared = prepared_symbol(system, nodes)
     d = grid.d
     M = system.M
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
@@ -249,8 +253,7 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     return HalfSpaceField(
         grid=grid, heights=heights, values=values, gradient=grad,
         provenance={"system": system.label,
-                    "datum": f.meta.get("label", f.space_tag)},
-        meta={"wrap_bound": wrap, "tail_constant": tail_c})
+                    "datum": f.meta.get("label", f.space_tag)})
 
 
 def _radial_tail(g, R: float, rate: float) -> float:
@@ -297,7 +300,7 @@ def trace_estimate(u: HalfSpaceField, cone) -> BoundaryData:
     cone top); the quadratic-in-t extrapolant to t = 0 is second order.
     A per-node convergence indicator and a divergence mask are attached.
     """
-    t_top = cone.t_max if cone.t_max is not None else np.inf
+    t_top = cone.resolve_top(u.grid)
     ok = np.flatnonzero((u.heights > cone.epsilon) & (u.heights <= t_top))
     below_one = [i for i in ok if u.heights[i] < 1.0]
     if len(below_one) < 3:

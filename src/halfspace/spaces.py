@@ -8,7 +8,7 @@ reported as profiles over the resolved scales, never extrapolated to 0+.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 HOLDER_PAIR_BUDGET = 1_000_000
+_SHELLS = 6             # dyadic shells of a molecule check
+_SLOPE_FIT_START = 3    # first shell of the molecule decay fit
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +71,17 @@ def vmo_modulus(f: BoundaryData, cubes: DyadicCubeFamily, r: float) -> float:
     return max(vals)
 
 
-def holder_seminorm(f: BoundaryData, theta: float, *, seed: int = 0,
-                    pair_budget: int = HOLDER_PAIR_BUDGET) -> float:
+def holder_seminorm(f: BoundaryData, theta: float, *, seed: int = 0) -> float:
     """Sup of |f(x)-f(y)| / |x-y|^theta over node pairs.
 
-    Exhaustive when the pair count fits the budget (covers every grid with
-    up to 256 nodes per axis in the planar case); otherwise all adjacent
-    pairs plus a seeded stratified sample of long-range pairs.
+    Exhaustive when the pair count fits HOLDER_PAIR_BUDGET (covers every
+    grid with up to 256 nodes per axis in the planar case); otherwise all
+    adjacent pairs plus a seeded sample of that many long-range pairs.
     """
     pts = np.stack([m.ravel() for m in f.grid.meshes()], axis=-1)
     vals = f.samples.reshape(-1, f.M)
     m = len(pts)
-    if m * (m - 1) // 2 <= pair_budget:
+    if m * (m - 1) // 2 <= HOLDER_PAIR_BUDGET:
         best = 0.0
         for i in range(m - 1):
             dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=-1)
@@ -93,8 +94,8 @@ def holder_seminorm(f: BoundaryData, theta: float, *, seed: int = 0,
         dv = np.linalg.norm(np.diff(f.samples, axis=axis), axis=-1)
         best = max(best, float(dv.max()) / f.grid.h ** theta)
     rng = np.random.default_rng(seed)
-    i = rng.integers(0, m, pair_budget)
-    j = rng.integers(0, m, pair_budget)
+    i = rng.integers(0, m, HOLDER_PAIR_BUDGET)
+    j = rng.integers(0, m, HOLDER_PAIR_BUDGET)
     keep = i != j
     i, j = i[keep], j[keep]
     dv = np.linalg.norm(vals[i] - vals[j], axis=-1)
@@ -141,9 +142,7 @@ def norm(f: BoundaryData, space: str, **params) -> float:
         return vmo_modulus(f, params["cubes"], float(params["r"]))
     if space == "holder":
         return holder_seminorm(f, float(params["theta"]),
-                               seed=int(params.get("seed", 0)),
-                               pair_budget=int(params.get(
-                                   "pair_budget", HOLDER_PAIR_BUDGET)))
+                               seed=int(params.get("seed", 0)))
     if space == "slg":
         theta = float(params["theta"])
         return float((f.magnitude() / (1.0 + f.grid.radii() ** theta)).max())
@@ -213,10 +212,10 @@ def _atom_norm(atom: Atom) -> float:
     return _lp(mag, atom.q, atom.grid.cell_volume)
 
 
-def validate_atom(atom: Atom, *, mean_tol_factor: float = 1e-10,
-                  norm_slack: float = 1e-9) -> dict:
-    """Check support, L^q normalisation and cancellation; returns the
-    measured quantities."""
+def validate_atom(atom: Atom) -> dict:
+    """Check support, L^q normalisation (to a relative slack of 1e-9) and
+    cancellation (to 1e-10 of the cube measure); returns the measured
+    quantities."""
     mask = atom.support_mask()
     outside = np.linalg.norm(atom.samples, axis=-1)[~mask]
     support_leak = float(outside.max()) if outside.size else 0.0
@@ -224,17 +223,16 @@ def validate_atom(atom: Atom, *, mean_tol_factor: float = 1e-10,
     bound = atom.measure ** (1.0 / atom.q - 1.0 / atom.p)
     total = np.abs(atom.samples.reshape(-1, atom.samples.shape[-1]).sum(axis=0)
                    * atom.grid.cell_volume).max()
-    ok = (support_leak == 0.0 and lq <= bound * (1.0 + norm_slack)
-          and total <= atom.measure * mean_tol_factor)
+    ok = (support_leak == 0.0 and lq <= bound * (1.0 + 1e-9)
+          and total <= atom.measure * 1e-10)
     return {"support_leak": support_leak, "lq_norm": lq, "lq_bound": bound,
             "mean_residual": float(total), "valid": bool(ok)}
 
 
 def make_atom(grid: Grid, center, side: float, p: float, q: float,
-              profile: str = "haar", seed: int = 0, M: int = 1,
-              direction=None) -> Atom:
+              profile: str = "haar", seed: int = 0, M: int = 1) -> Atom:
     """Construct a validated (p, q)-atom on the cube of the given center
-    and side.
+    and side, along the first component of C^M.
 
     Profiles: ``haar`` (opposite signs on the two halves of the first axis)
     or ``random`` (seeded noise).  The profile is made exactly mean-zero by
@@ -262,11 +260,8 @@ def make_atom(grid: Grid, center, side: float, p: float, q: float,
     prof = prof - prof.mean()
     if np.abs(prof).max() == 0.0:
         raise BadShape("degenerate atom profile")
-    if direction is None:
-        direction = np.eye(M, dtype=complex)[0]
-    direction = np.asarray(direction, dtype=complex)
     vals = np.zeros(grid.shape + (M,), dtype=complex)
-    vals[mask] = prof[:, None] * direction[None, :]
+    vals[mask] = prof[:, None] * np.eye(M, dtype=complex)[0][None, :]
     atom.samples = vals
     lq = _atom_norm(atom)
     target = atom.measure ** (1.0 / q - 1.0 / p)
@@ -327,24 +322,22 @@ class MoleculeSample:
     scale_factor: float
 
 
-def build_molecule(system: EllipticSystem, alpha, center, p: float, q: float,
-                   *, grid: Grid | None = None,
-                   shells: int = 6) -> MoleculeSample:
+def build_molecule(system: EllipticSystem, alpha, center, p: float,
+                   q: float) -> MoleculeSample:
     """Tabulate t^{|alpha| - (n-1)(1/p - 1)} d^alpha K(., t) on a grid wide
-    enough for the requested shells (offsets carry the shell structure, so
-    the tangential center does not enter the samples)."""
+    enough for the shells of a molecule check (offsets carry the shell
+    structure, so the tangential center does not enter the samples)."""
     alpha = tuple(int(v) for v in alpha)
     if sum(alpha) < 1:
         raise BadShape("molecule needs |alpha| >= 1")
     t = float(center[-1])
-    if grid is None:
-        # window twice the outermost shell, so periodisation images stay
-        # a few percent below the smallest shell norm
-        need = 2.0 ** (shells + 2) * t
-        h = t / 8.0
-        N = 1 << int(np.ceil(np.log2(2.0 * need / h)))
-        grid = Grid(n=system.n, N=min(N, 1 << 14),
-                    h=2.0 * need / min(N, 1 << 14))
+    # window twice the outermost shell, so periodisation images stay
+    # a few percent below the smallest shell norm
+    need = 2.0 ** (_SHELLS + 2) * t
+    h = t / 8.0
+    N = 1 << int(np.ceil(np.log2(2.0 * need / h)))
+    grid = Grid(n=system.n, N=min(N, 1 << 14),
+                h=2.0 * need / min(N, 1 << 14))
     stack = synthesize_kernel_levels(system, grid, [t], alpha=alpha)[0]
     factor = t ** (sum(alpha) - (system.n - 1) * (1.0 / p - 1.0))
     return MoleculeSample(alpha=alpha, center_height=t, p=p, q=q, grid=grid,
@@ -352,9 +345,7 @@ def build_molecule(system: EllipticSystem, alpha, center, p: float, q: float,
 
 
 def molecule_check(system: EllipticSystem, alpha, center, p: float, q: float,
-                   *, grid: Grid | None = None, shells: int = 6,
-                   slope_fit_start: int = 3,
-                   two_sided_slope: bool = False) -> VerificationReport:
+                   *, two_sided_slope: bool = False) -> VerificationReport:
     """Quantify the molecule normalisation of a kernel derivative.
 
     The molecule built from d^alpha K at height t is tabulated relative to
@@ -364,12 +355,11 @@ def molecule_check(system: EllipticSystem, alpha, center, p: float, q: float,
     decay exponent against the prediction (n-1)(1/q - 1 - |alpha|/(n-1)).
 
     The per-shell constants are checked over every shell; the exponent fit
-    uses shells >= slope_fit_start because the dyadic decay is asymptotic
+    uses shells >= _SLOPE_FIT_START because the dyadic decay is asymptotic
     (the kernel derivative changes sign inside the first shells, so a fit
     across them measures the transient, not the decay rate).
     """
-    sample = build_molecule(system, alpha, center, p, q, grid=grid,
-                            shells=shells)
+    sample = build_molecule(system, alpha, center, p, q)
     alpha = sample.alpha
     t = sample.center_height
     grid = sample.grid
@@ -409,14 +399,14 @@ def molecule_check(system: EllipticSystem, alpha, center, p: float, q: float,
 
     eps = sum(alpha) / nminus
     predicted = nminus * (1.0 / q - 1.0 - eps)
-    ks = np.arange(1, shells + 1)
+    ks = np.arange(1, _SHELLS + 1)
     shell_norms = np.array([band_norm(2.0 ** (k - 1) * t, 2.0 ** k * t)
                             for k in ks])
     consts = shell_norms / (2.0 ** (ks * predicted) * norm_target)
     rep.metrics.append(make_metric(
         "shell_constant_max", consts.max(), None, "finite",
         "shell L^q norms bounded with the predicted dyadic decay"))
-    fit = ks >= slope_fit_start
+    fit = ks >= _SLOPE_FIT_START
     slope = float(np.polyfit(ks[fit], np.log2(shell_norms[fit]), 1)[0])
     if two_sided_slope:
         rep.metrics.append(make_metric(

@@ -200,15 +200,14 @@ def _lame_tensor(mu: complex, lam: complex, n: int) -> np.ndarray:
 
 
 def build_system(kind: str, *, n: int = 2, A=None, tensor=None,
-                 mu: complex = 1.0, lam: complex = 1.0,
-                 samples: int = 2048, seed: int = 0,
-                 margin_tol: float = 1e-8) -> EllipticSystem:
+                 mu: complex = 1.0, lam: complex = 1.0) -> EllipticSystem:
     """Construct and validate a builtin or raw system.
 
     kind is one of ``laplacian``, ``scalar`` (requires A, an n-by-n complex
     matrix for div A grad), ``lame`` (requires mu, lam) or ``raw`` (requires
-    the full tensor).  Validation estimates the ellipticity margin and
-    rejects the system when the estimate does not exceed ``margin_tol``.
+    the full tensor).  Validation estimates the ellipticity margin (the
+    default sweep of :func:`ellipticity_constant`) and rejects the system
+    when the estimate does not exceed 1e-8.
     """
     if kind == "laplacian":
         coeffs = np.eye(n)[None, None] * 1.0 + 0j
@@ -235,16 +234,14 @@ def build_system(kind: str, *, n: int = 2, A=None, tensor=None,
         raise BadShape("unknown system kind %r" % (kind,))
 
     coeffs, n, M = _validate_tensor(coeffs)
-    margin = ellipticity_constant(coeffs, samples=samples, seed=seed)
-    if not margin > margin_tol:
-        # the estimate is deterministic: repeat it for the direction
-        xi = _margin_and_direction(coeffs, samples, seed)[1]
+    margin, xi = _margin_and_direction(coeffs, 2048, 0)
+    if not margin > 1e-8:
         xi = xi * np.sign(xi[np.argmax(np.abs(xi))]) + 0.0
         raise EllipticityViolation(
             "estimated ellipticity margin %.3g <= %.3g for %s, attained at "
             "the unit direction xi = (%s): make the Hermitian part of "
             "sym(xi) = a[:, :, r, s] xi_r xi_s exceed the tolerance there"
-            % (margin, margin_tol, label, ", ".join("%.4g" % x for x in xi)))
+            % (margin, 1e-8, label, ", ".join("%.4g" % x for x in xi)))
     return EllipticSystem(n=n, M=M, coeffs=coeffs,
                           ellipticity_margin=margin, label=label)
 

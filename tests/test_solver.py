@@ -8,7 +8,7 @@ from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        HalfSpaceField, InsufficientLevels, TailTag,
                        build_poisson_kernel, build_system,
                        poisson_extend, trace_estimate,
-                       weighted_integrability)
+                       weighted_integrability, wrap_bound)
 from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
 from halfspace.harness import sign_changing, smooth_compact
@@ -77,12 +77,21 @@ class TestExtend:
     def test_alias_risk_raised(self, lap2, grid):
         wide = np.exp(-(grid.axis() / (0.9 * grid.R)) ** 2)
         f = BoundaryData(grid=grid, samples=wide[:, None].astype(complex))
-        with pytest.raises(AliasRisk):
-            poisson_extend(lap2, f, [1.0], wrap_tol=1e-9)
+        assert wrap_bound(lap2, f, 1.0) == np.inf
+        for tol in (1e-9, np.inf):
+            with pytest.raises(AliasRisk, match="not centrally supported"):
+                poisson_extend(lap2, f, [1.0], wrap_tol=tol)
+        tagged = BoundaryData(grid=grid, samples=f.samples,
+                              tail=TailTag(exponent=0.0))
+        poisson_extend(lap2, tagged, [1.0], wrap_tol=1e-9)
 
-    def test_wrap_bound_attached(self, lap2, grid):
-        u = poisson_extend(lap2, gaussian_datum(grid), [1.0])
-        assert np.isfinite(u.meta["wrap_bound"])
+    def test_wrap_bound_on_request(self, lap2, grid):
+        f = gaussian_datum(grid)
+        wrap = wrap_bound(lap2, f, 2.0)
+        assert np.isfinite(wrap)
+        poisson_extend(lap2, f, [0.5, 2.0], wrap_tol=wrap)
+        with pytest.raises(AliasRisk, match="wrap-around bound"):
+            poisson_extend(lap2, f, [0.5, 2.0], wrap_tol=0.99 * wrap)
 
     def test_gradient_matches_finite_differences(self, lap2, grid):
         f = gaussian_datum(grid, width=2.0)
@@ -99,7 +108,6 @@ class TestExtend:
             poisson_extend(lap3, gaussian_datum(grid), [1.0])
 
     def test_n4_raises_named_error(self):
-        # the closed-form kernel behind the wrap bound covers n = 2 and 3
         g = Grid(n=4, N=8, h=0.5)
         prof = np.exp(-sum(m * m for m in g.meshes()))[..., None]
         f = BoundaryData(grid=g, samples=prof.astype(complex), space_tag="lp")
@@ -150,13 +158,14 @@ def test_wrap_bound_exceeds_measured_periodisation(system_name, kind,
     ref = poisson_extend(system, BoundaryData(grid=wide, samples=padded),
                          heights)
     err = np.abs(u.values - ref.values[:, lo:lo + grid.N]).max()
-    assert np.isfinite(u.meta["wrap_bound"])
-    assert 0.0 < err <= u.meta["wrap_bound"]
+    wrap = wrap_bound(system, f, max(heights))
+    assert np.isfinite(wrap)
+    assert 0.0 < err <= wrap
 
 
 def test_solve_builds_no_kernel(lame3_complex, monkeypatch):
-    """A fresh Lame n=3 solve takes its tail constant from the closed form,
-    never from an FFT kernel build."""
+    """A fresh Lame n=3 solve and its wrap bound take the tail constant from
+    the closed form, never from an FFT kernel build."""
     def refuse(*args, **kwargs):
         raise AssertionError("build_poisson_kernel called")
 
@@ -166,9 +175,26 @@ def test_solve_builds_no_kernel(lame3_complex, monkeypatch):
             monkeypatch.setattr(module, "build_poisson_kernel", refuse)
     monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
     f = smooth_compact(Grid(n=3, N=16, h=0.25), 3, 1, count=1)[0]
-    u = poisson_extend(lame3_complex, f, [0.5, 1.0])
-    assert u.meta["tail_constant"] == pytest.approx(0.349026, abs=1e-6)
-    assert np.isfinite(u.meta["wrap_bound"])
+    poisson_extend(lame3_complex, f, [0.5, 1.0])
+    assert np.isfinite(wrap_bound(lame3_complex, f, 1.0))
+    prepared = kernels.prepared_symbol(lame3_complex,
+                                       f.grid.freq_nodes_fftorder())
+    assert prepared.tail_constant == pytest.approx(0.349026, abs=1e-6)
+
+
+def test_solve_computes_no_wrap_bound(lame3_complex, monkeypatch):
+    """Without a wrap tolerance a cold solve never evaluates the closed-form
+    kernel behind the tail constant."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed-form kernel evaluated")
+
+    monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+    monkeypatch.setattr(kernels, "_closed_form_kernel", refuse)
+    f = smooth_compact(Grid(n=3, N=16, h=0.25), 3, 1, count=1)[0]
+    u = poisson_extend(lame3_complex, f, [0.25, 0.5, 1.0], gradient=True)
+    assert np.isfinite(u.values).all() and np.isfinite(u.gradient).all()
+    with pytest.raises(AssertionError, match="closed-form"):
+        wrap_bound(lame3_complex, f, 1.0)
 
 
 class TestWeightedIntegrability:
@@ -255,6 +281,19 @@ class TestTrace:
         u = poisson_extend(lap2, gaussian_datum(grid), [0.5, 2.0])
         with pytest.raises(InsufficientLevels):
             trace_estimate(u, ConeSpec(1.0, t_max=4.0))
+
+    def test_default_top_is_box_over_aperture(self):
+        # R = 1, so the default top R / kappa = 0.5 leaves two levels in
+        # (epsilon, top], while an infinite top admits a third
+        grid = Grid(n=2, N=16, h=0.125)
+        hts = np.array([0.1, 0.2, 0.4, 0.8])
+        vals = np.broadcast_to(hts[:, None, None] ** 2, (4, 16, 1))
+        u = HalfSpaceField(grid=grid, heights=hts, values=vals.astype(complex))
+        tr = trace_estimate(u, ConeSpec(2.0, epsilon=0.15, t_max=np.inf))
+        assert tr.meta["levels"].tolist() == [0.2, 0.4, 0.8]
+        assert np.abs(tr.samples).max() < 1e-12
+        with pytest.raises(InsufficientLevels):
+            trace_estimate(u, ConeSpec(2.0, epsilon=0.15))
 
 
 class TestAdmission:
