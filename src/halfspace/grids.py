@@ -57,15 +57,6 @@ class Grid:
         """Node coordinates along one axis, natural (ascending) order."""
         return (np.arange(self.N) - self.N // 2) * self.h
 
-    @property
-    def freq_spacing(self) -> float:
-        return 2.0 * np.pi / (self.N * self.h)
-
-    @property
-    def freq_extent(self) -> float:
-        """Half-width of the frequency grid."""
-        return 0.5 * self.N * self.freq_spacing
-
     def meshes(self) -> list:
         ax = self.axis()
         return list(np.meshgrid(*([ax] * self.d), indexing="ij"))
@@ -75,13 +66,10 @@ class Grid:
         ms = self.meshes()
         return np.sqrt(sum(m * m for m in ms))
 
-    def freq_meshes_fftorder(self) -> list:
-        ax = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
-        return list(np.meshgrid(*([ax] * self.d), indexing="ij"))
-
     def freq_nodes_fftorder(self) -> np.ndarray:
         """All frequency nodes, fft order, flattened to (N^d, d)."""
-        ms = self.freq_meshes_fftorder()
+        ax = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.h)
+        ms = np.meshgrid(*([ax] * self.d), indexing="ij")
         return np.stack([m.ravel() for m in ms], axis=-1)
 
 

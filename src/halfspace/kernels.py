@@ -56,14 +56,15 @@ Agmon-Douglis-Nirenberg Poisson kernel and of its estimate |K(x', t)| <=
 C t (t^2 + |x'|^2)^(-n/2) (Agmon, Douglis & Nirenberg, Comm. Pure Appl.
 Math. 17, 1964; Martell, D. Mitrea, I. Mitrea & M. Mitrea, Rev. Mat.
 Iberoam. 32, 2016).  P gives the tail constant C of the solver's wrap bound
-(:attr:`PreparedSymbol.tail_constant`), K(x', t) = t^(1-n) P(x'/t)
-at any point (:func:`kernel_at`) and the tables of
+(:func:`tail_constant`, held with the solvent table), K(x', t) = t^(1-n)
+P(x'/t) at any point (:func:`kernel_at`) and the tables of
 :func:`build_poisson_kernel`.  The mass W_R of P on [-R, R]^(n-1), for
 n = 3 the flux of F out of the box, gives the mass I - W_R beyond a table's
 window.  The n = 3 integrands are smooth and periodic, so the trapezoid
 rule converges geometrically: a point y takes the least power of two
 >= _TRAPEZOID_MIN and >= _TRAPEZOID_RATE (1 + |y|) / margin nodes, margin =
-min Im spec G: the integrand's poles lie about margin / |y| off the real
+min Im spec G over the table's first solves (the root margin, held with the
+table): the integrand's poles lie about margin / |y| off the real
 angles, and the rule's error falls like exp(-nodes margin / |y|).  More
 than _TRAPEZOID_MAX nodes raise OutOfDomain; q <= Q nodes are table entries.
 In n = 3 the nodes sum terms far above P(y) ~ |y|^(-3): the relative
@@ -76,7 +77,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -98,6 +98,7 @@ __all__ = [
     "synthesize_kernel_levels",
     "build_poisson_kernel",
     "kernel_at",
+    "tail_constant",
     "interior_pde_residual",
     "verify_kernel_properties",
 ]
@@ -332,11 +333,16 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
 class _DirectionEvaluator:
     """The solvent table of one system (module notes): G at the Q directions
     of :func:`_unit_circle`.  Doubling Q keeps the angles' floats, so any
-    circle of q <= Q nodes reads table entries, the solves at those floats."""
+    circle of q <= Q nodes reads table entries, the solves at those floats.
+    It also holds what depends on the system alone: ``root_margin``, min Im
+    spec G over the first 2 (n = 2) or _TRAPEZOID_MIN solves, which the node
+    rule divides by, and ``tail``, set by :func:`tail_constant`."""
 
     def __init__(self, system: EllipticSystem):
         q = 2 if system.n == 2 else _TRAPEZOID_MIN
         self.g = _solvent_stacks(system, _unit_circle(system.n - 1, q))
+        self.root_margin = float(np.linalg.eigvals(self.g).imag.min())
+        self.tail = None
         while system.n == 3:
             mid = _solvent_stacks(system, _unit_circle(2, 2 * q)[1::2])
             err = np.abs(self.at(2.0 * np.pi * np.arange(1, 2 * q, 2) / (2 * q)) - mid)
@@ -458,9 +464,7 @@ def _unit_circle(d: int, count: int) -> np.ndarray:
 
 def _node_counts(system: EllipticSystem, radii: np.ndarray) -> np.ndarray:
     """Nodes for points at |y| = radii by the rule of the module notes."""
-    q = 2 if system.n == 2 else _TRAPEZOID_MIN
-    g = _solvents(system).at(2.0 * np.pi * np.arange(q) / q)
-    need = _TRAPEZOID_RATE * (1.0 + radii) / np.linalg.eigvals(g).imag.min()
+    need = _TRAPEZOID_RATE * (1.0 + radii) / _solvents(system).root_margin
     return 2 ** np.ceil(np.log2(np.maximum(need, _TRAPEZOID_MIN)))
 
 
@@ -521,6 +525,37 @@ def _closed_form_kernel(system: EllipticSystem, y: np.ndarray,
     return out.reshape((len(y), d, M, M) if div_field else (-1, M, M))
 
 
+def tail_constant(system: EllipticSystem) -> float:
+    """sup ||P(y)||_2 (1 + |y|^2)^(n/2), operator norm, of the closed-form
+    kernel for |y| <= 40: the best of 32 rays (+-1 for n = 2) at |y| = 0
+    and 40 radii to 40, raised by _POLISH_ROUNDS grids of 5 radii (by 5
+    angles for n = 3) around the best point, each a quarter as wide.  It
+    depends on the system alone: computed on first request and held with
+    the system's solvent table."""
+    table = _solvents(system)
+    if table.tail is not None:
+        return table.tail
+    d, rays = system.n - 1, 2 if system.n == 2 else 32
+
+    def best_of(angle, radius):
+        angle, radius = [a.ravel() for a in np.meshgrid(angle, radius)]
+        y = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)[:, :d]
+        mag = np.linalg.norm(_closed_form_kernel(system, y), 2, (1, 2))
+        values = mag * (1.0 + (y * y).sum(axis=1)) ** (0.5 + 0.5 * d)
+        return max(zip(values, angle, radius), key=lambda v: v[0])
+
+    best = best_of(2.0 * np.pi * np.arange(rays) / rays,
+                   np.concatenate([[0.0], np.geomspace(1.0 / 16, 40.0, 40)]))
+    step = np.outer([2.0 * np.pi / rays * (d - 1), max(0.2 * best[2], 1 / 16)],
+                    np.linspace(-1.0, 1.0, 5))
+    for k in range(_POLISH_ROUNDS):
+        grid = np.array(best[1:])[:, None] + step / 4 ** k
+        near = best_of(np.unique(grid[0]), np.unique(np.clip(grid[1], 0, 40)))
+        best = near if near[0] > best[0] else best
+    table.tail = float(best[0])
+    return table.tail
+
+
 class PreparedSymbol:
     """Symbol evaluator for a fixed frequency set, the one path to Khat.
 
@@ -531,7 +566,8 @@ class PreparedSymbol:
     then only an exponential: :meth:`levels` evaluates every height of a
     solve at once, :meth:`apply` the action Khat v, and :meth:`at` is the
     one-height case of levels, bit for bit, with per-height results memoised
-    up to ``_MEMO_BYTES``, the oldest evicted first.
+    up to ``_MEMO_BYTES``, the oldest evicted first.  It holds per-node data
+    only; what depends on the system alone is held with its solvent table.
     """
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
@@ -552,31 +588,6 @@ class PreparedSymbol:
         """Bytes of the per-node arrays: frequencies and generator data."""
         arrays = [self.xi, self.norms, *self.stacks.values()]
         return sum(a.nbytes for a in arrays)
-
-    @cached_property
-    def tail_constant(self) -> float:
-        """sup ||P(y)||_2 (1 + |y|^2)^(n/2), operator norm, of the closed-form
-        kernel for |y| <= 40: the best of 32 rays (+-1 for n = 2) at |y| = 0
-        and 40 radii to 40, raised by _POLISH_ROUNDS grids of 5 radii (by 5
-        angles for n = 3) around the best point, each a quarter as wide."""
-        d, rays = self.system.n - 1, 2 if self.system.n == 2 else 32
-
-        def best_of(angle, radius):
-            angle, radius = [a.ravel() for a in np.meshgrid(angle, radius)]
-            y = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)[:, :d]
-            mag = np.linalg.norm(_closed_form_kernel(self.system, y), 2, (1, 2))
-            values = mag * (1.0 + (y * y).sum(axis=1)) ** (0.5 + 0.5 * d)
-            return max(zip(values, angle, radius), key=lambda v: v[0])
-
-        best = best_of(2.0 * np.pi * np.arange(rays) / rays,
-                       np.concatenate([[0.0], np.geomspace(1.0 / 16, 40.0, 40)]))
-        step = np.outer([2.0 * np.pi / rays * (d - 1), max(0.2 * best[2], 1 / 16)],
-                        np.linspace(-1.0, 1.0, 5))
-        for k in range(_POLISH_ROUNDS):
-            grid = np.array(best[1:])[:, None] + step / 4 ** k
-            near = best_of(np.unique(grid[0]), np.unique(np.clip(grid[1], 0, 40)))
-            best = near if near[0] > best[0] else best
-        return float(best[0])
 
     def levels(self, heights, want_dt: bool = False):
         """Khat at every height, shape (M, M, L, B) with the nodes last, and
@@ -610,6 +621,7 @@ class PreparedSymbol:
         return _soa_matmul(1j * self.stacks["g"][:, :, None], k) * self.norms
 
     def at(self, t: float, want_dt: bool = False):
+        # no caller in the package; the benchmark reads and clears _results
         key = (float(t), want_dt)
         hit = self._results.get(key)
         if hit is not None:
@@ -670,21 +682,14 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
     """Khat(xi', t) for a stack of frequencies (B, n-1); t a scalar >= 0.
 
     Returns (B, M, M), or a pair with the exact t-derivative when
-    ``want_dt`` is set.  Evaluated by an uncached :class:`PreparedSymbol`
-    per chunk of ``_SYMBOL_CHUNK`` nodes, so that one-off calls never hold
-    the generators of all nodes at once.
+    ``want_dt`` is set: the orders (0, ..., 0) and (0, ..., 0, 1) of
+    :func:`_derivative_levels`, whose uncached chunks never hold the
+    generators of all nodes at once.
     """
-    xi_nodes = _checked_nodes(system, xi_nodes, t)
-    k = np.empty((len(xi_nodes), system.M, system.M), dtype=complex)
-    dk = np.empty_like(k) if want_dt else None
-    for start in range(0, len(xi_nodes), _SYMBOL_CHUNK):
-        sl = slice(start, start + _SYMBOL_CHUNK)
-        got = PreparedSymbol(system, xi_nodes[sl]).at(t, want_dt)
-        if want_dt:
-            k[sl], dk[sl] = got
-        else:
-            k[sl] = got
-    return (k, dk) if want_dt else k
+    zero = (0,) * system.n
+    alphas = [zero, zero[:-1] + (1,)] if want_dt else [zero]
+    out = _derivative_levels(system, xi_nodes, [t], alphas)[:, :, 0]
+    return (out[:, 0], out[:, 1]) if want_dt else out[:, 0]
 
 
 def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
@@ -692,7 +697,9 @@ def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
     """d^alpha Khat(xi', t), (B, A, L, M, M), for each of the A multi-indices
     ``alphas`` at every height for frequencies (B, n-1): one uncached
     :class:`PreparedSymbol` per ``_SYMBOL_CHUNK`` nodes serves them all, its
-    generator applied alpha_n times, times (i xi')^alpha'."""
+    generator applied alpha_n times, times (i xi')^alpha' unless alpha' = 0.
+    The one loop over one-off node sets: a set solved again goes through
+    :func:`prepared_symbol` instead."""
     alphas = [tuple(int(x) for x in alpha) for alpha in alphas]
     if any(len(alpha) != system.n for alpha in alphas):
         raise ValueError("alpha must have length n")
@@ -711,8 +718,9 @@ def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
         for j, alpha in enumerate(alphas):
             out[sl, j] = vertical[alpha[-1]].transpose(3, 2, 0, 1)
     for j, alpha in enumerate(alphas):
-        factor = np.prod((1j * xi_nodes) ** np.array(alpha[:-1]), axis=1)
-        out[:, j] *= factor[:, None, None, None]
+        if any(alpha[:-1]):
+            factor = np.prod((1j * xi_nodes) ** np.array(alpha[:-1]), axis=1)
+            out[:, j] *= factor[:, None, None, None]
     return out
 
 

@@ -9,8 +9,8 @@ price is periodisation; data must sit in the central half of the grid (or
 carry a tail tag).  :func:`wrap_bound` computes the wrap-around error bound
 from the kernel tail on request; a solve computes it only for its
 ``wrap_tol`` guard.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2) comes from
-the closed-form kernel of :mod:`halfspace.kernels` on rays and is kept with
-the grid's prepared symbol; no kernel table is built.
+the closed-form kernel of :mod:`halfspace.kernels` on rays, computed once per
+system and held with its solvent table; no kernel table is built.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import AliasRisk, BadShape, InsufficientLevels
 from .grids import Grid, grid_fft, grid_ifft
-from .kernels import _GAUSS_PANEL, prepared_symbol
+from .kernels import _GAUSS_PANEL, prepared_symbol, tail_constant
 from .systems import EllipticSystem
 
 __all__ = [
@@ -174,17 +174,16 @@ class HalfSpaceField:
 def wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float) -> float:
     """Kernel-tail bound on the periodisation error of the solve of f up to
     height t_max: C t_max (2 / margin) sup|f| in n = 2 (2 pi / margin in
-    n = 3), with C the tail constant of the grid's prepared symbol and the
-    margin R less the support radius; inf when f is not centrally
-    supported."""
+    n = 3), with C the system's :func:`~halfspace.kernels.tail_constant`
+    (computed once per system, whatever the grid) and the margin R less the
+    support radius; inf when f is not centrally supported."""
     grid = f.grid
     radius = f.support_radius()
     margin = grid.R - radius
     if radius > 0.5 * grid.R + grid.h or margin <= 0:
         return np.inf
     geom = 2.0 / margin if system.n == 2 else 2.0 * np.pi / margin
-    tail_c = prepared_symbol(system, grid.freq_nodes_fftorder()).tail_constant
-    return float(tail_c * t_max * geom * f.magnitude().max())
+    return float(tail_constant(system) * t_max * geom * f.magnitude().max())
 
 
 def _level_fields(spectra: np.ndarray, grid: Grid) -> np.ndarray:
@@ -304,7 +303,10 @@ def trace_estimate(u: HalfSpaceField, cone) -> BoundaryData:
     ok = np.flatnonzero((u.heights > cone.epsilon) & (u.heights <= t_top))
     below_one = [i for i in ok if u.heights[i] < 1.0]
     if len(below_one) < 3:
-        raise InsufficientLevels("need at least three levels below t = 1")
+        raise InsufficientLevels(
+            "need three levels below t = 1 in the cone's window (%g, %g]; %d "
+            "of the %d levels lie there" % (cone.epsilon, t_top,
+                                            len(below_one), len(u.heights)))
     i0, i1, i2 = below_one[:3]
     t = u.heights[[i0, i1, i2]]
     v = u.values[[i0, i1, i2]]

@@ -66,7 +66,6 @@ def test_grid_geometry():
     assert grid.R == 4.0
     assert grid.shape == (16, 16)
     assert grid.node_count == 256
-    assert np.isclose(grid.freq_extent, np.pi / 0.5)
     with pytest.raises(ValueError):
         Grid(n=2, N=15, h=0.5)
     with pytest.raises(ValueError):

@@ -1,10 +1,15 @@
-"""Every name a package module imports is used in that module.
+"""Source guards on the package, by stdlib ``ast`` alone.
 
+Every name a package module imports is used in that module.
 ``__init__.py`` re-exports what it imports, so it is exempt.  A name counts
 as used when it appears as an identifier anywhere in the module (a call,
-an annotation, an attribute root or a base class).
+an annotation, an attribute root or a base class).  Every module-level
+private name is read somewhere in the package besides its own definition,
+or is named by the benchmark in ``perfbench/``.  The package reads the
+environment in one place only.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -37,3 +42,99 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def _sources(paths) -> dict:
+    return {p.stem: p.read_text() for p in paths}
+
+
+def unread_private_names(sources: dict, outside: str = "") -> list:
+    """``module._name`` for every module-level ``_name`` (not dunder) that
+    no top-level statement of ``sources`` reads, other than the one that
+    defines it, and that ``outside`` does not name.  A read is a loaded
+    identifier, an attribute or an imported name."""
+    defined, reads = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [getattr(stmt, "target", None)]):
+                if isinstance(target, ast.Name):
+                    names.add(target.id)
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+            reads.append((module, stmt, read))
+            defined += [(module, stmt, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return sorted("%s.%s" % (module, name) for module, stmt, name in defined
+                  if not any(name in read for m, s, read in reads
+                             if (m, s) != (module, stmt))
+                  and not re.search(r"\b%s\b" % name, outside))
+
+
+def environment_reads(sources: dict) -> list:
+    """(module, top-level definition or None, key or None) for every use of
+    ``environ`` or ``getenv``; the key is the constant that it is indexed
+    or called with."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            parent = {child: node for node in ast.walk(stmt)
+                      for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(stmt):
+                if not ((isinstance(node, ast.Attribute)
+                         and node.attr in ("environ", "getenv"))
+                        or (isinstance(node, ast.Name)
+                            and node.id in ("environ", "getenv"))):
+                    continue
+                up = parent.get(node)
+                if isinstance(up, ast.Attribute):       # environ.get(...)
+                    up = parent.get(up)
+                arg = (up.slice if isinstance(up, ast.Subscript)
+                       else up.args[0] if isinstance(up, ast.Call) and up.args
+                       else None)
+                key = arg.value if isinstance(arg, ast.Constant) else None
+                found.append((module, getattr(stmt, "name", None), key))
+    return found
+
+
+def test_detects_an_unread_private_name():
+    source = ("_x = 1\n_y: int = 2\n__all__ = []\n"
+              "def _f():\n    return _f()\n"
+              "class _C:\n    pass\n"
+              "print(_y)\n")
+    other = "from m import _C\n"
+    assert unread_private_names({"m": source}) == ["m._C", "m._f", "m._x"]
+    assert unread_private_names({"m": source, "n": other}, "m._x") \
+        == ["m._f"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(
+        _sources(PACKAGE.glob("*.py")),
+        "\n".join(_sources(PERFBENCH.glob("*.py")).values())) == []
+
+
+def test_detects_environment_reads():
+    source = ("import os\nfrom os import environ\n"
+              "def f():\n    return os.environ.get('A')\n"
+              "def g():\n    return os.getenv('B'), environ['C']\n"
+              "X = os.environ\n")
+    assert environment_reads({"m": source}) == [
+        ("m", "f", "A"), ("m", "g", "B"), ("m", "g", "C"), ("m", None, None)]
+
+
+def test_environment_read_in_one_place():
+    assert environment_reads(_sources(PACKAGE.glob("*.py"))) == [
+        ("solver", "worker_count", "HSP_THREADS")]

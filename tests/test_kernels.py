@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -542,9 +543,10 @@ class TestWindowMass:
 
 
 def _tail_constant(system):
-    """The closed-form tail constant, on a fresh one-node PreparedSymbol."""
-    return kernels.PreparedSymbol(system, np.zeros((1, system.n - 1))) \
-        .tail_constant
+    """The closed-form tail constant, computed anew on a fresh copy of the
+    system: the session fixture's copy holds its constant from test to
+    test."""
+    return kernels.tail_constant(dataclasses.replace(system))
 
 
 class TestClosedForm:
@@ -655,10 +657,24 @@ class TestClosedForm:
         assert oracle > weighted(start)[0] * (1 + 1e-4)
         assert abs(_tail_constant(system) - oracle) <= 1e-6 * oracle
 
-    def test_tail_constant_kept_with_prepared_nodes(self, lame3_complex):
-        prep = kernels.PreparedSymbol(lame3_complex, _seeded_nodes(8, 3))
-        assert prep.tail_constant == pytest.approx(0.349026, abs=1e-6)
-        assert prep.__dict__["tail_constant"] is prep.tail_constant
+    def test_tail_constant_kept_with_the_system(self, lame3_complex,
+                                                monkeypatch):
+        """The constant is held with the system's solvent table: asked
+        again, it evaluates no closed form; a copy of the system computes
+        its own, and no PreparedSymbol carries one."""
+        system = dataclasses.replace(lame3_complex)
+        c = kernels.tail_constant(system)
+        assert c == pytest.approx(0.349026, abs=1e-6)
+        assert kernels._solvents(system).tail == c
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed-form kernel evaluated")
+
+        monkeypatch.setattr(kernels, "_closed_form_kernel", refuse)
+        assert kernels.tail_constant(system) == c
+        with pytest.raises(AssertionError, match="closed-form"):
+            kernels.tail_constant(dataclasses.replace(system))
+        assert not hasattr(kernels.PreparedSymbol, "tail_constant")
 
 
 class TestKernelAt:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -164,7 +165,7 @@ def test_wrap_bound_exceeds_measured_periodisation(system_name, kind,
 
 
 def test_solve_builds_no_kernel(lame3_complex, monkeypatch):
-    """A fresh Lame n=3 solve and its wrap bound take the tail constant from
+    """A cold Lame n=3 solve and its wrap bound take the tail constant from
     the closed form, never from an FFT kernel build."""
     def refuse(*args, **kwargs):
         raise AssertionError("build_poisson_kernel called")
@@ -174,12 +175,11 @@ def test_solve_builds_no_kernel(lame3_complex, monkeypatch):
                 and hasattr(module, "build_poisson_kernel"):
             monkeypatch.setattr(module, "build_poisson_kernel", refuse)
     monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+    system = dataclasses.replace(lame3_complex)     # no held tail constant
     f = smooth_compact(Grid(n=3, N=16, h=0.25), 3, 1, count=1)[0]
-    poisson_extend(lame3_complex, f, [0.5, 1.0])
-    assert np.isfinite(wrap_bound(lame3_complex, f, 1.0))
-    prepared = kernels.prepared_symbol(lame3_complex,
-                                       f.grid.freq_nodes_fftorder())
-    assert prepared.tail_constant == pytest.approx(0.349026, abs=1e-6)
+    poisson_extend(system, f, [0.5, 1.0])
+    assert np.isfinite(wrap_bound(system, f, 1.0))
+    assert kernels.tail_constant(system) == pytest.approx(0.349026, abs=1e-6)
 
 
 def test_solve_computes_no_wrap_bound(lame3_complex, monkeypatch):
@@ -190,11 +190,60 @@ def test_solve_computes_no_wrap_bound(lame3_complex, monkeypatch):
 
     monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
     monkeypatch.setattr(kernels, "_closed_form_kernel", refuse)
+    system = dataclasses.replace(lame3_complex)     # no held tail constant
     f = smooth_compact(Grid(n=3, N=16, h=0.25), 3, 1, count=1)[0]
-    u = poisson_extend(lame3_complex, f, [0.25, 0.5, 1.0], gradient=True)
+    u = poisson_extend(system, f, [0.25, 0.5, 1.0], gradient=True)
     assert np.isfinite(u.values).all() and np.isfinite(u.gradient).all()
     with pytest.raises(AssertionError, match="closed-form"):
-        wrap_bound(lame3_complex, f, 1.0)
+        wrap_bound(system, f, 1.0)
+
+
+def _count_symbol_work(monkeypatch):
+    """Record the _closed_form_kernel calls and PreparedSymbol builds."""
+    seen = {"closed_form": 0, "prepared": 0}
+    closed_form = kernels._closed_form_kernel
+    prepare = kernels.PreparedSymbol.__init__
+
+    def counting_closed_form(*args, **kwargs):
+        seen["closed_form"] += 1
+        return closed_form(*args, **kwargs)
+
+    def counting_prepare(self, *args, **kwargs):
+        seen["prepared"] += 1
+        prepare(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_closed_form_kernel", counting_closed_form)
+    monkeypatch.setattr(kernels.PreparedSymbol, "__init__", counting_prepare)
+    monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})
+    return seen
+
+
+def test_wrap_bound_computes_the_constant_once_per_system(lame3_complex,
+                                                          monkeypatch):
+    """The tail constant depends on the system alone: wrap bounds on two
+    grids evaluate the closed form for one ray sweep and its polish, and
+    prepare no grid's symbol."""
+    seen = _count_symbol_work(monkeypatch)
+    system = dataclasses.replace(lame3_complex)
+    for N in (16, 32):
+        f = smooth_compact(Grid(n=3, N=N, h=0.25), 3, 1, count=1)[0]
+        assert np.isfinite(wrap_bound(system, f, 1.0))
+    assert seen == {"closed_form": 1 + kernels._POLISH_ROUNDS, "prepared": 0}
+
+
+def test_uncached_guarded_solves_share_the_constant(lame3_complex,
+                                                    monkeypatch):
+    """A grid past the prepared-symbol cap is prepared anew by every solve,
+    but its wrap guard reads the constant held with the system."""
+    seen = _count_symbol_work(monkeypatch)
+    monkeypatch.setattr(kernels, "_PREPARED_BYTES", 1024)
+    system = dataclasses.replace(lame3_complex)
+    f = smooth_compact(Grid(n=3, N=16, h=0.25), 3, 1, count=1)[0]
+    fields = [poisson_extend(system, f, [0.5, 1.0], wrap_tol=10.0)
+              for _ in range(3)]
+    assert not kernels._PREPARED_CACHE
+    assert seen == {"closed_form": 1 + kernels._POLISH_ROUNDS, "prepared": 3}
+    assert all(np.array_equal(u.values, fields[0].values) for u in fields)
 
 
 class TestWeightedIntegrability:
@@ -292,7 +341,8 @@ class TestTrace:
         tr = trace_estimate(u, ConeSpec(2.0, epsilon=0.15, t_max=np.inf))
         assert tr.meta["levels"].tolist() == [0.2, 0.4, 0.8]
         assert np.abs(tr.samples).max() < 1e-12
-        with pytest.raises(InsufficientLevels):
+        with pytest.raises(InsufficientLevels,
+                           match=r"window \(0\.15, 0\.5\]; 2 of the 4 levels"):
             trace_estimate(u, ConeSpec(2.0, epsilon=0.15))
 
 
