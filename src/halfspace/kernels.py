@@ -39,8 +39,9 @@ it once, on first use, into a table held on the system object
 (:class:`_DirectionEvaluator`), G(+-1) for n = 2 and G at Q equispaced angles
 for n = 3, where Q doubles from _TRAPEZOID_MIN until the trigonometric
 interpolant meets direct solves at the midpoints to _TABLE_TOL of max |G|
-(past _TRAPEZOID_MAX angles, OutOfDomain); it converges geometrically for the
-analytic, periodic G(theta) (Trefethen & Weideman, SIAM Rev. 56, 2014).
+(OutOfDomain once a doubling does not shrink that error, stalled at the
+solves' round-off, or past _TRAPEZOID_MAX angles); it converges geometrically
+for the analytic, periodic G(theta) (Trefethen & Weideman, SIAM Rev. 56, 2014).
 
 Closed form.  Integrating Khat radially, int_0^oo r^(d-1) exp(r A) dr =
 (d-1)! (-A)^(-d) with A = i(y.omega + G(omega)) and d = n - 1, gives the
@@ -117,9 +118,8 @@ _TABLE_TOL = 1e-14        # interpolation error of a solvent table, of max |G|
 _POLISH_ROUNDS = 5        # local grids that refine the tail constant's sup
 _GAUSS_PANEL = 16         # Gauss-Legendre nodes per panel of a quadrature
 _BOUNDARY_TOL = 1e-12     # symbol magnitude at the frequency-box boundary
-_XI_CAP = 4096.0          # largest frequency half-width _probe_extent tries
-_PROBE_START = 8.0        # first frequency half-width tried by _probe_extent
-_PROBE_SEED = 7           # seeds the random probe directions
+_EXTENT_START = 8.0       # first frequency half-width of the extent search
+_XI_CAP = 4096.0          # largest frequency half-width of the extent search
 
 
 def _matrix_sign(x: np.ndarray) -> np.ndarray:
@@ -343,14 +343,19 @@ class _DirectionEvaluator:
         self.g = _solvent_stacks(system, _unit_circle(system.n - 1, q))
         self.root_margin = float(np.linalg.eigvals(self.g).imag.min())
         self.tail = None
+        last = np.inf
         while system.n == 3:
             mid = _solvent_stacks(system, _unit_circle(2, 2 * q)[1::2])
             err = np.abs(self.at(2.0 * np.pi * np.arange(1, 2 * q, 2) / (2 * q)) - mid)
             if err.max() <= _TABLE_TOL * np.abs(self.g).max():
                 break
-            if 2 * q > _TRAPEZOID_MAX:
-                raise OutOfDomain("the solvent of %s needs over %d angles: use a "
-                                  "system with a larger margin" % (system.label, q))
+            plateau = err.max() / np.abs(self.g).max()
+            if not plateau < last or 2 * q > _TRAPEZOID_MAX:
+                raise OutOfDomain(
+                    "the solvent table of %s stops at %.1e of max |G| with %d "
+                    "angles, root margin %.3g: use a system with a larger margin"
+                    % (system.label, plateau, q, self.root_margin))
+            last = plateau
             self.g = np.stack([self.g, mid], 1).reshape((2 * q,) + mid.shape[1:])
             q *= 2
 
@@ -803,67 +808,45 @@ def _window_mass(system: EllipticSystem, R: float) -> np.ndarray:
     return np.einsum("k,kij->ij", w, flux)
 
 
-def _probe_extent(system: EllipticSystem) -> float:
-    """Double the frequency half-width until the symbol is below tolerance."""
-    d = system.n - 1
-    dirs = [np.eye(d)[r] * s for r in range(d) for s in (1.0, -1.0)]
-    dirs.append(np.ones(d) / np.sqrt(d))
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(4):
-        v = rng.standard_normal(d)
-        dirs.append(v / np.linalg.norm(v))
-    dirs = np.array(dirs)
-    xi = _PROBE_START
-    while xi <= _XI_CAP:
-        worst = float(np.abs(symbol_batch(system, dirs * xi, 1.0)).max())
-        if worst < _BOUNDARY_TOL:
-            return xi
-        xi *= 2.0
-    raise InsufficientDecay(
-        "symbol magnitude stays above %.1e out to |xi'| = %g"
-        % (_BOUNDARY_TOL, _XI_CAP))
-
-
 def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = None,
                          N: int = 1024, *,
                          normalization_tol: float | None = 1e-3):
     """(PoissonSymbolTable, PoissonKernelGrid): Phat on N^(n-1) frequencies
     and P by the closed form on the dual grid over [-R, R)^(n-1), h = pi /
     freq_extent, equal to ``kernel_at(kernel, y, 1.0)`` bit for bit.  N must
-    be a power of two; unless given, the frequency half-width doubles until
-    the symbol magnitude on every node with |xi'| >= 0.98 of it drops below
-    _BOUNDARY_TOL."""
+    be a power of two.  The guard: |Phat| < _BOUNDARY_TOL on every node with
+    |xi'| >= 0.98 freq_extent, evaluated on those nodes alone.  A given
+    extent is checked once; else it doubles from _EXTENT_START until the
+    guard passes.  The table is then evaluated once."""
     if N & (N - 1):
         raise ValueError("N must be a power of two")
     if system.n not in (2, 3):
         raise BadShape("kernel tables cover n = 2 and 3, not %d" % system.n)
     d, M = system.n - 1, system.M
-    probed = freq_extent is None
-    if probed:
-        freq_extent = _probe_extent(system)
+    extent = _EXTENT_START if freq_extent is None else freq_extent
     while True:
-        grid = Grid(n=system.n, N=N, h=np.pi / freq_extent)
-        spec = symbol_batch(system, grid.freq_nodes_fftorder(), 1.0)
-        table_values = np.fft.fftshift(spec.reshape(grid.shape + (M, M)),
-                                       axes=tuple(range(d)))
-        fr = np.sqrt(sum(m * m for m in np.meshgrid(
-            *[(np.arange(N) - N // 2) * (2 * freq_extent / N)] * d,
-            indexing="ij")))
-        mag = np.abs(table_values).max(axis=(-2, -1))
-        boundary = float(mag[fr >= 0.98 * freq_extent].max())
+        grid = Grid(n=system.n, N=N, h=np.pi / extent)
+        nodes = grid.freq_nodes_fftorder()
+        edge = np.linalg.norm(nodes, axis=1) >= 0.98 * extent
+        boundary = float(np.abs(symbol_batch(system, nodes[edge], 1.0)).max())
         if boundary < _BOUNDARY_TOL:
             break
-        # the probe sees a few directions at |xi'| = xi only; the guard
-        # sees every node in the boundary band, so a probed extent that
-        # fails it keeps doubling
-        if not probed or 2.0 * freq_extent > _XI_CAP:
+        if freq_extent is not None or 2.0 * extent > _XI_CAP:
             raise InsufficientDecay(
-                "boundary symbol magnitude %.2e >= %.1e; enlarge the "
-                "frequency extent" % (boundary, _BOUNDARY_TOL))
-        freq_extent *= 2.0
+                "boundary symbol magnitude %.2e >= %.1e at frequency extent "
+                "%g" % (boundary, _BOUNDARY_TOL, extent))
+        extent *= 2.0
+    spec = symbol_batch(system, nodes, 1.0)
+    table_values = np.fft.fftshift(spec.reshape(grid.shape + (M, M)),
+                                   axes=tuple(range(d)))
 
-    # exponential decay rate of the tabulated symbol
-    band = (fr >= 0.25 * freq_extent) & (fr <= 0.75 * freq_extent) & (mag > 0)
+    # exponential decay rate of the tabulated symbol over meshgrid radii
+    # (the node norms differ from them in the last bit and would move it)
+    fr = np.sqrt(sum(m * m for m in np.meshgrid(
+        *[(np.arange(N) - N // 2) * (2 * extent / N)] * d,
+        indexing="ij")))
+    mag = np.abs(table_values).max(axis=(-2, -1))
+    band = (fr >= 0.25 * extent) & (fr <= 0.75 * extent) & (mag > 0)
     decay_rate = -float(np.polyfit(fr[band], np.log(mag[band]), 1)[0])
     if decay_rate <= 0:
         raise InsufficientDecay("fitted symbol decay rate is not positive")
@@ -872,7 +855,7 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     values = _closed_form_kernel(system, y).reshape(grid.shape + (M, M))
     # spatial tail constant sup |P| (1+|x|^2)^(n/2) over the delivered grid
     weight = (1.0 + (y * y).sum(axis=1)) ** (0.5 * system.n)
-    tail_constant = float((weight * np.abs(values).max((-2, -1)).ravel()).max())
+    tail = float((weight * np.abs(values).max((-2, -1)).ravel()).max())
 
     # the periodised table has mass Phat(0); the window sum plus the mass
     # I - W_R beyond the window misses I by the window quadrature error alone
@@ -883,13 +866,13 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
         raise InsufficientDecay(
             "tail-corrected normalisation residual %.2e exceeds %.1e"
             % (res_corr, normalization_tol))
-    return (PoissonSymbolTable(system=system, freq_extent=float(freq_extent),
+    return (PoissonSymbolTable(system=system, freq_extent=float(extent),
                                N=N, values=table_values, decay_rate=decay_rate),
             PoissonKernelGrid(system=system, grid=grid, values=values,
-                              tail_constant=tail_constant,
+                              tail_constant=tail,
                               normalization_residual=res_corr,
                               normalization_residual_full=res_full,
-                              meta={"freq_extent": float(freq_extent),
+                              meta={"freq_extent": float(extent),
                                     "boundary_symbol": boundary}))
 
 

@@ -74,6 +74,11 @@ def lame2_kernel(lame2):
 
 
 @pytest.fixture(scope="session")
+def lap3_kernel(lap3):
+    return build_poisson_kernel(lap3, N=256)
+
+
+@pytest.fixture(scope="session")
 def lame3_small_kernel(lame3_complex):
     return build_poisson_kernel(lame3_complex, N=32, normalization_tol=None)
 

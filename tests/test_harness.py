@@ -161,10 +161,13 @@ def test_experiment_table_covered():
     assert sorted(name for name, _ in GOLDEN_ROWS) == experiment_names()
 
 
-# the kernel report, PDE check included, at seed 0 on the N = 4096 session
-# kernels lap2_kernel and lame2_kernel; tests/golden/ pins its JSON and CSV
-KERNEL_GOLDEN_SYSTEMS = {"lap2": ("laplacian", {"n": 2}),
-                         "lame2": ("lame", {"n": 2, "mu": 1.0, "lam": 1.0})}
+# the kernel report, PDE check included, at seed 0 on the session kernels
+# lap2_kernel, lame2_kernel and lap3_kernel, built at N; tests/golden/ pins
+# its JSON and CSV
+KERNEL_GOLDEN_SYSTEMS = {
+    "lap2": ("laplacian", {"n": 2}, 4096),
+    "lame2": ("lame", {"n": 2, "mu": 1.0, "lam": 1.0}, 4096),
+    "lap3": ("laplacian", {"n": 3}, 256)}
 
 
 def write_kernel_report(outdir, name, system, built):
@@ -175,10 +178,11 @@ def write_kernel_report(outdir, name, system, built):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN_SYSTEMS))
 def test_kernel_report_matches_golden(name, request, tmp_path):
-    kind, kw = KERNEL_GOLDEN_SYSTEMS[name]
+    kind, kw, N = KERNEL_GOLDEN_SYSTEMS[name]
     system = request.getfixturevalue(name)
     assert system.key() == build_system(kind, **kw).key()
     built = request.getfixturevalue(name + "_kernel")
+    assert built[0].N == N
     for path in write_kernel_report(tmp_path, name, system, built)[:2]:
         assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), \
             "%s differs from its golden report" % path.name
@@ -190,8 +194,8 @@ if __name__ == "__main__":
         for path in write_report(GOLDEN, run_experiment(
                 default_config(name, **kw)), golden_stem(name, kw))[2:]:
             path.unlink()
-    for name, (kind, kw) in KERNEL_GOLDEN_SYSTEMS.items():
+    for name, (kind, kw, N) in KERNEL_GOLDEN_SYSTEMS.items():
         system = build_system(kind, **kw)
-        built = build_poisson_kernel(system, N=4096)
+        built = build_poisson_kernel(system, N=N)
         for path in write_kernel_report(GOLDEN, name, system, built)[2:]:
             path.unlink()

@@ -21,6 +21,21 @@ def classical_symbol(xi, t):
     return np.exp(-t * np.abs(xi))
 
 
+def _semigroup_residual(system, seed):
+    """|Khat(xi', t0 + t1) - Khat(xi', t0) Khat(xi', t1)| at a seeded
+    frequency, 0.1 <= |xi'| <= 15, and seeded heights in [0.1, 2]."""
+    rng = np.random.default_rng(seed)
+    if system.n == 2:
+        xi = [rng.uniform(0.1, 15.0) * rng.choice([-1.0, 1.0])]
+    else:
+        w = rng.standard_normal(system.n - 1)
+        xi = rng.uniform(0.1, 15.0) * w / np.linalg.norm(w)
+    t0, t1 = rng.uniform(0.1, 2.0, 2)
+    lhs = poisson_symbol_at(system, xi, t0 + t1)
+    rhs = poisson_symbol_at(system, xi, t0) @ poisson_symbol_at(system, xi, t1)
+    return np.abs(lhs - rhs).max()
+
+
 class TestSymbol:
     def test_identity_cases(self, lap2, lame2):
         assert np.allclose(poisson_symbol_at(lap2, [0.0], 1.0), np.eye(1))
@@ -77,12 +92,7 @@ class TestSymbol:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_semigroup_property(self, lame2, seed):
-        rng = np.random.default_rng(seed)
-        xi = rng.uniform(0.1, 15.0) * rng.choice([-1.0, 1.0])
-        t0, t1 = rng.uniform(0.1, 2.0, 2)
-        lhs = poisson_symbol_at(lame2, [xi], t0 + t1)
-        rhs = poisson_symbol_at(lame2, [xi], t0) @ poisson_symbol_at(lame2, [xi], t1)
-        assert np.abs(lhs - rhs).max() < 1e-10
+        assert _semigroup_residual(lame2, seed) < 1e-10
 
     def test_symbol_scaling_identity(self, lame2):
         # Khat(lam xi, t) = Khat(xi, lam t)
@@ -273,6 +283,11 @@ class TestSystemClasses:
             want_k, want_dk = per_node_symbol(class_system, xi, t)
             assert np.abs(k - want_k).max() <= 1e-12
             assert np.abs(dk - want_dk).max() <= 1e-12
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_semigroup_property(self, class_system, seed):
+        assert _semigroup_residual(class_system, seed) < 1e-10
 
     def test_identity_at_zero_frequency(self, class_system):
         M = class_system.M
@@ -739,13 +754,26 @@ class TestKernelAt:
             assert np.abs(total - 1.0).max() < 1e-12
 
 
-def _near_margin_scalar():
+def _near_margin_scalar(b=0.99875):
     """Scalar n = 3 system A = [[1, 0, b], [0, 1, 0], [b, 0, 1]] whose
-    characteristic roots come within 0.05 of the real axis; its solvent
-    table needs 1024 angles."""
-    b = 0.99875
+    characteristic roots come within 0.05 of the real axis (0.02 at
+    b = 0.9998); its solvent table needs 1024 angles."""
     return build_system("scalar", A=[[1.0, 0.0, b], [0.0, 1.0, 0.0],
                                      [b, 0.0, 1.0]])
+
+
+def _counting_solves(monkeypatch):
+    """Patch ``kernels._solvent_stacks`` to record each call's direction
+    count in the returned list."""
+    solved = []
+    inner = kernels._solvent_stacks
+
+    def counting(system, omega):
+        solved.append(len(omega))
+        return inner(system, omega)
+
+    monkeypatch.setattr(kernels, "_solvent_stacks", counting)
+    return solved
 
 
 class TestSolventTable:
@@ -753,18 +781,18 @@ class TestSolventTable:
 
     def test_lame2_kernel_op_solves_once(self, monkeypatch):
         from halfspace import verify_kernel_properties
-        calls = []
-        inner = kernels._solvent_stacks
-
-        def counting(system, omega):
-            calls.append(len(omega))
-            return inner(system, omega)
-
-        monkeypatch.setattr(kernels, "_solvent_stacks", counting)
+        calls = _counting_solves(monkeypatch)
         system = build_system("lame", n=2, mu=1.2 + 0.1j, lam=1.5 - 0.3j)
         table, kernel = build_poisson_kernel(system, N=4096)
         assert verify_kernel_properties(system, kernel, table).passed
         assert calls == [2]
+
+    # the table size Q of every n = 3 system of the tests
+    TABLE_SIZES = {"lap3": 64, "lame3": 64, "lame3_complex": 64,
+                   "random_lh3": 128, "near_margin": 1024,
+                   "class-M1-real": 64, "class-M1-complex": 64,
+                   "class-M2-real": 64, "class-M2-complex": 128,
+                   "class-M3-real": 128, "class-M3-complex": 128}
 
     @pytest.mark.parametrize("name", [
         "lap3", "lame3", "lame3_complex", "random_lh3", "near_margin"] + [
@@ -782,8 +810,7 @@ class TestSolventTable:
         err = np.abs(kernels._solvents(system).at(theta) - direct)
         assert np.all(err.max(axis=(1, 2))
                       <= 1e-13 * np.abs(direct).max(axis=(1, 2)))
-        if name == "near_margin":
-            assert len(kernels._solvents(system).g) == 1024
+        assert len(kernels._solvents(system).g) == self.TABLE_SIZES[name]
 
     @pytest.mark.parametrize("name", ["lame3_complex", "random_lh3"])
     def test_general_batch_rows_bit_for_bit(self, name, request):
@@ -809,19 +836,26 @@ class TestSolventTable:
     def test_table_past_the_cap_raises_at_once(self, monkeypatch):
         """With the cap at 256 angles the near-margin system raises once the
         256-angle table fails its midpoints, before any larger solve."""
-        solved = []
-        inner = kernels._solvent_stacks
-
-        def counting(system, omega):
-            solved.append(len(omega))
-            return inner(system, omega)
-
-        monkeypatch.setattr(kernels, "_solvent_stacks", counting)
+        solved = _counting_solves(monkeypatch)
         monkeypatch.setattr(kernels, "_TRAPEZOID_MAX", 256)
         system = _near_margin_scalar()
         with pytest.raises(OutOfDomain, match="larger margin"):
             kernels._closed_form_kernel(system, np.array([[0.5, 0.0]]))
         assert solved == [64, 64, 128, 256]
+        assert "_solvents" not in vars(system)
+
+    def test_table_at_its_noise_floor_raises_at_once(self, monkeypatch):
+        """At root margin 0.02 the midpoint error stops falling at the
+        solves' round-off (2.0e-14, then 2.8e-14 of max |G|): the table
+        raises on the first doubling that does not shrink it, after the
+        8192-angle table and its midpoints, below the cap of 2^14."""
+        solved = _counting_solves(monkeypatch)
+        monkeypatch.setattr(kernels, "_TRAPEZOID_MAX", 2 ** 14)
+        system = _near_margin_scalar(0.9998)
+        with pytest.raises(OutOfDomain, match="8192 angles, root margin 0.02"
+                           ".*larger margin"):
+            kernels._solvents(system)
+        assert sum(solved) == 16384
         assert "_solvents" not in vars(system)
 
 
@@ -884,16 +918,38 @@ class TestGuards:
             build_poisson_kernel(lap2, freq_extent=4.0, N=256)
 
     def test_probed_extent_passes_its_guard(self):
-        # the probe's directions read below tolerance at |xi'| = 64, while
-        # nodes off them in the boundary band do not; the build doubles on
+        # the symbol is below tolerance at |xi'| = 64 but not on all of the
+        # band 0.98 * 64 <= |xi'| <= 64 that the guard checks, so the
+        # extent search goes on to 128
         from halfspace import verify_kernel_properties
         system = build_system("scalar", A=[[1.0, 0.9], [0.9, 1.0]])
-        assert kernels._probe_extent(system) == 64.0
+        edge = np.array([[64.0], [-64.0]])
+        assert np.abs(symbol_batch(system, edge, 1.0)).max() \
+            < kernels._BOUNDARY_TOL
+        assert np.abs(symbol_batch(system, 0.98 * edge, 1.0)).max() \
+            >= kernels._BOUNDARY_TOL
         table, kernel = build_poisson_kernel(system, N=4096)
         assert kernel.meta["freq_extent"] == 128.0
         assert kernel.meta["boundary_symbol"] < kernels._BOUNDARY_TOL
         assert kernel.normalization_residual < 1e-7
         assert verify_kernel_properties(system, kernel, table).passed
+
+    def test_table_is_evaluated_once(self, monkeypatch):
+        """The extent search evaluates the guard's nodes at 8, 16, ..., 128
+        and then the 4096-node table, once."""
+        calls = []
+        inner = kernels.symbol_batch
+
+        def counting(system, xi_nodes, t, want_dt=False):
+            calls.append(len(xi_nodes))
+            return inner(system, xi_nodes, t, want_dt)
+
+        monkeypatch.setattr(kernels, "symbol_batch", counting)
+        system = build_system("scalar", A=[[1.0, 0.9], [0.9, 1.0]])
+        table, _ = build_poisson_kernel(system, N=4096)
+        assert table.freq_extent == 128.0
+        assert len(calls) == 6 and calls[-1] == 4096
+        assert max(calls[:-1]) < 4096
 
     @pytest.mark.parametrize("A, error", [
         ([[-2.0, -1.5j], [-1.5j, 1.0]], ImproperSplit),   # roots i and 2i
