@@ -14,7 +14,8 @@ from .kernels import (PoissonKernelGrid, PoissonSymbolTable,
                       poisson_symbol_dt_at, symbol_batch,
                       verify_kernel_properties)
 from .solver import (BoundaryData, HalfSpaceField, TailTag, poisson_extend,
-                     trace_estimate, weighted_integrability, wrap_bound)
+                     poisson_extend_each, trace_estimate,
+                     weighted_integrability, wrap_bound)
 from .operators import (ConeSpec, DyadicCubeFamily, hardy_littlewood,
                         nontangential_max, pointwise_max_principle_check)
 from .spaces import (Atom, FiniteAtomicSum, MoleculeSample, build_molecule,

@@ -37,8 +37,8 @@ from .operators import (ConeSpec, DyadicCubeFamily, hardy_littlewood,
                         nontangential_max, pointwise_max_principle_check)
 from .report import VerificationReport
 from .solver import (BoundaryData, HalfSpaceField, TailTag, _level_fields,
-                     _radial_tail, poisson_extend, trace_estimate,
-                     weighted_integrability)
+                     _radial_tail, poisson_extend, poisson_extend_each,
+                     trace_estimate, weighted_integrability)
 from .spaces import (bmo_norm, carleson_norms, holder_seminorm,
                      make_atom, norm, star_seminorm)
 from .systems import EllipticSystem, build_system
@@ -285,9 +285,9 @@ def _fatou_trace_recovery(cfg, system, grid, rep) -> dict:
     worst_wl1 = 0.0
     sandwich_frac = 1.0
     cs = []
-    rep_res = 0.0
-    for f in battery:
-        u = poisson_extend(system, f, levels)
+    traces = []
+    mid = int(np.argmin(np.abs(levels - 0.5)))
+    for f, u in zip(battery, poisson_extend_each(system, battery, levels)):
         idx = [int(np.argmin(np.abs(u.heights - t))) for t in check_levels]
         sup_f = f.magnitude().max()
         errs = [float(np.linalg.norm(u.values[i] - f.samples,
@@ -303,11 +303,14 @@ def _fatou_trace_recovery(cfg, system, grid, rep) -> dict:
             sandwich_frac = min(sandwich_frac,
                                 sub.value("left_sandwich_fraction"))
             cs.append(sub.value("right_sandwich_constant"))
-        # constructive uniqueness content: u == extension of its trace
-        mid = int(np.argmin(np.abs(u.heights - 0.5)))
-        re_u = poisson_extend(system, tr, [u.heights[mid]])
+        traces.append((tr, u.values[mid].copy(), sup_f))
+    # constructive uniqueness content: u == extension of its trace
+    rep_res = 0.0
+    re_us = poisson_extend_each(system, [tr for tr, _, _ in traces],
+                                [levels[mid]])
+    for (_, mid_values, sup_f), re_u in zip(traces, re_us):
         rep_res = max(rep_res, float(
-            np.linalg.norm(re_u.values[0] - u.values[mid], axis=-1).max()
+            np.linalg.norm(re_u.values[0] - mid_values, axis=-1).max()
             / max(sup_f, 1e-300)))
     rep.add("per_level_error_monotone", 1.0 if monotone else 0.0,
             1.0, "ge", "sup error at t in {0.2, 0.1, 0.05} decreases")
@@ -338,8 +341,7 @@ def _weighted_l1_wellposed(cfg, system, grid, rep) -> dict:
 
     chain_ok = True
     ratios = []
-    for f in battery:
-        u = poisson_extend(system, f, levels)
+    for f, u in zip(battery, poisson_extend_each(system, battery, levels)):
         nt = nontangential_max(u, cone)
         mf = hardy_littlewood(f, cubes)
         # all three masses over the same window: the chain is pointwise
@@ -363,8 +365,7 @@ def _lp_wellposed(cfg, system, grid, rep) -> dict:
     levels = log_levels(1e-10, cone.t_max)
     lo = np.inf
     hi = 0.0
-    for f in battery:
-        u = poisson_extend(system, f, levels)
+    for f, u in zip(battery, poisson_extend_each(system, battery, levels)):
         nt = nontangential_max(u, cone)
         for p in cfg.params.get("p_values", [4.0 / 3.0, 2.0, 4.0]):
             r = norm(nt, "lp", p=p) / norm(f, "lp", p=p)
@@ -387,16 +388,18 @@ def _h1_atoms(cfg, system, grid, rep) -> dict:
     far_cone = ConeSpec(cfg.kappa, epsilon=2 * h, t_max=cone.t_max)
     low_cone = ConeSpec(cfg.kappa, t_max=2 * h)
     levels = log_levels(h / 2, cone.t_max)
-    masses = []
-    slopes = []
+    atoms = []
     for j in range(int(cfg.params.get("atoms", 20))):
         side = float(rng.uniform(0.5, 1.0))
         center = rng.uniform(-grid.R / 8, grid.R / 8, grid.d)
         profile = "haar" if j % 2 == 0 else "random"
         atom = make_atom(grid, center, side, 1.0, 2.0, profile,
                          seed=cfg.seed + 100 + j, M=system.M)
-        f = atom.as_boundary_data()
-        u = poisson_extend(system, f, levels)
+        atoms.append((side, center, atom.as_boundary_data()))
+    masses = []
+    slopes = []
+    fields = poisson_extend_each(system, [f for _, _, f in atoms], levels)
+    for (side, center, f), u in zip(atoms, fields):
         far = nontangential_max(u, far_cone).meta["values"]
         # the full cone's maximum is the larger of its two height ranges
         nt = np.maximum(far, nontangential_max(u, low_cone).meta["values"])
@@ -428,8 +431,7 @@ def _linfty_maximum(cfg, system, grid, rep) -> dict:
         + periodic_bandlimited(grid, system.M, cfg.seed + 5, count=2)
     levels = log_levels(1e-10, grid.R / 2)
     lo, hi = np.inf, 0.0
-    for f in battery:
-        u = poisson_extend(system, f, levels)
+    for f, u in zip(battery, poisson_extend_each(system, battery, levels)):
         r = float(u.magnitude().max() / f.magnitude().max())
         lo, hi = min(lo, r), max(hi, r)
     rep.add("sup_ratio_lower", lo, 1.0 - cfg.tol("lower", 1e-6), "ge",
@@ -449,8 +451,8 @@ def _classical_continuity(cfg, system, grid, rep) -> dict:
     ts = [0.2, 0.1, 0.05]
     monotone = True
     final = 0.0
-    for f in battery:
-        u = poisson_extend(system, f, sorted(ts))
+    fields = poisson_extend_each(system, battery, sorted(ts))
+    for f, u in zip(battery, fields):
         sup_f = f.magnitude().max()
         errs = []
         for li, t in enumerate(u.heights):
@@ -545,8 +547,8 @@ def _holder_wellposed(cfg, system, grid, rep) -> dict:
     levels = log_levels(grid.h / 2, grid.R)
     ratios_grad = []
     ratios_cone = []
-    for f in battery:
-        u = poisson_extend(system, f, levels, gradient=True)
+    for f, u in zip(battery, poisson_extend_each(system, battery, levels,
+                                                 gradient=True)):
         f_h = holder_seminorm(f, theta, seed=cfg.seed)
         gmag = np.sqrt(np.sum(np.abs(u.gradient) ** 2, axis=(-2, -1)))
         grad_q = float(max((u.heights[li] ** (1.0 - theta) * gmag[li]).max()
@@ -610,16 +612,15 @@ def _bmo_carleson(cfg, system, grid, rep) -> dict:
     cubes = DyadicCubeFamily(grid, _depth_for(grid))
     battery = [clipped_log(grid, system.M, lam) for lam in (1.0, 0.25, 4.0)]
     battery += periodic_bandlimited(grid, system.M, cfg.seed + 3, count=2)
+    # and a smooth compactly supported (VMO) datum for the vanishing profile
+    fv = smooth_compact(grid, system.M, cfg.seed, count=1)[0]
     levels = log_levels(grid.h / 4, 2 * grid.R)
     ratios = []
-    for f in battery:
-        u = poisson_extend(system, f, levels, gradient=True)
+    fields = poisson_extend_each(system, battery + [fv], levels, gradient=True)
+    for f, u in zip(battery, fields):     # stops before the VMO field
         _, lp_size, _ = carleson_norms(u, cubes)
         ratios.append(lp_size / bmo_norm(f, cubes))
-    # vanishing profile for a smooth compactly supported (VMO) datum
-    fv = smooth_compact(grid, system.M, cfg.seed, count=1)[0]
-    uv = poisson_extend(system, fv, levels, gradient=True)
-    _, _, profile = carleson_norms(uv, cubes)
+    _, _, profile = carleson_norms(next(fields), cubes)
     sides = [s for s, _ in profile]
     vals = dict(profile)
     rep.add("ratio_spread", max(ratios) / min(ratios),

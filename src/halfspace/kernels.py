@@ -569,7 +569,8 @@ class PreparedSymbol:
     of :func:`_expm_stacks`, read from the system's solvent table.  The
     generator is zero at the zero frequency, where Khat = I.  Each height is
     then only an exponential: :meth:`levels` evaluates every height of a
-    solve at once, :meth:`apply` the action Khat v, and :meth:`at` is the
+    solve at once, :meth:`apply` the action Khat v, :meth:`action` that
+    action for many blocks at one set of heights, and :meth:`at` is the
     one-height case of levels, bit for bit, with per-height results memoised
     up to ``_MEMO_BYTES``, the oldest evicted first.  It holds per-node data
     only; what depends on the system alone is held with its solvent table.
@@ -610,13 +611,26 @@ class PreparedSymbol:
     def apply(self, heights, v: np.ndarray, want_dt: bool = False):
         """Khat v and d/dt Khat v (else None), each (L, M, B), at every
         height for a block v (M, B) with the nodes last."""
+        return self.action(heights, want_dt)(v)
+
+    def action(self, heights, want_dt: bool = False):
+        """The map v -> :meth:`apply` (heights, v, want_dt), for many blocks
+        at one set of heights: for M = 1 the levels are evaluated once, here,
+        and each block is one contraction; for M > 1 each block pays its own
+        Taylor action."""
         if self.system.M == 1:     # einsum keeps the contraction's bytes
-            return tuple(a if a is None else np.einsum("ijlb,jb->lib", a, v)
-                         for a in self.levels(heights, want_dt))
-        w, dw = _eval_from_stacks(self.system, self.stacks, np.multiply.outer(
-            heights, self.norms), want_dt, v[:, None])
-        return w[:, 0].swapaxes(0, 1), (
-            dw[:, 0].swapaxes(0, 1) * self.norms if want_dt else None)
+            ks = self.levels(heights, want_dt)
+            return lambda v: tuple(
+                a if a is None else np.einsum("ijlb,jb->lib", a, v) for a in ks)
+        s = np.multiply.outer(heights, self.norms)
+
+        def act(v):
+            w, dw = _eval_from_stacks(self.system, self.stacks, s, want_dt,
+                                      v[:, None])
+            return w[:, 0].swapaxes(0, 1), (
+                dw[:, 0].swapaxes(0, 1) * self.norms if want_dt else None)
+
+        return act
 
     def dt(self, k: np.ndarray) -> np.ndarray:
         """d/dt of a stack (M, M, L, B) of :meth:`levels`: the generator

@@ -4,13 +4,17 @@ The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
 of all height levels stacked and inverted by one FFT per field: the symbol
 is exact in t, so no kernel truncation enters the vertical direction, and
 Khat fhat is the action of the exponential on fhat, without forming Khat
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  The
-price is periodisation; data must sit in the central half of the grid (or
-carry a tail tag).  :func:`wrap_bound` computes the wrap-around error bound
-from the kernel tail on request; a solve computes it only for its
-``wrap_tol`` guard.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2) comes from
-the closed-form kernel of :mod:`halfspace.kernels` on rays, computed once per
-system and held with its solvent table; no kernel table is built.
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+:func:`poisson_extend_each` solves a battery of data on one grid at one set
+of heights and yields one field per datum; for M = 1 the symbol of every
+level is evaluated once for the battery.  :func:`poisson_extend` is its
+one-datum case.  The price is periodisation; data must sit in the central
+half of the grid (or carry a tail tag).  :func:`wrap_bound` computes the
+wrap-around error bound from the kernel tail on request; a solve computes it
+only for its ``wrap_tol`` guard.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2)
+comes from the closed-form kernel of :mod:`halfspace.kernels` on rays,
+computed once per system and held with its solvent table; no kernel table
+is built.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ __all__ = [
     "worker_count",
     "wrap_bound",
     "poisson_extend",
+    "poisson_extend_each",
     "weighted_integrability",
     "trace_estimate",
 ]
@@ -207,52 +212,81 @@ def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
     bound is computed only when a wrap tolerance is requested (call
     :func:`wrap_bound` for it otherwise); AliasRisk is raised when it
     exceeds the tolerance, or when the datum is neither centrally supported
-    nor tail-tagged.
+    nor tail-tagged.  This is the one-datum case of
+    :func:`poisson_extend_each`.
     """
-    if system.n != f.grid.n:
-        raise BadShape("system and data dimensions differ")
-    if system.n not in (2, 3):
-        raise BadShape("solves cover n = 2 and 3, not %d" % system.n)
-    if f.M != system.M:
-        raise BadShape("datum has %d components, system wants %d"
-                       % (f.M, system.M))
+    return next(poisson_extend_each(system, [f], heights, gradient=gradient,
+                                    wrap_tol=wrap_tol))
+
+
+def poisson_extend_each(system: EllipticSystem, data, heights, *,
+                        gradient: bool = False,
+                        wrap_tol: float | None = None):
+    """Yield one field per datum of a battery on one grid, in order, each
+    equal bit for bit to :func:`poisson_extend` of its datum, one at a time.
+
+    Every datum is checked (BadShape for data on two grids) and passes the
+    ``wrap_tol`` guard before the first solve.  For M = 1 the symbol of every
+    level is evaluated once for the battery; for M > 1 each datum pays its
+    own action of the exponential.
+    """
+    data = list(data)
+    grids = {f.grid for f in data}
+    if len(grids) > 1:
+        raise BadShape("battery data lie on %d grids; a battery solve takes "
+                       "one" % len(grids))
+    for f in data:
+        if system.n != f.grid.n:
+            raise BadShape("system and data dimensions differ")
+        if system.n not in (2, 3):
+            raise BadShape("solves cover n = 2 and 3, not %d" % system.n)
+        if f.M != system.M:
+            raise BadShape("datum has %d components, system wants %d"
+                           % (f.M, system.M))
     heights = np.asarray(sorted(float(t) for t in heights))
     if not (len(heights) and np.isfinite(heights).all()
             and np.all(np.diff(np.r_[0, heights]) > 0)):
         raise BadShape("heights must be finite, positive and distinct, got %s"
                        % heights.tolist())
-
     if wrap_tol is not None:
-        wrap = wrap_bound(system, f, heights[-1])
-        if wrap == np.inf and not f.centrally_supported():
-            if f.tail is None:
-                raise AliasRisk(
-                    "data not centrally supported and not tail-tagged")
-        elif wrap > wrap_tol:
-            raise AliasRisk("wrap-around bound %.2e exceeds %.2e"
-                            % (wrap, wrap_tol))
+        for f in data:
+            wrap = wrap_bound(system, f, heights[-1])
+            if wrap == np.inf and not f.centrally_supported():
+                if f.tail is None:
+                    raise AliasRisk(
+                        "data not centrally supported and not tail-tagged")
+            elif wrap > wrap_tol:
+                raise AliasRisk("wrap-around bound %.2e exceeds %.2e"
+                                % (wrap, wrap_tol))
+    return _extend_each(system, data, heights, gradient)
 
-    grid = f.grid
+
+def _extend_each(system: EllipticSystem, data: list, heights: np.ndarray,
+                 gradient: bool):
+    """The fields of :func:`poisson_extend_each`, solved as they are read."""
+    if not data:
+        return
+    grid = data[0].grid
     nodes = grid.freq_nodes_fftorder()
-    prepared = prepared_symbol(system, nodes)
+    act = prepared_symbol(system, nodes).action(heights, gradient)
     d = grid.d
     M = system.M
-    fhat = grid_fft(f.samples, grid).reshape(-1, M)
-    uhat, dhat = prepared.apply(heights, fhat.T, gradient)
-    values = _level_fields(uhat, grid)
-    grad = None
-    if gradient:
-        grad = np.empty((len(heights),) + grid.shape + (system.n, M),
-                        dtype=complex)
-        grad[..., d, :] = _level_fields(dhat, grid)
-        del dhat
-        for r in range(d):
-            grad[..., r, :] = _level_fields(1j * nodes[:, r] * uhat, grid)
-
-    return HalfSpaceField(
-        grid=grid, heights=heights, values=values, gradient=grad,
-        provenance={"system": system.label,
-                    "datum": f.meta.get("label", f.space_tag)})
+    for f in data:
+        fhat = grid_fft(f.samples, grid).reshape(-1, M)
+        uhat, dhat = act(fhat.T)
+        values = _level_fields(uhat, grid)
+        grad = None
+        if gradient:
+            grad = np.empty((len(heights),) + grid.shape + (system.n, M),
+                            dtype=complex)
+            grad[..., d, :] = _level_fields(dhat, grid)
+            del dhat
+            for r in range(d):
+                grad[..., r, :] = _level_fields(1j * nodes[:, r] * uhat, grid)
+        yield HalfSpaceField(
+            grid=grid, heights=heights, values=values, gradient=grad,
+            provenance={"system": system.label,
+                        "datum": f.meta.get("label", f.space_tag)})
 
 
 def _radial_tail(g, R: float, rate: float) -> float:

@@ -74,25 +74,46 @@ def vmo_modulus(f: BoundaryData, cubes: DyadicCubeFamily, r: float) -> float:
 def holder_seminorm(f: BoundaryData, theta: float, *, seed: int = 0) -> float:
     """Sup of |f(x)-f(y)| / |x-y|^theta over node pairs.
 
-    Exhaustive when the pair count fits HOLDER_PAIR_BUDGET (covers every
-    grid with up to 256 nodes per axis in the planar case); otherwise all
-    adjacent pairs plus a seeded sample of that many long-range pairs.
+    Exhaustive when the pair count m(m-1)/2 fits HOLDER_PAIR_BUDGET (1-D
+    grids up to 1414 nodes, 2-D grids up to 37^2, so 36^2 for an even N);
+    otherwise all adjacent pairs plus a seeded sample of that many
+    long-range pairs.  The exhaustive sup visits the pairs by grid
+    displacement k, shortest first, and stops once 2 max|f| / (|k| h)^theta,
+    a bound on every pair left, cannot beat the best.  The stop is exact:
+    each pair is still the later node minus the earlier in flat order, so
+    its quotient is the float of a scan over all pairs, and the bound's
+    slack covers the rounding of the coordinates j h (up to R eps each, so
+    |x-y| may fall short of |k| h by N h eps) and of the quotients.
     """
-    pts = np.stack([m.ravel() for m in f.grid.meshes()], axis=-1)
-    vals = f.samples.reshape(-1, f.M)
-    m = len(pts)
+    grid, m = f.grid, f.grid.node_count
     if m * (m - 1) // 2 <= HOLDER_PAIR_BUDGET:
+        N, eps = grid.N, np.finfo(float).eps
+        pts = np.stack(grid.meshes(), axis=-1)
+        ks = np.stack(np.meshgrid(*[np.arange(1 - N, N)] * grid.d,
+                                  indexing="ij"), axis=-1).reshape(-1, grid.d)
+        ks = ks[ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0]
+        lengths = np.sqrt((ks ** 2).sum(axis=1))
+        order = np.argsort(lengths, kind="stable")
+        top = 2.0 * float(np.linalg.norm(f.samples, axis=-1).max()) \
+            * (1.0 + 32 * eps)
+        short = grid.h * (1.0 - (2 * N + 16) * eps)
         best = 0.0
-        for i in range(m - 1):
-            dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=-1)
-            dx = np.linalg.norm(pts[i + 1:] - pts[i], axis=-1)
+        for k, length in zip(ks[order].tolist(), lengths[order].tolist()):
+            if top / (short * length) ** theta <= best:
+                break
+            later = tuple(slice(max(c, 0), N + min(c, 0)) for c in k)
+            earlier = tuple(slice(max(-c, 0), N - max(c, 0)) for c in k)
+            dv = np.linalg.norm(f.samples[later] - f.samples[earlier], axis=-1)
+            dx = np.linalg.norm(pts[later] - pts[earlier], axis=-1)
             best = max(best, float((dv / dx ** theta).max()))
         return best
+    pts = np.stack([mesh.ravel() for mesh in grid.meshes()], axis=-1)
+    vals = f.samples.reshape(-1, f.M)
     # adjacent pairs along each axis
     best = 0.0
-    for axis in range(f.grid.d):
+    for axis in range(grid.d):
         dv = np.linalg.norm(np.diff(f.samples, axis=axis), axis=-1)
-        best = max(best, float(dv.max()) / f.grid.h ** theta)
+        best = max(best, float(dv.max()) / grid.h ** theta)
     rng = np.random.default_rng(seed)
     i = rng.integers(0, m, HOLDER_PAIR_BUDGET)
     j = rng.integers(0, m, HOLDER_PAIR_BUDGET)

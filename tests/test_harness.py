@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfspace import (UnknownExperiment, build_poisson_kernel, build_system,
-                       verify_kernel_properties)
+                       kernels, verify_kernel_properties)
 from halfspace.containers import write_report
 from halfspace.harness import (ExperimentConfig, default_config,
                                experiment_names, parse_complex,
@@ -65,6 +65,22 @@ def test_lp_wellposed_small_config():
     assert rep.passed
     assert rep.value("ratio_lower") >= 0.999
     assert np.isfinite(rep.value("ratio_upper"))
+
+
+def test_lp_battery_takes_one_symbol_pass_per_grid(monkeypatch):
+    """A default lp_wellposed run solves its seven data on each of its two
+    grids (N and the refinement 2N) with one PreparedSymbol.levels call."""
+    calls = []
+    inner = kernels.PreparedSymbol.levels
+
+    def counting(self, heights, want_dt=False):
+        calls.append((len(self.xi), len(heights)))
+        return inner(self, heights, want_dt)
+
+    monkeypatch.setattr(kernels.PreparedSymbol, "levels", counting)
+    rep = run_experiment(default_config("lp_wellposed"))
+    assert rep.passed
+    assert [nodes for nodes, _ in calls] == [1024, 2048]
 
 
 def test_lame_linfty_finite_constant(shared_lame_report):

@@ -8,7 +8,7 @@ from scipy import integrate
 from halfspace import (AliasRisk, BadShape, BoundaryData, ConeSpec, Grid,
                        HalfSpaceField, InsufficientLevels, TailTag,
                        build_poisson_kernel, build_system,
-                       poisson_extend, trace_estimate,
+                       poisson_extend, poisson_extend_each, trace_estimate,
                        weighted_integrability, wrap_bound)
 from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
@@ -127,7 +127,7 @@ class TestExtend:
         def no_symbol(*args, **kwargs):
             raise AssertionError("symbol pass reached")
 
-        monkeypatch.setattr(kernels.PreparedSymbol, "apply", no_symbol)
+        monkeypatch.setattr(kernels.PreparedSymbol, "action", no_symbol)
         with pytest.raises(BadShape, match="finite, positive and distinct"):
             poisson_extend(lap2, gaussian_datum(grid), heights)
 
@@ -435,6 +435,75 @@ def test_batched_levels_match_per_height_reference(row, request):
     values, grad = per_height_reference(system, f, u.heights)
     assert np.array_equal(u.values, values)
     assert np.array_equal(u.gradient, grad)
+
+
+class TestBattery:
+    """poisson_extend_each: one symbol pass for a battery on one grid."""
+
+    @staticmethod
+    def _battery(system, grid):
+        return smooth_compact(grid, system.M, 4, count=3) \
+            + sign_changing(grid, system.M, 9, count=2)
+
+    @pytest.mark.parametrize("row, n, gradient", [
+        ("lap2", 2, False), ("lame2_complex", 2, False),
+        ("lame3_complex", 3, True)])
+    def test_each_field_equals_its_own_solve(self, row, n, gradient, request):
+        system = request.getfixturevalue(row) if row != "lame2_complex" \
+            else build_system("lame", n=2, mu=1 + 0.3j, lam=2 - 0.5j)
+        grid = Grid(n=2, N=512, h=0.125) if n == 2 else Grid(n=3, N=32, h=0.25)
+        battery = self._battery(system, grid)
+        heights = np.geomspace(0.05, 4, 9)
+        fields = list(poisson_extend_each(system, battery, heights,
+                                          gradient=gradient))
+        assert len(fields) == len(battery)
+        for f, u in zip(battery, fields):
+            ref = poisson_extend(system, f, heights, gradient=gradient)
+            assert np.array_equal(u.heights, ref.heights)
+            assert np.array_equal(u.values, ref.values)
+            if gradient:
+                assert np.array_equal(u.gradient, ref.gradient)
+            else:
+                assert u.gradient is None
+            assert u.provenance == ref.provenance
+
+    def test_one_symbol_pass_for_a_scalar_battery(self, lap2, monkeypatch):
+        calls = []
+        inner = kernels.PreparedSymbol.levels
+
+        def counting(self, heights, want_dt=False):
+            calls.append(len(heights))
+            return inner(self, heights, want_dt)
+
+        monkeypatch.setattr(kernels.PreparedSymbol, "levels", counting)
+        grid = Grid(n=2, N=256, h=0.125)
+        battery = self._battery(lap2, grid)
+        for _ in poisson_extend_each(lap2, battery, [0.5, 1.0], gradient=True):
+            pass
+        assert calls == [2]
+
+    def test_data_on_two_grids_raise(self, lap2):
+        a = gaussian_datum(Grid(n=2, N=256, h=0.125))
+        b = gaussian_datum(Grid(n=2, N=512, h=0.125))
+        with pytest.raises(BadShape, match="2 grids"):
+            poisson_extend_each(lap2, [a, b], [1.0])
+
+    def test_datum_with_wrong_components_raises(self, lame2):
+        grid = Grid(n=2, N=256, h=0.125)
+        battery = smooth_compact(grid, 2, 1, count=2) \
+            + smooth_compact(grid, 1, 1, count=1)
+        with pytest.raises(BadShape, match="1 components, system wants 2"):
+            poisson_extend_each(lame2, battery, [1.0])
+
+    def test_wrap_guard_checks_every_datum(self, lap2):
+        grid = Grid(n=2, N=256, h=0.125)
+        wide = BoundaryData(grid=grid, samples=np.ones((grid.N, 1), complex))
+        with pytest.raises(AliasRisk, match="not centrally supported"):
+            poisson_extend_each(lap2, [gaussian_datum(grid), wide], [1.0],
+                                wrap_tol=1.0)
+
+    def test_empty_battery_yields_nothing(self, lap2):
+        assert list(poisson_extend_each(lap2, [], [1.0])) == []
 
 
 class TestManufacturedElasticity:

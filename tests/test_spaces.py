@@ -7,7 +7,8 @@ from halfspace import (BoundaryData, DyadicCubeFamily, FiniteAtomicSum, Grid,
                        HalfSpaceField, make_atom, molecule_check, norm,
                        poisson_extend, star_seminorm, validate_atom)
 from halfspace.errors import BadDescriptor, CubeTooSmall, EmptyWindow
-from halfspace.spaces import carleson_norms
+from halfspace.harness import weierstrass
+from halfspace.spaces import HOLDER_PAIR_BUDGET, carleson_norms, holder_seminorm
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,65 @@ def clipped_log(grid, lam=1.0):
     vals = np.where(rad > 0, np.log(np.maximum(lam * rad, 1e-300)),
                     np.log(lam * grid.h / 2))
     return as_data(grid, vals)
+
+
+def holder_all_pairs(f, theta):
+    """The exhaustive Hoelder sup as a scan over every node against all
+    later ones: the oracle for the pruned scan of holder_seminorm."""
+    pts = np.stack([m.ravel() for m in f.grid.meshes()], axis=-1)
+    vals = f.samples.reshape(-1, f.M)
+    best = 0.0
+    for i in range(len(pts) - 1):
+        dv = np.linalg.norm(vals[i + 1:] - vals[i], axis=-1)
+        dx = np.linalg.norm(pts[i + 1:] - pts[i], axis=-1)
+        best = max(best, float((dv / dx ** theta).max()))
+    return best
+
+
+class TestHolderSup:
+    """The exhaustive branch stops once no pair left can win; its sup must
+    be the all-pairs scan's float, bit for bit."""
+
+    @pytest.mark.parametrize("N", [512, 1024])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.8])
+    def test_weierstrass_1d_equals_all_pairs(self, N, theta):
+        for f in weierstrass(Grid(n=2, N=N, h=0.25), theta, 1, 11):
+            assert holder_seminorm(f, theta) == holder_all_pairs(f, theta)
+
+    @pytest.mark.parametrize("N", [16, 24, 36])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.0])
+    def test_2d_equals_all_pairs(self, N, M, theta):
+        grid = Grid(n=3, N=N, h=0.3)
+        rng = np.random.default_rng(N + M)
+        noise = rng.standard_normal(grid.shape + (M,)) \
+            + 1j * rng.standard_normal(grid.shape + (M,))
+        data = weierstrass(grid, theta, M, 5) + [
+            BoundaryData(grid=grid, samples=noise)]
+        for f in data:
+            assert holder_seminorm(f, theta) == holder_all_pairs(f, theta)
+
+    def test_constant_is_zero(self):
+        grid = Grid(n=3, N=24, h=0.5)
+        f = BoundaryData(grid=grid, samples=np.full(grid.shape + (2,), 1 - 2j))
+        assert holder_seminorm(f, 0.5) == 0.0
+
+    def test_branch_limit(self):
+        """m(m-1)/2 pairs within the budget: exhaustive up to 37^2 nodes in
+        2-D (36^2 for an even N), sampled from 38^2 on."""
+        assert 37 ** 2 * (37 ** 2 - 1) // 2 <= HOLDER_PAIR_BUDGET \
+            < 38 ** 2 * (38 ** 2 - 1) // 2
+        rng = np.random.default_rng(2)
+        for N, exhaustive in ((36, True), (38, False)):
+            grid = Grid(n=3, N=N, h=0.5)
+            f = BoundaryData(grid=grid,
+                             samples=rng.standard_normal(grid.shape + (1,)))
+            sups = {holder_seminorm(f, 0.3, seed=seed) for seed in range(3)}
+            if exhaustive:
+                assert sups == {holder_all_pairs(f, 0.3)}
+            else:       # the seeded sample decides
+                assert len(sups) > 1
+                assert max(sups) <= holder_all_pairs(f, 0.3)
 
 
 class TestNorms:
