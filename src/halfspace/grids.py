@@ -8,7 +8,8 @@ throughout is
     f(x)     = (2 pi)^(-d) int fhat(xi) exp(i x.xi) dxi,
 
 discretised so that ``grid_ifft(grid_fft(f)) == f`` to round-off and the
-zero-frequency entry of ``grid_fft(f)`` equals the Riemann sum of ``f``.
+zero-frequency entry of ``grid_fft(f)`` equals the Riemann sum of ``f``.  An
+inversion overwrites what it inverts; an even N makes the shift a block swap.
 """
 from __future__ import annotations
 
@@ -63,8 +64,7 @@ class Grid:
 
     def radii(self) -> np.ndarray:
         """Euclidean distance of every node from the origin."""
-        ms = self.meshes()
-        return np.sqrt(sum(m * m for m in ms))
+        return np.sqrt(sum(m * m for m in self.meshes()))
 
     def freq_nodes_fftorder(self) -> np.ndarray:
         """All frequency nodes, fft order, flattened to (N^d, d)."""
@@ -79,15 +79,27 @@ def grid_fft(samples: np.ndarray, grid: Grid) -> np.ndarray:
     ``samples`` may carry trailing component axes beyond the first
     ``grid.d`` spatial axes.
     """
-    d = grid.d
-    sp_axes = tuple(range(d))
-    shifted = np.fft.ifftshift(samples, axes=sp_axes)
-    return np.fft.fftn(shifted, axes=sp_axes) * grid.cell_volume
+    sp_axes = tuple(range(grid.d))
+    out = np.fft.fftn(np.fft.ifftshift(samples, axes=sp_axes), axes=sp_axes)
+    return np.multiply(out, grid.cell_volume, out=out)
 
 
 def grid_ifft(spectrum: np.ndarray, grid: Grid, sp_axes=None) -> np.ndarray:
     """Inverse of :func:`grid_fft` over the first ``grid.d`` axes, or over
-    ``sp_axes``; returns natural-order samples."""
+    ``sp_axes``; natural-order samples of a copy of ``spectrum``."""
     sp_axes = tuple(range(grid.d)) if sp_axes is None else sp_axes
-    out = np.fft.ifftn(spectrum, axes=sp_axes) / grid.cell_volume
-    return np.fft.fftshift(out, axes=sp_axes)
+    work = np.array(spectrum, dtype=np.result_type(spectrum, 1j))
+    return _invert_into(work, grid, sp_axes, np.empty_like(work))
+
+
+def _invert_into(work: np.ndarray, grid: Grid, axes, dest: np.ndarray):
+    """Invert fft-order spectra ``work`` over ``axes`` in place, as ifftn, then
+    write fftshift(work) / cell_volume into ``dest`` by half-block swaps."""
+    for ax in reversed(axes):
+        np.fft.ifft(work, axis=ax, out=work)
+    w, v = (np.moveaxis(x, axes, range(len(axes))) for x in (work, dest))
+    halves = slice(None, grid.N // 2), slice(grid.N // 2, None)
+    for corner in np.ndindex((2,) * len(axes)):
+        np.divide(w[tuple(halves[c] for c in corner)], grid.cell_volume,
+                  out=v[tuple(halves[1 - c] for c in corner)])
+    return dest

@@ -85,7 +85,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (BadShape, ImproperSplit, InsufficientDecay, OutOfDomain,
                      RealAxisRoot, SingularBoundaryMatrix)
-from .grids import Grid, grid_ifft
+from .grids import Grid, _invert_into
 from .report import VerificationReport, make_metric
 from .systems import EllipticSystem, real_axis_tolerance
 
@@ -770,9 +770,10 @@ def _synthesize_derivatives(system: EllipticSystem, grid: Grid, heights,
     (A, L, *grid.shape, M, M), from one symbol pass and one inverse FFT."""
     spec = _derivative_levels(system, grid.freq_nodes_fftorder(), heights,
                               alphas)
-    fields = grid_ifft(spec.reshape(grid.shape + spec.shape[1:]), grid)
-    return np.ascontiguousarray(
-        np.moveaxis(fields, (grid.d, grid.d + 1), (0, 1)))
+    out = np.empty(spec.shape[1:3] + grid.shape + spec.shape[3:], complex)
+    _invert_into(spec.reshape(grid.shape + spec.shape[1:]), grid,
+                 tuple(range(grid.d)), np.moveaxis(out, (0, 1), (-4, -3)))
+    return out
 
 
 # ---------------------------------------------------------------------------

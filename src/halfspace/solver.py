@@ -1,10 +1,11 @@
 """Dirichlet solves in the half-space by frequency-domain convolution.
 
 The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
-of all height levels stacked and inverted by one FFT per field: the symbol
-is exact in t, so no kernel truncation enters the vertical direction, and
-Khat fhat is the action of the exponential on fhat, without forming Khat
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+of all height levels stacked and inverted in place, overwritten, by one FFT
+per field (an even N makes the shift a block swap) that writes each field
+once: the symbol is exact in t, so no kernel truncation enters the vertical
+direction, and Khat fhat is the action of the exponential on fhat, without
+forming Khat (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
 :func:`poisson_extend_each` solves a battery of data on one grid at one set
 of heights and yields one field per datum; for M = 1 the symbol of every
 level is evaluated once for the battery.  :func:`poisson_extend` is its
@@ -12,9 +13,8 @@ one-datum case.  The price is periodisation; data must sit in the central
 half of the grid (or carry a tail tag).  :func:`wrap_bound` computes the
 wrap-around error bound from the kernel tail on request; a solve computes it
 only for its ``wrap_tol`` guard.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2)
-comes from the closed-form kernel of :mod:`halfspace.kernels` on rays,
-computed once per system and held with its solvent table; no kernel table
-is built.
+comes from the closed-form kernel on rays, once per system, and is held
+with its solvent table; no kernel table is built.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AliasRisk, BadShape, InsufficientLevels
-from .grids import Grid, grid_fft, grid_ifft
+from .grids import Grid, _invert_into, grid_fft
 from .kernels import _GAUSS_PANEL, prepared_symbol, tail_constant
 from .systems import EllipticSystem
 
@@ -191,13 +191,15 @@ def wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float) -> float:
     return float(tail_constant(system) * t_max * geom * f.magnitude().max())
 
 
-def _level_fields(spectra: np.ndarray, grid: Grid) -> np.ndarray:
-    """Fields of stacked spectra (L, M, B), fft order with the nodes last,
-    by one inverse FFT over the trailing axes; returns natural-order samples
-    laid out level first, (L, *shape, M)."""
-    fields = grid_ifft(spectra.reshape(spectra.shape[:2] + grid.shape), grid,
-                       tuple(range(-grid.d, 0)))
-    return np.ascontiguousarray(np.moveaxis(fields, 1, -1))
+def _level_fields(spectra: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """Fields (L, *shape, M) of stacked fft-order spectra (L, M, B), written
+    into ``out`` (a view, else a fresh array); the FFT overwrites the spectra
+    and an even N makes the shift to natural order a block swap."""
+    L, M = spectra.shape[:2]
+    out = np.empty((L,) + grid.shape + (M,), complex) if out is None else out
+    _invert_into(spectra.reshape((L, M) + grid.shape), grid,
+                 tuple(range(2, 2 + grid.d)), np.moveaxis(out, -1, 1))
+    return out
 
 
 def poisson_extend(system: EllipticSystem, f: BoundaryData, heights,
@@ -274,15 +276,15 @@ def _extend_each(system: EllipticSystem, data: list, heights: np.ndarray,
     for f in data:
         fhat = grid_fft(f.samples, grid).reshape(-1, M)
         uhat, dhat = act(fhat.T)
-        values = _level_fields(uhat, grid)
         grad = None
-        if gradient:
+        if gradient:        # uhat last: the tangential spectra are read off it
             grad = np.empty((len(heights),) + grid.shape + (system.n, M),
                             dtype=complex)
-            grad[..., d, :] = _level_fields(dhat, grid)
+            _level_fields(dhat, grid, grad[..., d, :])
             del dhat
             for r in range(d):
-                grad[..., r, :] = _level_fields(1j * nodes[:, r] * uhat, grid)
+                _level_fields(1j * nodes[:, r] * uhat, grid, grad[..., r, :])
+        values = _level_fields(uhat, grid)
         yield HalfSpaceField(
             grid=grid, heights=heights, values=values, gradient=grad,
             provenance={"system": system.label,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from halfspace import Grid, grid_fft, grid_ifft
+from halfspace import Grid, grid_fft, grid_ifft, kernels
+from halfspace.grids import _invert_into
+from halfspace.solver import _level_fields
 
 
 def direct_transform(samples, grid):
@@ -81,3 +83,75 @@ def test_trailing_axes_2d():
     # each component transforms independently
     one = grid_fft(f[..., 0], grid)
     assert np.abs(grid_fft(f, grid)[..., 0] - one).max() < 1e-14
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def shifted_inverse(x, grid, axes):
+    """The chain the package inverted by before it worked in place."""
+    return np.fft.fftshift(np.fft.ifftn(x, axes=axes) / grid.cell_volume,
+                           axes=axes)
+
+
+def random_spectra(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+CASES = [(n, M, N) for n in (2, 3) for M in (1, 3) for N in (6, 64)]
+
+
+@pytest.mark.parametrize("n,M,N", CASES)
+def test_in_place_inversion_matches_reference_chain_bit_for_bit(n, M, N):
+    # stacked level spectra (L, M, *shape), written level first
+    # (L, *shape, M) into a fresh array and into a strided gradient slot
+    grid = Grid(n=n, N=N, h=0.3)
+    d, L = grid.d, 4
+    spec = random_spectra((L, M) + grid.shape, n * N + M)
+    axes = tuple(range(-d, 0))
+    want = np.moveaxis(shifted_inverse(spec, grid, axes), 1, -1)
+    fresh = np.empty((L,) + grid.shape + (M,), dtype=complex)
+    got = _invert_into(spec.copy(), grid, axes, np.moveaxis(fresh, -1, 1))
+    assert same_bits(fresh, want)
+    assert np.shares_memory(got, fresh)
+    grad = np.zeros((L,) + grid.shape + (n, M), dtype=complex)
+    for r in range(n):
+        _level_fields(spec.reshape(L, M, -1).copy(), grid, grad[..., r, :])
+        assert same_bits(grad[..., r, :], want)
+    assert same_bits(_level_fields(spec.reshape(L, M, -1).copy(), grid), want)
+
+
+@pytest.mark.parametrize("n,M,N", CASES)
+def test_public_transforms_match_reference_chain_bit_for_bit(n, M, N):
+    grid = Grid(n=n, N=N, h=0.3)
+    axes = tuple(range(grid.d))
+    spec = random_spectra(grid.shape + (M,), n * N + M + 1)
+    kept = spec.copy()
+    assert same_bits(grid_ifft(spec, grid), shifted_inverse(spec, grid, axes))
+    assert same_bits(spec, kept)            # the input is left as it was
+    moved = np.moveaxis(spec, -1, 0)
+    assert same_bits(grid_ifft(moved, grid, tuple(range(1, grid.d + 1))),
+                     shifted_inverse(moved, grid, tuple(range(1, grid.d + 1))))
+    assert same_bits(grid_fft(spec, grid), np.fft.fftn(
+        np.fft.ifftshift(spec, axes=axes), axes=axes) * grid.cell_volume)
+
+
+@pytest.mark.parametrize("row", ["lap2", "lame3"])
+@pytest.mark.parametrize("N", [6, 64])
+def test_kernel_synthesis_matches_reference_chain_bit_for_bit(row, N,
+                                                                request):
+    system = request.getfixturevalue(row)
+    grid = Grid(n=system.n, N=N, h=0.3)
+    d = grid.d
+    heights = [0.5, 1.0, 2.0]
+    alphas = [(0,) * system.n, (1,) + (0,) * d, (0,) * d + (1,)]
+    spec = kernels._derivative_levels(system, grid.freq_nodes_fftorder(),
+                                      heights, alphas)
+    want = np.moveaxis(shifted_inverse(
+        spec.reshape(grid.shape + spec.shape[1:]), grid, tuple(range(d))),
+        (d, d + 1), (0, 1))
+    assert same_bits(kernels._synthesize_derivatives(system, grid, heights,
+                                                     alphas), want)

@@ -6,7 +6,8 @@ as used when it appears as an identifier anywhere in the module (a call,
 an annotation, an attribute root or a base class).  Every module-level
 private name is read somewhere in the package besides its own definition,
 or is named by the benchmark in ``perfbench/``.  The package reads the
-environment in one place only.
+environment in one place only, and runs its Fourier transforms in
+``grids.py`` only, so that there is one path from spectrum to field.
 """
 import ast
 import re
@@ -138,3 +139,46 @@ def test_detects_environment_reads():
 def test_environment_read_in_one_place():
     assert environment_reads(_sources(PACKAGE.glob("*.py"))) == [
         ("solver", "worker_count", "HSP_THREADS")]
+
+
+TRANSFORM = re.compile(r"i?[rh]?fft[2n]?")
+
+
+def fft_transform_calls(source: str) -> list:
+    """(line, name) for every call of a ``numpy.fft`` transform (fft, ifftn,
+    rfft2, ihfft, ...; not fftfreq or fftshift), as ``np.fft.name(...)``,
+    ``fft.name(...)`` or a name imported from ``numpy.fft``."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "numpy.fft"
+                for alias in node.names if TRANSFORM.fullmatch(alias.name)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        root = getattr(fn, "value", None)
+        in_fft = "fft" in (getattr(root, "attr", None),
+                           getattr(root, "id", None))
+        if isinstance(fn, ast.Attribute) and in_fft \
+                and TRANSFORM.fullmatch(fn.attr):
+            found.append((node.lineno, fn.attr))
+        elif isinstance(fn, ast.Name) and fn.id in imported:
+            found.append((node.lineno, fn.id))
+    return sorted(found)
+
+
+def test_detects_fft_transform_calls():
+    source = ("import numpy as np\nfrom numpy import fft\n"
+              "from numpy.fft import ifftn as inv, fftshift\n"
+              "np.fft.fftfreq(4)\nfftshift(x)\nnp.fft.rfft2(x)\n"
+              "fft.ihfft(x)\ninv(x)\nnp.fft.fftshift(np.fft.ifft(x))\n")
+    assert fft_transform_calls(source) == [
+        (6, "rfft2"), (7, "ihfft"), (8, "inv"), (9, "ifft")]
+
+
+def test_transforms_run_in_grids_only():
+    assert {p.name for p in PACKAGE.glob("*.py")
+            if fft_transform_calls(p.read_text())} == {"grids.py"}

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,24 @@ def test_batched_levels_match_per_height_reference(row, request):
     values, grad = per_height_reference(system, f, u.heights)
     assert np.array_equal(u.values, values)
     assert np.array_equal(u.gradient, grad)
+
+
+def test_gradient_solve_holds_few_spectra_beyond_its_fields(lame3_complex):
+    # a warm complex Lame n = 3 gradient solve: besides the fields it
+    # returns, at most two stacked spectra (L, M, N^2) live at any time
+    grid = Grid(n=3, N=64, h=0.25)
+    f = smooth_compact(grid, 3, 5, count=1)[0]
+    heights = np.geomspace(0.01, 8.0, 12)
+    poisson_extend(lame3_complex, f, heights, gradient=True)
+    tracemalloc.start()
+    try:
+        u = poisson_extend(lame3_complex, f, heights, gradient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spectrum = len(heights) * 3 * grid.node_count * 16
+    extra = peak - u.values.nbytes - u.gradient.nbytes
+    assert extra <= 2 * spectrum, extra / spectrum
 
 
 class TestBattery:
