@@ -18,9 +18,8 @@ from .solver import (BoundaryData, HalfSpaceField, TailTag, poisson_extend,
                      weighted_integrability, wrap_bound)
 from .operators import (ConeSpec, DyadicCubeFamily, hardy_littlewood,
                         nontangential_max, pointwise_max_principle_check)
-from .spaces import (Atom, FiniteAtomicSum, MoleculeSample, build_molecule,
-                     carleson_norms, make_atom, molecule_check, norm,
-                     star_seminorm, validate_atom)
+from .spaces import (Atom, FiniteAtomicSum, carleson_norms, make_atom,
+                     molecule_check, norm, star_seminorm, validate_atom)
 from .report import Metric, RefinementEntry, VerificationReport, make_metric
 from .harness import (ExperimentConfig, default_config, experiment_names,
                       run_experiment)

@@ -26,6 +26,7 @@ Datum batteries (all seeded, vector directions drawn per component):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,6 +91,15 @@ class ExperimentConfig:
     refine: bool = True
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, kind in (("N", Integral), ("seed", Integral), ("h", Real),
+                          ("kappa", Real), ("theta", Real)):
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise BadShape("config %s must be %s, not %r" % (
+                    key, "an integer" if kind is Integral else "a real number",
+                    value))
 
     def build(self) -> EllipticSystem:
         return system_from_spec(self.system)
@@ -226,12 +236,10 @@ def clipped_log(grid: Grid, M: int, lam: float = 1.0) -> BoundaryData:
     rad = grid.radii()
     vals = np.where(rad > 0, np.log(np.maximum(lam * rad, 1e-300)),
                     np.log(lam * grid.h / 2.0))
-    singular = rad == 0.0
     d = np.eye(M, dtype=complex)[0]
     return BoundaryData(grid=grid, samples=vals[..., None] * d,
                         space_tag="weighted_l1",
                         tail=TailTag(exponent=0.0, log=True),
-                        singular=singular,
                         meta={"label": "clipped_log_%g" % lam})
 
 

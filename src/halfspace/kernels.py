@@ -76,7 +76,6 @@ Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -107,7 +106,6 @@ __all__ = [
 _SIGN_MAX_ITER = 100      # Newton steps; a root on the real axis never converges
 _BOUNDARY_COND_MAX = 1e12  # condition number of A A^H beyond which it is singular
 _TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
-_MEMO_BYTES = 1 << 25     # per-height symbols kept by one PreparedSymbol
 _PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
 _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
@@ -452,15 +450,6 @@ def _general_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
     return _expm_stacks(g)
 
 
-def _node_major(k: np.ndarray) -> np.ndarray:
-    """The one height of a (M, M, 1, B) symbol as a (B, M, M) stack."""
-    return np.ascontiguousarray(np.moveaxis(k[:, :, 0], -1, 0))
-
-
-def _nbytes(out) -> int:
-    return sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
-
-
 def _unit_circle(d: int, count: int) -> np.ndarray:
     """``count`` equally spaced unit vectors of R^d, d <= 2."""
     theta = 2.0 * np.pi * np.arange(count) / count
@@ -569,19 +558,20 @@ class PreparedSymbol:
     of :func:`_expm_stacks`, read from the system's solvent table.  The
     generator is zero at the zero frequency, where Khat = I.  Each height is
     then only an exponential: :meth:`levels` evaluates every height of a
-    solve at once, :meth:`apply` the action Khat v, :meth:`action` that
-    action for many blocks at one set of heights, and :meth:`at` is the
-    one-height case of levels, bit for bit, with per-height results memoised
-    up to ``_MEMO_BYTES``, the oldest evicted first.  It holds per-node data
-    only; what depends on the system alone is held with its solvent table.
+    solve at once, :meth:`dt` takes a stack of levels to its t-derivative,
+    :meth:`apply` gives the action Khat v and :meth:`action` that action for
+    many blocks at one set of heights.  Nothing is kept per height: the
+    object holds per-node data only, and what depends on the system alone is
+    held with its solvent table.
     """
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
         self.system = system
         self.xi = np.asarray(xi_nodes, dtype=float)
         self.norms = np.linalg.norm(self.xi, axis=1)
+        # always empty: perfbench's forget_height_symbols clears it before
+        # each traced re-run
         self._results: dict = {}
-        self._lock = threading.Lock()
         if system.M == 1:
             self.stacks = _scalar_batch(system, self.xi)
         elif system.n == 2:
@@ -602,11 +592,11 @@ class PreparedSymbol:
         if self.system.M == 1:
             k = np.exp(np.multiply.outer(heights, 1j * self.stacks["tau"]))
             k = k[None, None]
-            return k, (self.dt(k) if want_dt else None)
-        k, dk = _eval_from_stacks(self.system, self.stacks,
-                                  np.multiply.outer(heights, self.norms),
-                                  want_dt)
-        return k, (dk * self.norms if want_dt else None)
+        else:
+            k, _ = _eval_from_stacks(self.system, self.stacks,
+                                     np.multiply.outer(heights, self.norms),
+                                     False)
+        return k, (self.dt(k) if want_dt else None)
 
     def apply(self, heights, v: np.ndarray, want_dt: bool = False):
         """Khat v and d/dt Khat v (else None), each (L, M, B), at every
@@ -638,30 +628,6 @@ class PreparedSymbol:
         if self.system.M == 1:
             return 1j * self.stacks["tau"] * k
         return _soa_matmul(1j * self.stacks["g"][:, :, None], k) * self.norms
-
-    def at(self, t: float, want_dt: bool = False):
-        # no caller in the package; the benchmark reads and clears _results
-        key = (float(t), want_dt)
-        hit = self._results.get(key)
-        if hit is not None:
-            return hit
-        k, dk = self.levels([t], want_dt)
-        out = _node_major(k)
-        if want_dt:
-            out = (out, _node_major(dk))
-        self._remember(key, out)
-        return out
-
-    def _remember(self, key, out):
-        """Memoise ``out``, evicting the oldest heights beyond the budget."""
-        size = _nbytes(out)
-        if size > _MEMO_BYTES:
-            return
-        with self._lock:
-            while self._results and size + sum(
-                    _nbytes(v) for v in self._results.values()) > _MEMO_BYTES:
-                del self._results[next(iter(self._results))]
-            self._results[key] = out
 
 
 _PREPARED_CACHE: dict = {}

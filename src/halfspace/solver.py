@@ -77,7 +77,6 @@ class BoundaryData:
     samples: np.ndarray          # (*spatial, M), complex
     space_tag: str = "generic"
     tail: TailTag | None = None
-    singular: np.ndarray | None = None    # mask of clipped nodes
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -24,12 +24,10 @@ from .systems import EllipticSystem
 __all__ = [
     "Atom",
     "FiniteAtomicSum",
-    "MoleculeSample",
     "norm",
     "star_seminorm",
     "make_atom",
     "validate_atom",
-    "build_molecule",
     "molecule_check",
     "carleson_norms",
 ]
@@ -330,41 +328,6 @@ class FiniteAtomicSum:
 # molecules
 
 
-@dataclass
-class MoleculeSample:
-    """Normalised kernel-derivative molecule tabulated around its ball."""
-
-    alpha: tuple
-    center_height: float
-    p: float
-    q: float
-    grid: Grid
-    values: np.ndarray              # (*spatial, M, M)
-    scale_factor: float
-
-
-def build_molecule(system: EllipticSystem, alpha, center, p: float,
-                   q: float) -> MoleculeSample:
-    """Tabulate t^{|alpha| - (n-1)(1/p - 1)} d^alpha K(., t) on a grid wide
-    enough for the shells of a molecule check (offsets carry the shell
-    structure, so the tangential center does not enter the samples)."""
-    alpha = tuple(int(v) for v in alpha)
-    if sum(alpha) < 1:
-        raise BadShape("molecule needs |alpha| >= 1")
-    t = float(center[-1])
-    # window twice the outermost shell, so periodisation images stay
-    # a few percent below the smallest shell norm
-    need = 2.0 ** (_SHELLS + 2) * t
-    h = t / 8.0
-    N = 1 << int(np.ceil(np.log2(2.0 * need / h)))
-    grid = Grid(n=system.n, N=min(N, 1 << 14),
-                h=2.0 * need / min(N, 1 << 14))
-    stack = synthesize_kernel_levels(system, grid, [t], alpha=alpha)[0]
-    factor = t ** (sum(alpha) - (system.n - 1) * (1.0 / p - 1.0))
-    return MoleculeSample(alpha=alpha, center_height=t, p=p, q=q, grid=grid,
-                          values=factor * stack, scale_factor=factor)
-
-
 def molecule_check(system: EllipticSystem, alpha, center, p: float, q: float,
                    *, two_sided_slope: bool = False) -> VerificationReport:
     """Quantify the molecule normalisation of a kernel derivative.
@@ -380,13 +343,20 @@ def molecule_check(system: EllipticSystem, alpha, center, p: float, q: float,
     (the kernel derivative changes sign inside the first shells, so a fit
     across them measures the transient, not the decay rate).
     """
-    sample = build_molecule(system, alpha, center, p, q)
-    alpha = sample.alpha
-    t = sample.center_height
-    grid = sample.grid
+    alpha = tuple(int(v) for v in alpha)
+    if sum(alpha) < 1:
+        raise BadShape("molecule needs |alpha| >= 1")
+    t = float(center[-1])
+    # window twice the outermost shell, so periodisation images stay a few
+    # percent below the smallest shell norm; spacing t/8, at most 2^14 nodes
+    need = 2.0 ** (_SHELLS + 2) * t
+    N = min(1 << int(np.ceil(np.log2(2.0 * need / (t / 8.0)))), 1 << 14)
+    grid = Grid(n=system.n, N=N, h=2.0 * need / N)
+    stack = synthesize_kernel_levels(system, grid, [t], alpha=alpha)[0]
+    # the molecule: t^{|alpha| - (n-1)(1/p - 1)} d^alpha K(., t)
+    vals = t ** (sum(alpha) - (system.n - 1) * (1.0 / p - 1.0)) * stack
     d = grid.d
     nminus = system.n - 1
-    vals = sample.values
 
     rep = VerificationReport(
         experiment="molecule:%s" % (alpha,),

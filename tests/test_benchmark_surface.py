@@ -1,8 +1,10 @@
 """The package names that perfbench/ reaches into.
 
-The benchmark imports private helpers and patches functions by name; a
-renamed or deleted name makes ``perfbench/run.py`` end without numbers.
-The tracer is never installed here, so nothing is patched.
+The benchmark imports private helpers, patches functions by name and
+clears ``PreparedSymbol._results`` (always empty now) before each traced
+re-run; a renamed or deleted name makes ``perfbench/run.py`` end without
+numbers.  The tracer is installed only in subprocesses: one that records
+the symbol spans and one traced worker run, so nothing here is patched.
 """
 import functools
 import importlib
@@ -80,7 +82,6 @@ def test_lame3_symbol_surface(perfbench):
         {"nodes": len(nodes)}
 
     prepared = kernels.prepared_symbol(system, nodes)
-    assert kernels._PREPARED_CACHE
     fill = tracing.ATTRS["kernels.PreparedSymbol.__init__"](
         (prepared, system, nodes), {}, None)
     assert fill["bytes"] >= prepared.stacks["g"].nbytes > 0
@@ -91,10 +92,9 @@ def test_lame3_symbol_surface(perfbench):
     assert tracing.ATTRS["kernels._eval_from_stacks"](args, {}, out) == \
         {"nodes": len(s)}
 
-    prepared.at(0.7, want_dt=True)
-    assert prepared._results
+    assert prepared in kernels._PREPARED_CACHE.values()
     workloads.forget_height_symbols()
-    assert not prepared._results
+    assert prepared._results == {}
 
 
 def test_lame3_solve_reaches_symbol_through_module_attribute(monkeypatch):
@@ -163,3 +163,18 @@ def test_tracer_sees_every_symbol_path():
         assert "kernels." + name in seen
     # kernels.hidden_builds counts these spans under a solve
     assert "kernels.build_poisson_kernel" not in seen
+
+
+def test_traced_worker_runs_sound(tmp_path):
+    """One traced solve_lame3 worker: the traced ops, the untraced re-runs
+    (which clear ``_results`` and read ``solver.worker_count``) and the
+    symbol micro-costs all run, and every output checks and matches."""
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload",
+         "solve_lame3", "--seed", "0", "--seconds", "0.01", "--trace-out",
+         str(tmp_path / "trace.json")],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["event"] == "result"
+    assert result["sound"] and result["failed"] == 0, result["failures"]

@@ -241,6 +241,18 @@ def test_config_key_the_command_does_not_read(argv, entry, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", [{"N": 64.0}, {"h": "0.1"}, {"kappa": "1"}],
+                         ids=["N-float", "h-string", "kappa-string"])
+def test_config_value_of_wrong_type_is_usage_error(entry, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    out = tmp_path / "o"
+    assert run(["verify", "counterexample_linear", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    assert "config %s must be" % next(iter(entry)) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,want", [
     ([], {"seed": 5, "N": 256, "kappa": 2.0}),
     (["--seed", "3"], {"seed": 3, "N": 256, "kappa": 2.0}),

@@ -1,7 +1,5 @@
 import dataclasses
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,9 +121,9 @@ class TestLame3:
         k, dk = symbol_batch(lame3_system, xi, 0.8, want_dt=True)
         assert np.array_equal(k[0], np.eye(3))
         assert np.array_equal(dk[0], np.zeros((3, 3)))
-        k, dk = prepared_symbol(lame3_system, xi).at(0.8, want_dt=True)
-        assert np.array_equal(k[0], np.eye(3))
-        assert np.array_equal(dk[0], np.zeros((3, 3)))
+        k, dk = prepared_symbol(lame3_system, xi).levels([0.8], want_dt=True)
+        assert np.array_equal(k[:, :, 0, 0], np.eye(3))
+        assert np.array_equal(dk[:, :, 0, 0], np.zeros((3, 3)))
 
     def test_semigroup(self, lame3_system):
         xi = _seeded_nodes(64, 1)
@@ -159,9 +157,10 @@ class TestLame3:
 
 class TestLevels:
     """PreparedSymbol.levels, the one batched pass over all heights of a
-    solve, against its one-height case at()."""
+    solve, against its one-height case levels([t])."""
 
-    def test_levels_match_at_bit_for_bit(self, random_lh3, monkeypatch):
+    def test_levels_match_one_height_bit_for_bit(self, random_lh3,
+                                                 monkeypatch):
         nodes = Grid(n=3, N=16, h=0.25).freq_nodes_fftorder()
         heights = np.geomspace(0.02, 30.0, 9)
         prep = kernels.PreparedSymbol(random_lh3, nodes)
@@ -180,9 +179,9 @@ class TestLevels:
         k, dk = prep.levels(heights, want_dt=True)
         assert k.shape == dk.shape == (3, 3, len(heights), len(nodes))
         for li, t in enumerate(heights):
-            kt, dkt = prep.at(t, want_dt=True)
-            assert np.array_equal(np.moveaxis(k[:, :, li], -1, 0), kt)
-            assert np.array_equal(np.moveaxis(dk[:, :, li], -1, 0), dkt)
+            kt, dkt = prep.levels([t], want_dt=True)
+            assert np.array_equal(k[:, :, li], kt[:, :, 0])
+            assert np.array_equal(dk[:, :, li], dkt[:, :, 0])
 
 
 APPLY_HEIGHTS = np.geomspace(0.01, 8.0, 9)
@@ -251,9 +250,14 @@ def _class_system(n, M, complex_coeffs):
     return build_system("raw", tensor=tensor)
 
 
-@pytest.fixture(scope="module", params=[
-    (n, M, c) for n in (2, 3) for M in (1, 2, 3) for c in (False, True)],
-    ids=lambda p: "n%d-M%d-%s" % (p[0], p[1], "complex" if p[2] else "real"))
+CLASSES = [(n, M, c) for n in (2, 3) for M in (1, 2, 3) for c in (False, True)]
+
+
+def _class_id(p):
+    return "n%d-M%d-%s" % (p[0], p[1], "complex" if p[2] else "real")
+
+
+@pytest.fixture(scope="module", params=CLASSES, ids=_class_id)
 def class_system(request):
     return _class_system(*request.param)
 
@@ -321,6 +325,28 @@ class TestSystemClasses:
         generators = sum(v.nbytes for v in prep.stacks.values())
         assert generators >= len(prep.xi) * 16 * class_system.M ** 2
         assert prep.nbytes == generators + prep.xi.nbytes + prep.norms.nbytes
+
+
+@pytest.mark.parametrize("row", CLASSES + ["random_lh3"], ids=lambda p: p
+                         if isinstance(p, str) else _class_id(p))
+def test_levels_derivative_is_dt_of_levels(row, request):
+    """levels(h, want_dt=True) takes d/dt Khat from dt(levels(h)) for every
+    class, bit for bit; for M > 1 that equals the generator product taken
+    chunk by chunk inside the Taylor loop, at heights that need squarings."""
+    system = request.getfixturevalue(row) if isinstance(row, str) \
+        else _class_system(*row)
+    d = system.n - 1
+    xi = np.vstack([np.zeros((1, d)), _seeded_nodes(40, 6, d=d)])
+    heights = np.geomspace(0.05, 30.0, 6)
+    prep = kernels.PreparedSymbol(system, xi)
+    k, dk = prep.levels(heights, want_dt=True)
+    assert np.array_equal(k, prep.levels(heights)[0])
+    assert np.array_equal(dk, prep.dt(k))
+    if system.M > 1:
+        s = np.multiply.outer(heights, prep.norms)
+        assert (s * prep.stacks["alpha"]).max() > 2.0 ** 4
+        _, inner = kernels._eval_from_stacks(system, prep.stacks, s, True)
+        assert np.array_equal(dk, inner * prep.norms)
 
 
 def test_symbol_batch_prepares_node_chunks(lame2, monkeypatch):
@@ -414,38 +440,6 @@ class TestPreparedCache:
         assert prepared_symbol(lame3, xi).nbytes > kernels._PREPARED_BYTES
         assert not kernels._PREPARED_CACHE
 
-
-class TestMemo:
-    def test_memo_bounded_by_bytes(self, lame3, monkeypatch):
-        xi = _seeded_nodes(100, 4)
-        prep = kernels.PreparedSymbol(lame3, xi)
-        per_height = prep.at(0.1).nbytes
-        monkeypatch.setattr(kernels, "_MEMO_BYTES", 3 * per_height)
-        for t in (0.2, 0.3, 0.4, 0.5):
-            prep.at(t)
-        assert sorted(key[0] for key in prep._results) == [0.3, 0.4, 0.5]
-        hit = prep.at(0.5)
-        assert hit is prep._results[(0.5, False)]
-        prep.at(0.6, want_dt=True)      # K and dK: two heights' worth
-        assert sorted(prep._results) == [(0.5, False), (0.6, True)]
-
-    def test_memo_shared_by_threads(self, lame3, monkeypatch):
-        xi = _seeded_nodes(50, 5)
-        prep = kernels.PreparedSymbol(lame3, xi)
-        monkeypatch.setattr(kernels, "_MEMO_BYTES", 4 * prep.at(0.1).nbytes)
-        heights = np.tile(np.linspace(0.2, 3.0, 16), 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(prep.at, heights, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
-        held = sum(v.nbytes for v in prep._results.values())
-        assert 0 < held <= kernels._MEMO_BYTES
-        fresh = kernels.PreparedSymbol(lame3, xi)
-        for t, k in zip(heights[:16], got[:16]):
-            assert np.array_equal(k, fresh.at(t))
 
 class TestBuild:
     def test_laplacian_2d_closed_form(self, lap2_kernel):

@@ -385,7 +385,7 @@ class TestThreads:
             fields = []
             for threads in ("1", "4"):
                 monkeypatch.setenv("HSP_THREADS", threads)
-                kernels._PREPARED_CACHE.clear()     # no memoised heights
+                kernels._PREPARED_CACHE.clear()     # cold symbol cache
                 fields.append(poisson_extend(system, f, np.geomspace(0.1, 4, 12),
                                              gradient=True))
             assert np.array_equal(fields[0].values, fields[1].values)
@@ -395,8 +395,8 @@ class TestThreads:
 def per_height_reference(system, f, heights):
     """One symbol application and one inverse FFT per height and component,
     the way poisson_extend solved before it stacked the heights: for M = 1
-    the contraction of the symbol ``at`` each height, for M > 1 its action
-    at each height (the contraction differs from the action in the last
+    the contraction of the symbol's levels at each height, for M > 1 its
+    action at each height (the contraction differs from the action in the last
     bits)."""
     grid, M, d = f.grid, system.M, f.grid.d
     fhat = grid_fft(f.samples, grid).reshape(-1, M)
@@ -407,7 +407,8 @@ def per_height_reference(system, f, heights):
                     dtype=complex)
     for li, t in enumerate(heights):
         if M == 1:
-            ksym, dksym = prepared.at(t, want_dt=True)
+            ksym, dksym = (np.moveaxis(a[:, :, 0], -1, 0)
+                           for a in prepared.levels([t], want_dt=True))
             uhat = np.einsum("bij,bj->bi", ksym, fhat)
             dhat = np.einsum("bij,bj->bi", dksym, fhat)
         else:
