@@ -94,12 +94,18 @@ def grid_ifft(spectrum: np.ndarray, grid: Grid, sp_axes=None) -> np.ndarray:
 
 def _invert_into(work: np.ndarray, grid: Grid, axes, dest: np.ndarray):
     """Invert fft-order spectra ``work`` over ``axes`` in place, as ifftn, then
-    write fftshift(work) / cell_volume into ``dest`` by half-block swaps."""
+    write fftshift(work) / cell_volume into ``dest`` by half-block swaps.
+
+    The scaling multiplies by the real 1 / cell_volume, which rounds as
+    numpy's complex division by the real cell_volume does (that division
+    multiplies by the reciprocal too); only the sign of an exact zero may
+    differ, since the division adds -0.0 + 0.0."""
     for ax in reversed(axes):
         np.fft.ifft(work, axis=ax, out=work)
     w, v = (np.moveaxis(x, axes, range(len(axes))) for x in (work, dest))
     halves = slice(None, grid.N // 2), slice(grid.N // 2, None)
+    scale = 1.0 / grid.cell_volume
     for corner in np.ndindex((2,) * len(axes)):
-        np.divide(w[tuple(halves[c] for c in corner)], grid.cell_volume,
-                  out=v[tuple(halves[1 - c] for c in corner)])
+        np.multiply(w[tuple(halves[c] for c in corner)], scale,
+                    out=v[tuple(halves[1 - c] for c in corner)])
     return dest

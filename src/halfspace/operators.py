@@ -182,7 +182,7 @@ def nontangential_max(u: HalfSpaceField, cone: ConeSpec) -> BoundaryData:
     cut = slice(*np.searchsorted(u.heights, [cone.epsilon, top], side="right"))
     out = np.zeros(grid.shape)
     flat = out.reshape(-1, grid.shape[-1])
-    mag = np.linalg.norm(u.values[cut], axis=-1).reshape((-1,) + flat.shape)
+    mag = u.magnitude()[cut].reshape((-1,) + flat.shape)
     rows, shared = len(flat), {}
     for t, level in zip(u.heights[cut], mag):
         # keyed by the footprint's rows that reach the grid

@@ -150,29 +150,45 @@ class BoundaryData:
 
 @dataclass
 class HalfSpaceField:
-    """Samples of u on boundary-grid x height-levels."""
+    """Samples of u on boundary-grid x height-levels.
+
+    Nothing writes ``values`` after construction: :meth:`magnitude`
+    computes |u| on its first call and returns that one read-only array
+    from then on, so every measurement of the field shares it.
+    """
 
     grid: Grid
     heights: np.ndarray            # ascending, strictly positive
     values: np.ndarray             # (L, *spatial, M)
     gradient: np.ndarray | None = None   # (L, *spatial, n, M)
     provenance: dict = field(default_factory=dict)
+    _magnitude: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         self.heights = np.asarray(self.heights, dtype=float)
         if np.any(self.heights <= 0) or np.any(np.diff(self.heights) <= 0):
             raise BadShape("heights must be positive and strictly increasing")
-        if self.values.shape != (len(self.heights),) + self.grid.shape + (self.M,):
+        shape = (len(self.heights),) + self.grid.shape
+        if self.values.shape != shape + (self.M,):
             raise BadShape("field values shape mismatch")
         if not np.all(np.isfinite(self.values)):
             raise BadShape("field values must be finite")
+        grad_shape = shape + (self.grid.n, self.M)
+        if self.gradient is not None and self.gradient.shape != grad_shape:
+            raise BadShape("field gradient shape %r is not %r"
+                           % (self.gradient.shape, grad_shape))
 
     @property
     def M(self) -> int:
         return self.values.shape[-1]
 
     def magnitude(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=-1)
+        """|u| at every sample, shape (L, *spatial), computed once."""
+        if self._magnitude is None:
+            self._magnitude = np.linalg.norm(self.values, axis=-1)
+            self._magnitude.flags.writeable = False
+        return self._magnitude
 
 
 def wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float) -> float:

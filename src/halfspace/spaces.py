@@ -174,23 +174,22 @@ def norm(f: BoundaryData, space: str, **params) -> float:
 def star_seminorm(u: HalfSpaceField, rho: float,
                   epsilon: float | None = None) -> float:
     """Scaled sup seminorms: rho^{-1} sup |u| over the ball of radius rho
-    (epsilon None) or over the window epsilon < t < rho, |x'| < rho."""
+    (epsilon None) or over the window epsilon < t < rho, |x'| < rho; one
+    masked max over all (level, node) pairs."""
+    if not rho > 0:
+        raise EmptyWindow("need rho > 0, got rho = %r" % (rho,))
     if epsilon is not None and not 0 <= epsilon < rho:
         raise EmptyWindow("need 0 <= epsilon < rho")
-    rad2 = sum(m * m for m in u.grid.meshes())
-    mag = u.magnitude()
-    best = None
-    for li, t in enumerate(u.heights):
-        if epsilon is None:
-            mask = rad2 + t * t <= rho * rho
-        elif epsilon < t < rho:
-            mask = rad2 < rho * rho
-        else:
-            continue
-        if np.any(mask):
-            v = float(mag[li][mask].max())
-            best = v if best is None else max(best, v)
-    if best is None:
+    rad2 = sum(m * m for m in u.grid.meshes()).ravel()
+    t = u.heights[:, None]
+    if epsilon is None:
+        mask = rad2 + t * t <= rho * rho
+    else:
+        mask = (epsilon < t) & (t < rho) & (rad2 < rho * rho)
+    # magnitudes are >= 0, so -1 marks the points outside the window
+    best = float(np.where(mask, u.magnitude().reshape(mask.shape), -1.0)
+                 .max(initial=-1.0))
+    if best < 0:
         raise EmptyWindow("no sampled point in the requested window")
     return best / rho
 

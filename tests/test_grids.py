@@ -124,6 +124,44 @@ def test_in_place_inversion_matches_reference_chain_bit_for_bit(n, M, N):
     assert same_bits(_level_fields(spec.reshape(L, M, -1).copy(), grid), want)
 
 
+def divided_inverse(work, grid, axes, dest):
+    """The earlier _invert_into: the same in-place inversion and swaps, then
+    numpy's complex division by the real cell volume."""
+    for ax in reversed(axes):
+        np.fft.ifft(work, axis=ax, out=work)
+    w, v = (np.moveaxis(x, axes, range(len(axes))) for x in (work, dest))
+    halves = slice(None, grid.N // 2), slice(grid.N // 2, None)
+    for corner in np.ndindex((2,) * len(axes)):
+        np.divide(w[tuple(halves[c] for c in corner)], grid.cell_volume,
+                  out=v[tuple(halves[1 - c] for c in corner)])
+    return dest
+
+
+# cell volumes 0.0625, 0.09 and 1/7
+@pytest.mark.parametrize("n,h", [(3, 0.25), (3, 0.3), (2, 1 / 7)])
+def test_reciprocal_scaling_matches_division_bit_for_bit(n, h):
+    grid = Grid(n=n, N=16, h=h)
+    L, M = 5, 3
+    axes = tuple(range(2, 2 + grid.d))
+    for seed in range(3):
+        spec = random_spectra((L, M) + grid.shape, seed)
+        want = np.empty((L,) + grid.shape + (M,), dtype=complex)
+        divided_inverse(spec.copy(), grid, axes, np.moveaxis(want, -1, 1))
+        fresh = np.empty_like(want)
+        _invert_into(spec.copy(), grid, axes, np.moveaxis(fresh, -1, 1))
+        assert same_bits(fresh, want)
+        grad = np.zeros((L,) + grid.shape + (n, M), dtype=complex)
+        for r in range(n):
+            _invert_into(spec.copy(), grid, axes,
+                         np.moveaxis(grad[..., r, :], -1, 1))
+            assert same_bits(grad[..., r, :], want)
+    # exact zeros agree in value (the division may give -0.0 for +0.0)
+    zero = np.zeros((1, M) + grid.shape, dtype=complex)
+    got = _invert_into(zero.copy(), grid, axes, np.empty_like(zero))
+    assert np.array_equal(got, divided_inverse(zero, grid, axes,
+                                               np.empty_like(zero)))
+
+
 @pytest.mark.parametrize("n,M,N", CASES)
 def test_public_transforms_match_reference_chain_bit_for_bit(n, M, N):
     grid = Grid(n=n, N=N, h=0.3)

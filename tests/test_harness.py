@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfspace import (UnknownExperiment, build_poisson_kernel, build_system,
-                       kernels, verify_kernel_properties)
+from halfspace import (Grid, HalfSpaceField, UnknownExperiment,
+                       build_poisson_kernel, build_system, kernels,
+                       verify_kernel_properties)
 from halfspace.containers import write_report
-from halfspace.harness import (ExperimentConfig, default_config,
+from halfspace.harness import (ExperimentConfig, _cone_holder, default_config,
                                experiment_names, parse_complex,
                                run_experiment, system_from_spec)
 
@@ -57,6 +58,69 @@ def test_linear_counterexample_content():
     assert rep.passed
     assert rep.value("trace_sup") < 1e-10
     assert rep.value("representation_failure") > 0.99
+
+
+def per_vertex_cone_holder(u, kappa, theta, seed):
+    """The earlier _cone_holder: one cone at a time, quotients per cone."""
+    rng = np.random.default_rng(seed)
+    grid = u.grid
+    pts = np.stack([m.ravel() for m in grid.meshes()], axis=-1)
+    best = 0.0
+    vidx = rng.integers(0, grid.node_count, 16)
+    values = u.values.reshape(len(u.heights), -1, u.M)
+    for v in vidx:
+        dist = np.linalg.norm(pts - pts[v], axis=1)
+        coords = []
+        vals = []
+        for li, t in enumerate(u.heights):
+            take = np.flatnonzero(dist < kappa * t)
+            if len(take) > 64:
+                take = rng.choice(take, 64, replace=False)
+            coords.append(np.column_stack([pts[take], np.full(len(take), t)]))
+            vals.append(values[li, take])
+        coords = np.concatenate(coords)
+        vals = np.concatenate(vals)
+        if len(coords) < 2:
+            continue
+        i = rng.integers(0, len(coords), 4000)
+        j = rng.integers(0, len(coords), 4000)
+        keep = i != j
+        i, j = i[keep], j[keep]
+        dv = np.linalg.norm(vals[i] - vals[j], axis=-1)
+        dx = np.linalg.norm(coords[i] - coords[j], axis=-1)
+        best = max(best, float((dv / dx ** theta).max()))
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345])
+@pytest.mark.parametrize("n,M", [(2, 1), (2, 3), (3, 1), (3, 3)])
+def test_cone_holder_equals_per_vertex_loop(n, M, seed, monkeypatch):
+    grid = Grid(n=n, N=128 if n == 2 else 24, h=0.25)
+    rng = np.random.default_rng([n, M, seed])
+    # from a lone vertex per level up to cones wider than 64 points
+    hts = np.geomspace(0.1, grid.R, 14)
+    shape = (len(hts),) + grid.shape + (M,)
+    u = HalfSpaceField(grid=grid, heights=hts,
+                       values=rng.standard_normal(shape)
+                       + 1j * rng.standard_normal(shape))
+    made = []
+    real_rng = np.random.default_rng
+
+    def recorded(seed):
+        made.append(real_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    got = _cone_holder(u, 1.0, 0.5, seed)
+    want = per_vertex_cone_holder(u, 1.0, 0.5, seed)
+    assert got.hex() == want.hex()
+    assert made[0].bit_generator.state == made[1].bit_generator.state
+    # a single level below h: every cone holds its vertex alone
+    lone = HalfSpaceField(grid=grid, heights=[0.1],
+                          values=u.values[:1].copy())
+    assert _cone_holder(lone, 1.0, 0.5, seed) \
+        == per_vertex_cone_holder(lone, 1.0, 0.5, seed) == 0.0
+    assert made[2].bit_generator.state == made[3].bit_generator.state
 
 
 def test_lp_wellposed_small_config():

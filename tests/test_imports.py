@@ -8,6 +8,7 @@ private name is read somewhere in the package besides its own definition,
 or is named by the benchmark in ``perfbench/``.  The package reads the
 environment in one place only, and runs its Fourier transforms in
 ``grids.py`` only, so that there is one path from spectrum to field.
+A field's magnitudes have one home, ``HalfSpaceField.magnitude``.
 """
 import ast
 import re
@@ -182,3 +183,58 @@ def test_detects_fft_transform_calls():
 def test_transforms_run_in_grids_only():
     assert {p.name for p in PACKAGE.glob("*.py")
             if fft_transform_calls(p.read_text())} == {"grids.py"}
+
+
+def values_norm_calls(source: str) -> list:
+    """(line, enclosing class and function) for every ``np.linalg.norm``
+    call (or a ``norm`` imported from ``numpy.linalg``) whose first argument
+    is ``<expr>.values`` or a subscript of it; a difference such as
+    ``u.values[i] - f.samples`` is not one."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "numpy.linalg"
+                for alias in node.names if alias.name == "norm"}
+    found = []
+
+    def is_norm(fn):
+        if isinstance(fn, ast.Name):
+            return fn.id in imported
+        root = getattr(fn, "value", None)
+        return isinstance(fn, ast.Attribute) and fn.attr == "norm" \
+            and "linalg" in (getattr(root, "attr", None),
+                             getattr(root, "id", None))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and is_norm(node.func) and node.args:
+            arg = node.args[0]
+            while isinstance(arg, ast.Subscript):
+                arg = arg.value
+            if isinstance(arg, ast.Attribute) and arg.attr == "values":
+                found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+def test_detects_field_value_norms():
+    source = ("import numpy as np\nfrom numpy.linalg import norm as nrm\n"
+              "class F:\n    def magnitude(self):\n"
+              "        return np.linalg.norm(self.values, axis=-1)\n"
+              "def g(u, f):\n    np.linalg.norm(u.values[1:][0], axis=-1)\n"
+              "    nrm(u.values)\n    np.linalg.norm(u.values[0] - f.samples)\n"
+              "    np.linalg.norm(f.samples)\n    np.abs(u.values)\n")
+    assert values_norm_calls(source) == [
+        (5, "F.magnitude"), (7, "g"), (8, "g")]
+
+
+def test_field_magnitudes_have_one_home():
+    assert [(p.name, scope) for p in MODULES
+            for _, scope in values_norm_calls(p.read_text())] \
+        == [("solver.py", "HalfSpaceField.magnitude")]

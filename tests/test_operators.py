@@ -165,6 +165,29 @@ class TestNontangential:
         nt = nontangential_max(u, ConeSpec(1.0)).meta["values"]
         assert np.isclose(nt.max(), u.magnitude().max(), rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cones_share_the_field_magnitude(self, lap2, lap3, n):
+        # two cones on one field read the field's one magnitude; each
+        # equals the maximum over a fresh field of its own levels, whose
+        # magnitude is the norm of exactly those values
+        system, grid = (lap2, Grid(n=2, N=128, h=0.25)) if n == 2 \
+            else (lap3, Grid(n=3, N=32, h=0.25))
+        rng = np.random.default_rng(n)
+        f = BoundaryData(grid=grid, samples=np.exp(-grid.radii() ** 2)[..., None]
+                         * (rng.standard_normal(grid.shape + (1,)) + 1j))
+        u = poisson_extend(system, f, np.geomspace(0.02, 4, 21))
+        for cone in (ConeSpec(1.0, epsilon=0.1, t_max=2.0), ConeSpec(0.5)):
+            cut = slice(*np.searchsorted(
+                u.heights, [cone.epsilon, cone.resolve_top(grid)],
+                side="right"))
+            fresh = HalfSpaceField(grid=grid, heights=u.heights[cut],
+                                   values=u.values[cut])
+            assert np.linalg.norm(u.values[cut], axis=-1).tobytes() \
+                == u.magnitude()[cut].tobytes()
+            got = nontangential_max(u, cone).meta["values"]
+            assert got.tobytes() \
+                == nontangential_max(fresh, cone).meta["values"].tobytes()
+
     def test_cone_spec_validation(self):
         with pytest.raises(BadShape):
             ConeSpec(kappa=-1.0)

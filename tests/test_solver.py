@@ -368,6 +368,31 @@ class TestAdmission:
         assert np.isfinite(f.meta["slg_value"])
 
 
+class TestField:
+    def test_magnitude_is_computed_once_and_read_only(self, grid):
+        rng = np.random.default_rng(3)
+        shape = (4,) + grid.shape + (3,)
+        u = HalfSpaceField(grid=grid, heights=[0.1, 0.2, 0.5, 1.0],
+                           values=rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        mag = u.magnitude()
+        assert u.magnitude() is mag
+        assert mag.tobytes() == np.linalg.norm(u.values, axis=-1).tobytes()
+        with pytest.raises(ValueError):
+            mag[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 1024, 1, 1), (2, 1024, 2, 2),
+                                       (3, 1024, 2, 1), (2, 1024, 1)])
+    def test_gradient_of_wrong_shape_is_rejected(self, grid, shape):
+        values = np.ones((2,) + grid.shape + (1,), complex)
+        with pytest.raises(BadShape, match="gradient shape"):
+            HalfSpaceField(grid=grid, heights=[0.5, 1.0], values=values,
+                           gradient=np.ones(shape, complex))
+        u = HalfSpaceField(grid=grid, heights=[0.5, 1.0], values=values,
+                           gradient=np.ones((2,) + grid.shape + (2, 1), complex))
+        assert u.gradient.shape == (2, 1024, 2, 1)
+
+
 class TestThreads:
     def test_worker_count_env(self, monkeypatch):
         from halfspace.solver import worker_count

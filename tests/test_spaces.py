@@ -239,6 +239,46 @@ class TestStarSeminorm:
         with pytest.raises(EmptyWindow):
             star_seminorm(u, 1.0, epsilon=0.5)
 
+    @pytest.mark.parametrize("rho", [-2.0, 0.0, np.nan])
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_bad_radius_is_named(self, grid, rho, epsilon):
+        u = HalfSpaceField(grid=grid, heights=np.array([0.5, 1.0]),
+                           values=np.ones((2, grid.N, 1), complex))
+        with pytest.raises(EmptyWindow, match="rho"):
+            star_seminorm(u, rho, epsilon=epsilon)
+
+    @staticmethod
+    def per_level(u, rho, epsilon):
+        """The earlier star_seminorm: one masked max per level."""
+        rad2 = sum(m * m for m in u.grid.meshes())
+        mag = np.linalg.norm(u.values, axis=-1)
+        best = None
+        for li, t in enumerate(u.heights):
+            if epsilon is None:
+                mask = rad2 + t * t <= rho * rho
+            elif epsilon < t < rho:
+                mask = rad2 < rho * rho
+            else:
+                continue
+            if np.any(mask):
+                v = float(mag[li][mask].max())
+                best = v if best is None else max(best, v)
+        return best / rho
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("epsilon", [None, 0.05, 0.7])
+    def test_one_masked_max_equals_per_level_loop(self, n, epsilon):
+        grid = Grid(n=n, N=64 if n == 2 else 24, h=0.25)
+        hts = np.geomspace(0.02, 6, 23)
+        rng = np.random.default_rng(n)
+        shape = (len(hts),) + grid.shape + (2,)
+        u = HalfSpaceField(grid=grid, heights=hts,
+                           values=rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        for rho in (0.8, 1.0, 2.5, 3.0, 5.9):
+            want = self.per_level(u, rho, epsilon)
+            assert star_seminorm(u, rho, epsilon).hex() == want.hex()
+
 
 class TestAtoms:
     def test_haar_unit_cube(self, grid):
