@@ -61,13 +61,18 @@ Iberoam. 32, 2016).  P gives the tail constant C of the solver's wrap bound
 P(x'/t) at any point (:func:`kernel_at`) and the tables of
 :func:`build_poisson_kernel`.  The mass W_R of P on [-R, R]^(n-1), for
 n = 3 the flux of F out of the box, gives the mass I - W_R beyond a table's
-window.  The n = 3 integrands are smooth and periodic, so the trapezoid
-rule converges geometrically: a point y takes the least power of two
->= _TRAPEZOID_MIN and >= _TRAPEZOID_RATE (1 + |y|) / margin nodes, margin =
-min Im spec G over the table's first solves (the root margin, held with the
-table): the integrand's poles lie about margin / |y| off the real
-angles, and the rule's error falls like exp(-nodes margin / |y|).  More
-than _TRAPEZOID_MAX nodes raise OutOfDomain; q <= Q nodes are table entries.
+window.  In n = 2 P is rational, with poles -spec G(+1) and spec G(-1) at
+least the root margin off the real axis; its Gauss-Legendre panels are
+graded toward them (:func:`_pole_panels`), so their count grows like
+log(R / margin) per pole, not like R / margin.  The n = 3 integrands are
+smooth and periodic, so the trapezoid rule converges geometrically: a point
+y takes the least power of two >= _TRAPEZOID_MIN and >= _TRAPEZOID_RATE
+(1 + |y|) / margin nodes, margin = min Im spec G over the table's first
+solves (the root margin, held with the table): the integrand's poles lie
+about margin / |y| off the real angles, and the rule's error falls like
+exp(-nodes margin / |y|).  The n = 3 W_R takes Gauss-Legendre panels by
+the same rule at |y| = R.  More than _TRAPEZOID_MAX nodes raise
+OutOfDomain; q <= Q nodes are table entries.
 In n = 3 the nodes sum terms far above P(y) ~ |y|^(-3): the relative
 round-off grows like 1e-17 |y|^3.
 
@@ -115,6 +120,7 @@ _TRAPEZOID_MAX = 2 ** 18  # most circle nodes of one closed-form point or table
 _TABLE_TOL = 1e-14        # interpolation error of a solvent table, of max |G|
 _POLISH_ROUNDS = 5        # local grids that refine the tail constant's sup
 _GAUSS_PANEL = 16         # Gauss-Legendre nodes per panel of a quadrature
+_POLE_GRADING = 3.0       # least pole distance per panel half-width (n = 2)
 _BOUNDARY_TOL = 1e-12     # symbol magnitude at the frequency-box boundary
 _EXTENT_START = 8.0       # first frequency half-width of the extent search
 _XI_CAP = 4096.0          # largest frequency half-width of the extent search
@@ -770,17 +776,43 @@ class PoissonKernelGrid:
     meta: dict = field(default_factory=dict)
 
 
+def _pole_panels(system: EllipticSystem, R: float) -> np.ndarray:
+    """Panels (2, K), left and right ends in ascending order, that tile
+    [-R, R] for the n = 2 window mass: breakpoints at +-R and at the real
+    parts of the poles of P, -spec G(+1) and spec G(-1), each at least the
+    root margin off the real axis; a panel is halved until its nearest pole
+    lies _POLE_GRADING half-widths or more from its centre."""
+    g = _solvents(system).g
+    poles = np.concatenate([-np.linalg.eigvals(g[0]), np.linalg.eigvals(g[1])])
+    edges = np.unique(np.clip(np.append(poles.real, (-R, R)), -R, R))
+    lo, hi, done = edges[:-1], edges[1:], []
+    while len(lo):
+        mid = 0.5 * (lo + hi)
+        far = _POLE_GRADING * 0.5 * (hi - lo) \
+            <= np.abs(mid[:, None] - poles).min(axis=1)
+        done.append(np.stack([lo[far], hi[far]]))
+        lo, mid, hi = lo[~far], mid[~far], hi[~far]
+        lo, hi = np.append(lo, mid), np.append(mid, hi)
+    done = np.concatenate(done, axis=1)
+    return done[:, np.argsort(done[0])]
+
+
 def _window_mass(system: EllipticSystem, R: float) -> np.ndarray:
     """W_R = int P over [-R, R]^(n-1), (M, M), by Gauss-Legendre on panels of
-    _GAUSS_PANEL nodes, as many per side as the node rule gives at |y| = R:
-    of P on [-R, R] for n = 2, of the flux of F out of the box for n = 3."""
-    panels = int(_node_counts(system, np.array([R]))[0]) // _GAUSS_PANEL
+    _GAUSS_PANEL nodes: for n = 2 of P on the :func:`_pole_panels`, for
+    n = 3 of the flux of F out of the box, as many equal panels per side as
+    the node rule gives at |y| = R."""
     x, w = leggauss(_GAUSS_PANEL)
+    if system.n == 2:
+        lo, hi = _pole_panels(system, R)
+        mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+        t = (mid + half * x).ravel()
+        return np.einsum("k,kij->ij", (half * w).ravel(),
+                         _closed_form_kernel(system, t[:, None]))
+    panels = int(_node_counts(system, np.array([R]))[0]) // _GAUSS_PANEL
     half = R / panels                           # panel half-width
     t = (half * (2 * np.arange(panels)[:, None] + 1 + x) - R).ravel()
     w = half * np.resize(w, len(t))
-    if system.n == 2:
-        return np.einsum("k,kij->ij", w, _closed_form_kernel(system, t[:, None]))
     r = np.full_like(t, R)
     f = _closed_form_kernel(system, np.concatenate(
         [np.stack(p, axis=1) for p in ((r, t), (-r, t), (t, r), (t, -r))]),
@@ -798,7 +830,9 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     be a power of two.  The guard: |Phat| < _BOUNDARY_TOL on every node with
     |xi'| >= 0.98 freq_extent, evaluated on those nodes alone.  A given
     extent is checked once; else it doubles from _EXTENT_START until the
-    guard passes.  The table is then evaluated once."""
+    guard passes.  The table is then evaluated once.  The report's mass
+    residual compares the window sum with W_R of :func:`_window_mass`, on
+    pole-graded panels in n = 2 and as a flux on equal panels in n = 3."""
     if N & (N - 1):
         raise ValueError("N must be a power of two")
     if system.n not in (2, 3):
@@ -875,11 +909,20 @@ def discrete_operator(values: np.ndarray, spacings, coeffs: np.ndarray) -> np.nd
     ``values`` has shape (T, *spatial, M), axis 0 being the vertical
     direction; ``spacings`` gives the step per coefficient axis in the
     order (x_1 .. x_{n-1}, t).  Returns the result on the interior (every
-    differenced axis loses one boundary layer per side).
+    differenced axis loses one boundary layer per side): each difference
+    reads slices of ``values`` at the interior points and their neighbours.
     """
     n = coeffs.shape[-1]
     arr_axis = [1 + r for r in range(n - 1)] + [0]   # coefficient -> array axis
-    out = np.zeros(values.shape[:-1] + (coeffs.shape[0],), dtype=complex)
+    sizes = values.shape[:n]
+
+    def near(*steps):
+        """``values`` at the interior points moved by (axis, step) pairs."""
+        move = [dict(steps).get(a, 0) for a in range(n)]
+        return values[tuple(slice(1 + k, size - 1 + k)
+                            for k, size in zip(move, sizes))]
+
+    out = np.zeros(near().shape[:-1] + (coeffs.shape[0],), dtype=complex)
     for r in range(n):
         for s in range(n):
             c = coeffs[:, :, r, s]
@@ -887,16 +930,14 @@ def discrete_operator(values: np.ndarray, spacings, coeffs: np.ndarray) -> np.nd
                 continue
             ar, as_ = arr_axis[r], arr_axis[s]
             if r == s:
-                d2 = (np.roll(values, -1, ar) + np.roll(values, 1, ar)
-                      - 2.0 * values) / spacings[r] ** 2
+                d2 = (near((ar, 1)) + near((ar, -1))
+                      - 2.0 * near()) / spacings[r] ** 2
             else:
-                d2 = (np.roll(values, (-1, -1), (ar, as_))
-                      - np.roll(values, (-1, 1), (ar, as_))
-                      - np.roll(values, (1, -1), (ar, as_))
-                      + np.roll(values, (1, 1), (ar, as_))) \
+                d2 = (near((ar, 1), (as_, 1)) - near((ar, 1), (as_, -1))
+                      - near((ar, -1), (as_, 1)) + near((ar, -1), (as_, -1))) \
                     / (4.0 * spacings[r] * spacings[s])
             out += np.einsum("ab,...b->...a", c, d2)
-    return out[tuple(slice(1, -1) for _ in range(n))]
+    return out
 
 
 def interior_pde_residual(system: EllipticSystem, h: float = 1.0 / 16,

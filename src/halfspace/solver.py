@@ -184,9 +184,14 @@ class HalfSpaceField:
         return self.values.shape[-1]
 
     def magnitude(self) -> np.ndarray:
-        """|u| at every sample, shape (L, *spatial), computed once."""
+        """|u| at every sample, shape (L, *spatial), computed once; for
+        M = 1 the root of |u_1|^2, the bits of the norm's one-term sum."""
         if self._magnitude is None:
-            self._magnitude = np.linalg.norm(self.values, axis=-1)
+            if self.M == 1:
+                v = self.values[..., 0]
+                self._magnitude = np.sqrt((v.conj() * v).real)
+            else:
+                self._magnitude = np.linalg.norm(self.values, axis=-1)
             self._magnitude.flags.writeable = False
         return self._magnitude
 

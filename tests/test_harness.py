@@ -269,13 +269,29 @@ def test_kernel_report_matches_golden(name, request, tmp_path):
 
 
 if __name__ == "__main__":
-    # rewrite the golden reports: python tests/test_harness.py
-    for name, kw in GOLDEN_ROWS + GOLDEN_LAME3_ROWS:
-        for path in write_report(GOLDEN, run_experiment(
-                default_config(name, **kw)), golden_stem(name, kw))[2:]:
-            path.unlink()
-    for name, (kind, kw, N) in KERNEL_GOLDEN_SYSTEMS.items():
-        system = build_system(kind, **kw)
-        built = build_poisson_kernel(system, N=N)
-        for path in write_kernel_report(GOLDEN, name, system, built)[2:]:
+    # rewrite the golden reports: python tests/test_harness.py [stem ...],
+    # every report, or those of the given stems (kernel_properties_lap2, ...)
+    import sys
+    rows = {golden_stem(name, kw): (name, kw)
+            for name, kw in GOLDEN_ROWS + GOLDEN_LAME3_ROWS}
+    kernel_rows = {"kernel_properties_" + name: name
+                   for name in KERNEL_GOLDEN_SYSTEMS}
+    known = list(rows) + list(kernel_rows)
+    stems = sys.argv[1:] or known
+    unknown = sorted(set(stems) - set(known))
+    if unknown:
+        sys.exit("unknown golden stems %s; known: %s"
+                 % (", ".join(unknown), ", ".join(known)))
+    for stem in stems:
+        if stem in rows:
+            name, kw = rows[stem]
+            paths = write_report(GOLDEN, run_experiment(
+                default_config(name, **kw)), stem)
+        else:
+            name = kernel_rows[stem]
+            kind, kw, N = KERNEL_GOLDEN_SYSTEMS[name]
+            system = build_system(kind, **kw)
+            paths = write_kernel_report(GOLDEN, name, system,
+                                        build_poisson_kernel(system, N=N))
+        for path in paths[2:]:
             path.unlink()

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 
 from halfspace import (EllipticSystem, Grid, ImproperSplit, OutOfDomain,
@@ -505,8 +506,28 @@ class TestBuild:
         assert kernels.classical_oracle_residual(kernel) <= 1e-4
 
 
+# the half-width R of an N = 4096 table at frequency extent 32, as built for
+# lap2_kernel, lame2_kernel and every kernel_lame2 op
+TABLE_R = Grid(n=2, N=4096, h=np.pi / 32).R
+LAME2_MODULI = [(1.0, 1.0), (1 + 0.3j, 2 - 0.5j), (0.05, 1.0), (1.0, -1.9),
+                (1.0, -1.99)]
+
+
+def equal_panel_mass(system, R):
+    """The earlier n = 2 W_R: equal Gauss-Legendre panels, as many as the
+    n = 3 trapezoid node rule gives at |y| = R."""
+    panels = int(kernels._node_counts(system, np.array([R]))[0]) \
+        // kernels._GAUSS_PANEL
+    x, w = leggauss(kernels._GAUSS_PANEL)
+    half = R / panels
+    t = (half * (2 * np.arange(panels)[:, None] + 1 + x) - R).ravel()
+    return np.einsum("k,kij->ij", half * np.resize(w, len(t)),
+                     kernels._closed_form_kernel(system, t[:, None]))
+
+
 class TestWindowMass:
-    """W_R, the exact mass of P on [-R, R]^(n-1), as a flux of F."""
+    """W_R, the exact mass of P on [-R, R]^(n-1): on pole-graded panels in
+    n = 2, as a flux of F in n = 3."""
 
     @pytest.mark.parametrize("R", [0.5, 6.283185307179586, 16.0])
     def test_laplacian_exact(self, lap2, lap3, R):
@@ -541,6 +562,76 @@ class TestWindowMass:
         monkeypatch.setattr(kernels, "_TRAPEZOID_RATE",
                             2 * kernels._TRAPEZOID_RATE)
         assert np.abs(kernels._window_mass(system, R) - base).max() <= 1e-14
+
+    @pytest.mark.parametrize("mu, lam", LAME2_MODULI)
+    def test_lame2_exact(self, mu, lam):
+        """W_R of Lame n = 2 is diagonal: with a = arctan R, q = R/(1+R^2),
+        W_11, W_22 = [4 mu a + 2 (mu+lam)(a -+ q)] / ((3 mu + lam) pi).  At
+        the R of an N = 4096 table the pole-graded panels beat the equal
+        panels of the n = 3 node rule."""
+        system = build_system("lame", n=2, mu=mu, lam=lam)
+        for R in (0.5, 6.0, TABLE_R):
+            a, q = np.arctan(R), R / (1.0 + R * R)
+            exact = np.diag([4 * mu * a + 2 * (mu + lam) * (a - q),
+                             4 * mu * a + 2 * (mu + lam) * (a + q)]) \
+                / ((3 * mu + lam) * np.pi)
+            err = np.abs(kernels._window_mass(system, R) - exact).max()
+            assert err <= 1e-14
+        assert err <= np.abs(equal_panel_mass(system, R) - exact).max()
+
+    @pytest.mark.parametrize("b", [0.0, 0.5, 0.99, 0.9999])
+    def test_sheared_scalar_exact(self, b):
+        """A = [[1, b], [b, 1]]: poles at -b + i sigma and b + i sigma,
+        sigma = sqrt(1 - b^2), and W_R = [arctan((R+b)/sigma) +
+        arctan((R-b)/sigma)] / pi."""
+        system = build_system("scalar", A=[[1.0, b], [b, 1.0]])
+        sigma = np.sqrt(1.0 - b * b)
+        for R in (0.5, 6.0, TABLE_R):
+            exact = (np.arctan((R + b) / sigma)
+                     + np.arctan((R - b) / sigma)) / np.pi
+            assert abs(kernels._window_mass(system, R)[0, 0] - exact) <= 1e-14
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    @pytest.mark.parametrize("R", [6.0, TABLE_R])
+    def test_panels_converged(self, M, complex_coeffs, R, monkeypatch):
+        """Halving every panel of an n = 2 class system moves W_R by at
+        most 1e-14."""
+        system = _class_system(2, M, complex_coeffs)
+        base = kernels._window_mass(system, R)
+        panels = kernels._pole_panels
+
+        def halved(system, R):
+            lo, hi = panels(system, R)
+            mid = 0.5 * (lo + hi)
+            return np.stack([np.ravel([lo, mid], order="F"),
+                             np.ravel([mid, hi], order="F")])
+
+        monkeypatch.setattr(kernels, "_pole_panels", halved)
+        assert np.abs(kernels._window_mass(system, R) - base).max() <= 1e-14
+
+    @pytest.mark.parametrize("mu, lam", LAME2_MODULI + [
+        (complex(*rng.uniform((0.7, -0.4), (1.5, 0.4))),
+         complex(*rng.uniform((0.5, -0.6), (2.5, 0.6))))
+        for rng in map(np.random.default_rng, (5, 77))])
+    def test_lame2_table_mass_point_count(self, mu, lam, monkeypatch):
+        """At the R of an N = 4096 table, as in every kernel report of the
+        benchmark's kernel_lame2 (whose moduli ranges the last two draw from),
+        W_R evaluates the closed form at 23 panels of 16 points (the n = 3
+        node rule gave 8192), and the panels tile [-R, R]."""
+        system = build_system("lame", n=2, mu=mu, lam=lam)
+        lo, hi = kernels._pole_panels(system, TABLE_R)
+        assert lo[0] == -TABLE_R and hi[-1] == TABLE_R
+        assert np.array_equal(lo[1:], hi[:-1])
+        closed_form, rows = kernels._closed_form_kernel, []
+
+        def counted(system, y, div_field=False):
+            rows.append(len(y))
+            return closed_form(system, y, div_field)
+
+        monkeypatch.setattr(kernels, "_closed_form_kernel", counted)
+        kernels._window_mass(system, TABLE_R)
+        assert rows == [368]
 
     @pytest.mark.parametrize("name", ["lame2", "lame3_complex"])
     def test_mass_tends_to_identity(self, name, request):
@@ -864,6 +955,58 @@ class TestPde:
         res_h = interior_pde_residual(complex_scalar, h=1.0 / 8, N=128)
         res_h2 = interior_pde_residual(complex_scalar, h=1.0 / 16, N=256)
         assert np.log2(res_h / res_h2) >= 1.8
+
+
+def rolled_operator(values, spacings, coeffs):
+    """The earlier discrete_operator: differences of np.roll copies of the
+    whole stack, cropped to the interior at the end."""
+    n = coeffs.shape[-1]
+    arr_axis = [1 + r for r in range(n - 1)] + [0]
+    out = np.zeros(values.shape[:-1] + (coeffs.shape[0],), dtype=complex)
+    for r in range(n):
+        for s in range(n):
+            c = coeffs[:, :, r, s]
+            if not np.any(c):
+                continue
+            ar, as_ = arr_axis[r], arr_axis[s]
+            if r == s:
+                d2 = (np.roll(values, -1, ar) + np.roll(values, 1, ar)
+                      - 2.0 * values) / spacings[r] ** 2
+            else:
+                d2 = (np.roll(values, (-1, -1), (ar, as_))
+                      - np.roll(values, (-1, 1), (ar, as_))
+                      - np.roll(values, (1, -1), (ar, as_))
+                      + np.roll(values, (1, 1), (ar, as_))) \
+                    / (4.0 * spacings[r] * spacings[s])
+            out += np.einsum("ab,...b->...a", c, d2)
+    return out[tuple(slice(1, -1) for _ in range(n))]
+
+
+class TestDiscreteOperator:
+    """Differences on interior slices, bit for bit those of np.roll copies."""
+
+    @pytest.mark.parametrize("n, N", [(2, 128), (2, 256), (3, 32)])
+    def test_kernel_stacks_equal_rolled_copies(self, n, N):
+        system = build_system("lame", n=n, mu=1 + 0.3j, lam=2 - 0.5j)
+        h = 1.0 / 16
+        stack = synthesize_kernel_levels(system, Grid(n=n, N=N, h=h),
+                                         1.0 + h * np.arange(-4, 5))
+        for col in range(system.M):
+            vals = stack[..., :, col]
+            got = kernels.discrete_operator(vals, [h] * n, system.coeffs)
+            want = rolled_operator(vals, [h] * n, system.coeffs)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_uneven_axes_and_steps(self, random_lh3):
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal((5, 7, 6, 3)) \
+            + 1j * rng.standard_normal((5, 7, 6, 3))
+        steps = [0.1, 0.2, 0.3]
+        got = kernels.discrete_operator(vals, steps, random_lh3.coeffs)
+        want = rolled_operator(vals, steps, random_lh3.coeffs)
+        assert got.shape == (3, 5, 4, 3)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVerifyProperties:

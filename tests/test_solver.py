@@ -381,6 +381,20 @@ class TestField:
         with pytest.raises(ValueError):
             mag[0, 0] = 1.0
 
+    def test_one_component_magnitude_is_the_norm(self, grid):
+        """M = 1 skips the norm's one-term sum and keeps its bits."""
+        rng = np.random.default_rng(8)
+        shape = (40,) + grid.shape + (1,)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values[0, :4, 0] = [0.0, -0.0, 1e-200 + 1e-200j, 1e200 - 3e200j]
+        for vals in (values, values.real.copy()):
+            u = HalfSpaceField(grid=grid, heights=np.arange(1.0, 41.0),
+                               values=vals)
+            with np.errstate(over="ignore"):       # |1e200 - 3e200j| = inf
+                mag, want = u.magnitude(), np.linalg.norm(vals, axis=-1)
+            assert mag.dtype == np.float64
+            assert mag.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(3, 5), (2, 1024, 1, 1), (2, 1024, 2, 2),
                                        (3, 1024, 2, 1), (2, 1024, 1)])
     def test_gradient_of_wrong_shape_is_rejected(self, grid, shape):

@@ -46,6 +46,47 @@ def holder_all_pairs(f, theta):
     return best
 
 
+def norm_length_holder(f, theta, seed=0):
+    """The earlier holder_seminorm, its lengths by np.linalg.norm over the
+    short coordinate axis."""
+    grid, m = f.grid, f.grid.node_count
+    if m * (m - 1) // 2 <= HOLDER_PAIR_BUDGET:
+        N, eps = grid.N, np.finfo(float).eps
+        pts = np.stack(grid.meshes(), axis=-1)
+        ks = np.stack(np.meshgrid(*[np.arange(1 - N, N)] * grid.d,
+                                  indexing="ij"), axis=-1).reshape(-1, grid.d)
+        ks = ks[ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)] > 0]
+        lengths = np.sqrt((ks ** 2).sum(axis=1))
+        order = np.argsort(lengths, kind="stable")
+        top = 2.0 * float(np.linalg.norm(f.samples, axis=-1).max()) \
+            * (1.0 + 32 * eps)
+        short = grid.h * (1.0 - (2 * N + 16) * eps)
+        best = 0.0
+        for k, length in zip(ks[order].tolist(), lengths[order].tolist()):
+            if top / (short * length) ** theta <= best:
+                break
+            later = tuple(slice(max(c, 0), N + min(c, 0)) for c in k)
+            earlier = tuple(slice(max(-c, 0), N - max(c, 0)) for c in k)
+            dv = np.linalg.norm(f.samples[later] - f.samples[earlier], axis=-1)
+            dx = np.linalg.norm(pts[later] - pts[earlier], axis=-1)
+            best = max(best, float((dv / dx ** theta).max()))
+        return best
+    pts = np.stack([mesh.ravel() for mesh in grid.meshes()], axis=-1)
+    vals = f.samples.reshape(-1, f.M)
+    best = 0.0
+    for axis in range(grid.d):
+        dv = np.linalg.norm(np.diff(f.samples, axis=axis), axis=-1)
+        best = max(best, float(dv.max()) / grid.h ** theta)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, m, HOLDER_PAIR_BUDGET)
+    j = rng.integers(0, m, HOLDER_PAIR_BUDGET)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    dv = np.linalg.norm(vals[i] - vals[j], axis=-1)
+    dx = np.linalg.norm(pts[i] - pts[j], axis=-1)
+    return max(best, float((dv / dx ** theta).max()))
+
+
 class TestHolderSup:
     """The exhaustive branch stops once no pair left can win; its sup must
     be the all-pairs scan's float, bit for bit."""
@@ -68,6 +109,16 @@ class TestHolderSup:
             BoundaryData(grid=grid, samples=noise)]
         for f in data:
             assert holder_seminorm(f, theta) == holder_all_pairs(f, theta)
+
+    @pytest.mark.parametrize("n, N", [(2, 512), (2, 2048), (3, 24), (3, 64)])
+    def test_column_lengths_equal_norm_lengths(self, n, N):
+        """Exhaustive (n = 2, N = 512; n = 3, N = 24) and sampled branches:
+        the sup's bits equal those of lengths by np.linalg.norm."""
+        grid = Grid(n=n, N=N, h=0.25)
+        for f in weierstrass(grid, 0.5, 2, 3, count=2):
+            for seed in (0, 9):
+                got = holder_seminorm(f, 0.5, seed=seed)
+                assert got.hex() == norm_length_holder(f, 0.5, seed).hex()
 
     def test_constant_is_zero(self):
         grid = Grid(n=3, N=24, h=0.5)
