@@ -662,7 +662,7 @@ def _kernel_column_field(system: EllipticSystem, grid: Grid, levels,
     spectrally, all levels by one inverse FFT."""
     nodes = grid.freq_nodes_fftorder()
     block = np.broadcast_to(np.asarray(vector)[:, None], (system.M, len(nodes)))
-    spec, _ = prepared_symbol(system, nodes).apply(levels, block)
+    spec = prepared_symbol(system, nodes).action(levels)(block)[0]
     if shift is not None:
         spec *= 1.0 - np.exp(-1j * nodes @ np.asarray(shift, float))
     vals = _level_fields(spec, grid)

@@ -33,6 +33,8 @@ form.  Every class goes through one path, :class:`PreparedSymbol`: the
 generator (tau_+, or G per node) is stored once per frequency node.  A solve
 applies the Taylor polynomial to fhat and forms Khat only where squarings are
 due (the action of expm: Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+Every t-derivative, of Khat or of Khat fhat, is one product with i |xi'| G
+(:meth:`PreparedSymbol.dt`) after the exponential.
 
 Solvent table.  G depends on the system and omega only: each system solves
 it once, on first use, into a table held on the system object
@@ -120,6 +122,7 @@ _TRAPEZOID_MAX = 2 ** 18  # most circle nodes of one closed-form point or table
 _TABLE_TOL = 1e-14        # interpolation error of a solvent table, of max |G|
 _POLISH_ROUNDS = 5        # local grids that refine the tail constant's sup
 _GAUSS_PANEL = 16         # Gauss-Legendre nodes per panel of a quadrature
+_GAUSS_RULE = leggauss(_GAUSS_PANEL)  # its nodes and weights on [-1, 1]
 _POLE_GRADING = 3.0       # least pole distance per panel half-width (n = 2)
 _BOUNDARY_TOL = 1e-12     # symbol magnitude at the frequency-box boundary
 _EXTENT_START = 8.0       # first frequency half-width of the extent search
@@ -278,11 +281,10 @@ def _taylor_degrees(nx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
-                      want_dt: bool, v: np.ndarray | None = None):
+                      v: np.ndarray | None = None) -> np.ndarray:
     """Khat = expm(i s G) from prepared per-node data (:func:`_expm_stacks`)
-    for s of shape (B,) or (L, B), one row per height; returns Khat of shape
-    (M, M) + s.shape, and d/ds Khat = i G Khat when ``want_dt`` is set;
-    with a block v (M, p, B), Khat v and d/ds Khat v, (M, p) + s.shape.
+    for heights-by-nodes s (L, B), shape (M, M, L, B); with a block v
+    (M, p, B), Khat v, (M, p, L, B).
 
     Taylor scaling-and-squaring: X = i s G is shifted by mu s and halved j
     times until alpha = s ||X0^2||^(1/2) <= 1; the degree of a row is the
@@ -293,19 +295,17 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
     2^j) is applied before squaring, so decaying values never pass through
     an overflowing intermediate.  Only elements with j > 0 form Khat for v.
     """
-    rows = np.atleast_2d(np.asarray(s, dtype=float))
     M = stacks["g"].shape[0]
-    alpha = rows * stacks["alpha"]
+    alpha = s * stacks["alpha"]
     squarings = np.ceil(np.log2(np.maximum(alpha, 1.0))).astype(int)
-    c = rows * 0.5 ** squarings           # X = c X0 after scaling
+    c = s * 0.5 ** squarings              # X = c X0 after scaling
     degrees = _taylor_degrees(c * stacks["nx"], c * stacks["alpha"])
-    k = np.empty((M, M if v is None else v.shape[1]) + rows.shape, complex)
-    dk = np.empty_like(k) if want_dt else None
+    k = np.empty((M, M if v is None else v.shape[1]) + s.shape, complex)
     for degree in np.unique(degrees):
         sel = np.flatnonzero(degrees == degree)
         # x, k and one product of complex M x M stacks per chunk
         span = max(1, _EXPM_BYTES // (3 * 16 * M * M * len(sel)))
-        for start in range(0, rows.shape[1], span):
+        for start in range(0, s.shape[1], span):
             cols = slice(start, start + span)
             cc, sq = c[sel, cols], squarings[sel, cols]
             x0 = stacks["x0"][:, :, None, cols]
@@ -326,12 +326,7 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
                     kc[:, :, mat] = _soa_matmul(
                         km, np.broadcast_to(vc, kc.shape)[:, :, mat])
             k[:, :, sel, cols] = kc
-            if want_dt:
-                dk[:, :, sel, cols] = _soa_matmul(
-                    1j * stacks["g"][:, :, None, cols], kc)
-    if np.ndim(s) == 1:
-        return k[:, :, 0], (dk[:, :, 0] if want_dt else None)
-    return k, dk
+    return k
 
 
 class _DirectionEvaluator:
@@ -564,11 +559,11 @@ class PreparedSymbol:
     of :func:`_expm_stacks`, read from the system's solvent table.  The
     generator is zero at the zero frequency, where Khat = I.  Each height is
     then only an exponential: :meth:`levels` evaluates every height of a
-    solve at once, :meth:`dt` takes a stack of levels to its t-derivative,
-    :meth:`apply` gives the action Khat v and :meth:`action` that action for
-    many blocks at one set of heights.  Nothing is kept per height: the
-    object holds per-node data only, and what depends on the system alone is
-    held with its solvent table.
+    solve at once and :meth:`action` applies Khat to many blocks at one set
+    of heights.  :meth:`dt`, the generator product, is the one d/dt rule:
+    it takes levels or action blocks to their t-derivatives.  Nothing is
+    kept per height: the object holds per-node data only, and what depends
+    on the system alone is held with its solvent table.
     """
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
@@ -591,46 +586,40 @@ class PreparedSymbol:
         arrays = [self.xi, self.norms, *self.stacks.values()]
         return sum(a.nbytes for a in arrays)
 
-    def levels(self, heights, want_dt: bool = False):
-        """Khat at every height, shape (M, M, L, B) with the nodes last, and
-        d/dt Khat when ``want_dt`` is set (else None)."""
+    def levels(self, heights) -> np.ndarray:
+        """Khat at every height, shape (M, M, L, B) with the nodes last."""
         heights = np.asarray(heights, dtype=float)
         if self.system.M == 1:
             k = np.exp(np.multiply.outer(heights, 1j * self.stacks["tau"]))
-            k = k[None, None]
-        else:
-            k, _ = _eval_from_stacks(self.system, self.stacks,
-                                     np.multiply.outer(heights, self.norms),
-                                     False)
-        return k, (self.dt(k) if want_dt else None)
-
-    def apply(self, heights, v: np.ndarray, want_dt: bool = False):
-        """Khat v and d/dt Khat v (else None), each (L, M, B), at every
-        height for a block v (M, B) with the nodes last."""
-        return self.action(heights, want_dt)(v)
+            return k[None, None]
+        return _eval_from_stacks(self.system, self.stacks,
+                                 np.multiply.outer(heights, self.norms))
 
     def action(self, heights, want_dt: bool = False):
-        """The map v -> :meth:`apply` (heights, v, want_dt), for many blocks
-        at one set of heights: for M = 1 the levels are evaluated once, here,
-        and each block is one contraction; for M > 1 each block pays its own
-        Taylor action."""
+        """The map v -> (Khat v, d/dt Khat v), each (L, M, B), at every
+        height for blocks v (M, B) with the nodes last; the derivative is
+        None unless ``want_dt`` is set.  For M = 1 the levels and their
+        :meth:`dt` are evaluated once, here, and each block is one
+        contraction; for M > 1 each block pays its own Taylor action, and
+        its derivative is :meth:`dt` of that action."""
         if self.system.M == 1:     # einsum keeps the contraction's bytes
-            ks = self.levels(heights, want_dt)
+            k = self.levels(heights)
+            ks = (k, self.dt(k) if want_dt else None)
             return lambda v: tuple(
                 a if a is None else np.einsum("ijlb,jb->lib", a, v) for a in ks)
         s = np.multiply.outer(heights, self.norms)
 
         def act(v):
-            w, dw = _eval_from_stacks(self.system, self.stacks, s, want_dt,
-                                      v[:, None])
+            w = _eval_from_stacks(self.system, self.stacks, s, v[:, None])
             return w[:, 0].swapaxes(0, 1), (
-                dw[:, 0].swapaxes(0, 1) * self.norms if want_dt else None)
+                self.dt(w)[:, 0].swapaxes(0, 1) if want_dt else None)
 
         return act
 
     def dt(self, k: np.ndarray) -> np.ndarray:
-        """d/dt of a stack (M, M, L, B) of :meth:`levels`: the generator
-        product (i |xi'| G) k, or i tau k for M = 1."""
+        """d/dt of a stack (M, p, L, B) of :meth:`levels` or of an action
+        block, the one t-derivative rule: the generator product
+        (i |xi'| G) k, or i tau k for M = 1."""
         if self.system.M == 1:
             return 1j * self.stacks["tau"] * k
         return _soa_matmul(1j * self.stacks["g"][:, :, None], k) * self.norms
@@ -655,17 +644,6 @@ def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray) -> PreparedSym
         held -= _PREPARED_CACHE.pop(next(iter(_PREPARED_CACHE))).nbytes
     _PREPARED_CACHE[key] = prep
     return prep
-
-
-def _checked_nodes(system: EllipticSystem, xi_nodes, heights) -> np.ndarray:
-    """Frequencies as a float (B, n-1) array; ValueError on another shape
-    or on a negative height."""
-    xi_nodes = np.asarray(xi_nodes, dtype=float)
-    if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
-        raise ValueError("xi_nodes must have shape (B, n-1)")
-    if np.any(np.asarray(heights) < 0):
-        raise ValueError("t must be nonnegative")
-    return xi_nodes
 
 
 def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
@@ -696,14 +674,18 @@ def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
         raise ValueError("alpha must have length n")
     if any(alpha[-1] > 2 for alpha in alphas):
         raise ValueError("vertical derivative order limited to 2")
-    xi_nodes = _checked_nodes(system, xi_nodes, heights)
+    xi_nodes = np.asarray(xi_nodes, dtype=float)
+    if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
+        raise ValueError("xi_nodes must have shape (B, n-1)")
+    if np.any(np.asarray(heights) < 0):
+        raise ValueError("t must be nonnegative")
     M = system.M
     out = np.empty((len(xi_nodes), len(alphas), len(heights), M, M),
                    dtype=complex)
     for start in range(0, len(xi_nodes), _SYMBOL_CHUNK):
         sl = slice(start, start + _SYMBOL_CHUNK)
         prep = PreparedSymbol(system, xi_nodes[sl])
-        vertical = [prep.levels(heights)[0]]
+        vertical = [prep.levels(heights)]
         while len(vertical) <= max(alpha[-1] for alpha in alphas):
             vertical.append(prep.dt(vertical[-1]))
         for j, alpha in enumerate(alphas):
@@ -802,7 +784,7 @@ def _window_mass(system: EllipticSystem, R: float) -> np.ndarray:
     _GAUSS_PANEL nodes: for n = 2 of P on the :func:`_pole_panels`, for
     n = 3 of the flux of F out of the box, as many equal panels per side as
     the node rule gives at |y| = R."""
-    x, w = leggauss(_GAUSS_PANEL)
+    x, w = _GAUSS_RULE
     if system.n == 2:
         lo, hi = _pole_panels(system, R)
         mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
@@ -1011,15 +993,23 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
         "sup |K|(t^2+|x|^2)^(n/2)/t finite (equals the spatial constant "
         "by homogeneity)"))
 
-    # far-field decay slope of |P|
+    # far-field decay slope of |P| on the band 10 <= |x'| <= 0.9 R
+    def far_band(grid):
+        rad = grid.radii()
+        return rad, (rad >= 10.0) & (rad <= 0.9 * grid.R)
+
     g = kernel.grid
-    rad = g.radii()
+    rad, band = far_band(g)
     mag = np.abs(kernel.values).max(axis=(-2, -1))
-    band = (rad >= 10.0) & (rad <= 0.9 * g.R) & (mag > 0)
+    band &= mag > 0
     if np.count_nonzero(band) < 2:
+        need = 2 * g.N
+        while np.count_nonzero(far_band(Grid(system.n, need, g.h))[1]) < 2:
+            need *= 2
         raise OutOfDomain(
-            "far-field band 10 <= |x'| <= 0.9 R is empty for R = %.3g; "
-            "raise N" % g.R)
+            "far-field band 10 <= |x'| <= 0.9 R is empty for R = %.3g; raise "
+            "N to %d, the least power of two whose window holds two band "
+            "points at h = %.3g" % (g.R, need, g.h))
     slope = float(np.polyfit(np.log(rad[band]), np.log(mag[band]), 1)[0])
     metrics.append(make_metric(
         "far_field_slope_deviation", abs(slope + system.n), 0.1, "le",

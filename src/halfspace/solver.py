@@ -22,11 +22,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AliasRisk, BadShape, InsufficientLevels
 from .grids import Grid, _invert_into, grid_fft
-from .kernels import _GAUSS_PANEL, prepared_symbol, tail_constant
+from .kernels import _GAUSS_RULE, prepared_symbol, tail_constant
 from .systems import EllipticSystem
 
 __all__ = [
@@ -314,7 +313,7 @@ def _extend_each(system: EllipticSystem, data: list, heights: np.ndarray,
 def _radial_tail(g, R: float, rate: float) -> float:
     """int_R^inf g(r) dr for g(r) r decaying like e^(-rate s), s = log(r/R):
     Gauss-Legendre on unit panels in s, out to where e^(-rate s) < 1e-20."""
-    x, w = leggauss(_GAUSS_PANEL)
+    x, w = _GAUSS_RULE
     r = R * np.exp(np.arange(np.ceil(np.log(1e20) / rate))[:, None]
                    + 0.5 * (x + 1.0))
     return float(0.5 * np.sum(w * g(r) * r))

@@ -51,9 +51,9 @@ def per_node_symbol():
         g = np.zeros((len(xi), system.M, system.M), dtype=complex)
         g[norms > 0] = kernels._solvent_stacks(
             system, xi[norms > 0] / norms[norms > 0, None])
-        k, dk = kernels._eval_from_stacks(
-            system, kernels._expm_stacks(g), t * norms, True)
-        return np.moveaxis(k, -1, 0), np.moveaxis(dk * norms, -1, 0)
+        k = np.moveaxis(kernels._eval_from_stacks(
+            system, kernels._expm_stacks(g), t * norms[None])[:, :, 0], -1, 0)
+        return k, 1j * norms[:, None, None] * (g @ k)
     return evaluate
 
 

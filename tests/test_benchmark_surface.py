@@ -86,8 +86,8 @@ def test_lame3_symbol_surface(perfbench):
         (prepared, system, nodes), {}, None)
     assert fill["bytes"] >= prepared.stacks["g"].nbytes > 0
 
-    s = 0.7 * prepared.norms
-    args = (system, prepared.stacks, s, True)
+    s = 0.7 * prepared.norms[None]
+    args = (system, prepared.stacks, s)
     out = kernels._eval_from_stacks(*args)
     assert tracing.ATTRS["kernels._eval_from_stacks"](args, {}, out) == \
         {"nodes": len(s)}
@@ -106,9 +106,9 @@ def test_lame3_solve_reaches_symbol_through_module_attribute(monkeypatch):
     calls = []
     inner = kernels._eval_from_stacks
 
-    def counting(system, stacks, s, want_dt, v=None):
-        calls.append((np.shape(s), want_dt))
-        return inner(system, stacks, s, want_dt, v)
+    def counting(system, stacks, s, v=None):
+        calls.append((np.shape(s), v is not None))
+        return inner(system, stacks, s, v)
 
     monkeypatch.setattr(kernels, "_eval_from_stacks", counting)
     monkeypatch.setattr(kernels, "_PREPARED_CACHE", {})

@@ -137,9 +137,9 @@ def test_lp_battery_takes_one_symbol_pass_per_grid(monkeypatch):
     calls = []
     inner = kernels.PreparedSymbol.levels
 
-    def counting(self, heights, want_dt=False):
+    def counting(self, heights):
         calls.append((len(self.xi), len(heights)))
-        return inner(self, heights, want_dt)
+        return inner(self, heights)
 
     monkeypatch.setattr(kernels.PreparedSymbol, "levels", counting)
     rep = run_experiment(default_config("lp_wellposed"))

@@ -122,7 +122,9 @@ class TestLame3:
         k, dk = symbol_batch(lame3_system, xi, 0.8, want_dt=True)
         assert np.array_equal(k[0], np.eye(3))
         assert np.array_equal(dk[0], np.zeros((3, 3)))
-        k, dk = prepared_symbol(lame3_system, xi).levels([0.8], want_dt=True)
+        prep = prepared_symbol(lame3_system, xi)
+        k = prep.levels([0.8])
+        dk = prep.dt(k)
         assert np.array_equal(k[:, :, 0, 0], np.eye(3))
         assert np.array_equal(dk[:, :, 0, 0], np.zeros((3, 3)))
 
@@ -177,10 +179,12 @@ class TestLevels:
         assert any(len(set(row)) > 2 for row in squarings)
         # node chunks of a few dozen split the rows of every degree
         monkeypatch.setattr(kernels, "_EXPM_BYTES", 48 * 9 * 100)
-        k, dk = prep.levels(heights, want_dt=True)
+        k = prep.levels(heights)
+        dk = prep.dt(k)
         assert k.shape == dk.shape == (3, 3, len(heights), len(nodes))
         for li, t in enumerate(heights):
-            kt, dkt = prep.levels([t], want_dt=True)
+            kt = prep.levels([t])
+            dkt = prep.dt(kt)
             assert np.array_equal(k[:, :, li], kt[:, :, 0])
             assert np.array_equal(dk[:, :, li], dkt[:, :, 0])
 
@@ -200,33 +204,34 @@ def _apply_setup(system):
 @pytest.mark.parametrize("row", ["lap2", "lap3", "complex_scalar", "lame2",
                                  "lame3_complex", "random_lh3"])
 class TestApply:
-    """PreparedSymbol.apply, the action Khat v of the exponential, against
-    the contraction of the matrices of levels with v."""
+    """PreparedSymbol.action, the one way to apply Khat and d/dt Khat to a
+    block v, against the contraction of levels and their dt with v."""
 
     def test_matches_contraction_of_levels(self, row, request):
         system = request.getfixturevalue(row)
         prep, v = _apply_setup(system)
-        got = prep.apply(APPLY_HEIGHTS, v, want_dt=True)
-        for g, k in zip(got, prep.levels(APPLY_HEIGHTS, want_dt=True)):
+        got = prep.action(APPLY_HEIGHTS, want_dt=True)(v)
+        levels = prep.levels(APPLY_HEIGHTS)
+        for g, k in zip(got, (levels, prep.dt(levels))):
             want = np.einsum("ijlb,jb->lib", k, v)
             assert g.shape == want.shape == (len(APPLY_HEIGHTS),) + v.shape
             if system.M == 1:
                 assert np.array_equal(g, want)
             err = np.abs(g - want).max(axis=(1, 2))
             assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
-        assert prep.apply(APPLY_HEIGHTS, v)[1] is None
+        assert prep.action(APPLY_HEIGHTS)(v)[1] is None
 
     def test_batched_equals_per_height_and_chunks(self, row, request,
                                                   monkeypatch):
         prep, v = _apply_setup(request.getfixturevalue(row))
-        w, dw = prep.apply(APPLY_HEIGHTS, v, want_dt=True)
+        w, dw = prep.action(APPLY_HEIGHTS, want_dt=True)(v)
         for li, t in enumerate(APPLY_HEIGHTS):
-            wt, dwt = prep.apply([t], v, want_dt=True)
+            wt, dwt = prep.action([t], want_dt=True)(v)
             assert np.array_equal(w[li], wt[0])
             assert np.array_equal(dw[li], dwt[0])
         # one node per chunk: squarings are decided per element, not chunk
         monkeypatch.setattr(kernels, "_EXPM_BYTES", 1)
-        wc, dwc = prep.apply(APPLY_HEIGHTS, v, want_dt=True)
+        wc, dwc = prep.action(APPLY_HEIGHTS, want_dt=True)(v)
         assert np.array_equal(w, wc) and np.array_equal(dw, dwc)
 
 
@@ -274,8 +279,9 @@ class TestSystemClasses:
 
     def test_symbol_batch_is_a_row_of_levels(self, class_system):
         xi = self._nodes(class_system)
-        k, dk = kernels.PreparedSymbol(class_system, xi).levels(
-            self.HEIGHTS, True)
+        prep = kernels.PreparedSymbol(class_system, xi)
+        k = prep.levels(self.HEIGHTS)
+        dk = prep.dt(k)
         for li, t in enumerate(self.HEIGHTS):
             kt, dkt = symbol_batch(class_system, xi, t, want_dt=True)
             assert np.array_equal(np.moveaxis(k[:, :, li], -1, 0), kt)
@@ -331,23 +337,37 @@ class TestSystemClasses:
 @pytest.mark.parametrize("row", CLASSES + ["random_lh3"], ids=lambda p: p
                          if isinstance(p, str) else _class_id(p))
 def test_levels_derivative_is_dt_of_levels(row, request):
-    """levels(h, want_dt=True) takes d/dt Khat from dt(levels(h)) for every
-    class, bit for bit; for M > 1 that equals the generator product taken
-    chunk by chunk inside the Taylor loop, at heights that need squarings."""
+    """action's d/dt Khat v is dt of the action block for every class, bit
+    for bit equal to an in-test copy of the product that the Taylor loop of
+    _eval_from_stacks once formed chunk by chunk, (i G Khat v) |xi'|, at
+    heights that need squarings; for M = 1 it is the contraction of
+    i tau Khat with v."""
     system = request.getfixturevalue(row) if isinstance(row, str) \
         else _class_system(*row)
-    d = system.n - 1
+    d, M = system.n - 1, system.M
     xi = np.vstack([np.zeros((1, d)), _seeded_nodes(40, 6, d=d)])
     heights = np.geomspace(0.05, 30.0, 6)
     prep = kernels.PreparedSymbol(system, xi)
-    k, dk = prep.levels(heights, want_dt=True)
-    assert np.array_equal(k, prep.levels(heights)[0])
-    assert np.array_equal(dk, prep.dt(k))
-    if system.M > 1:
-        s = np.multiply.outer(heights, prep.norms)
-        assert (s * prep.stacks["alpha"]).max() > 2.0 ** 4
-        _, inner = kernels._eval_from_stacks(system, prep.stacks, s, True)
-        assert np.array_equal(dk, inner * prep.norms)
+    re, im = np.random.default_rng(M).standard_normal((2, M, len(xi)))
+    v = re + 1j * im
+    w, dw = prep.action(heights, want_dt=True)(v)
+    if M == 1:
+        k = prep.levels(heights)
+        want = np.einsum("ijlb,jb->lib", 1j * prep.stacks["tau"] * k, v)
+        assert np.array_equal(dw, want)
+        return
+    s = np.multiply.outer(heights, prep.norms)
+    assert (s * prep.stacks["alpha"]).max() > 2.0 ** 4
+    block = kernels._eval_from_stacks(system, prep.stacks, s, v[:, None])
+    assert np.array_equal(w, block[:, 0].swapaxes(0, 1))
+    g = 1j * prep.stacks["g"]
+    inner = np.empty_like(block)
+    for i in range(M):     # the loop's product, summed in _soa_matmul's order
+        acc = g[i, 0, None] * block[0, 0]
+        for q in range(1, M):
+            acc += g[i, q, None] * block[q, 0]
+        inner[i, 0] = acc
+    assert np.array_equal(dw, inner[:, 0].swapaxes(0, 1) * prep.norms)
 
 
 def test_symbol_batch_prepares_node_chunks(lame2, monkeypatch):
@@ -669,6 +689,33 @@ class TestClosedForm:
         assert (np.abs(got - exact) / exact).max() <= 1e-12
         assert abs(_tail_constant(system)
                    - 1.0 / (np.pi * (n - 1))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("mu, lam", LAME2_MODULI[:4])
+    def test_lame_exact(self, n, mu, lam):
+        """The classical Lame kernel: with omega = |S^(n-1)|, x = (y, 1),
+        a = 4 mu / ((3 mu + lam) omega), b = 2 n (mu + lam) / ((3 mu + lam)
+        omega), P(y) = a |x|^-n I + b x x^T |x|^(-n-2).  So (1 + |y|^2)^(n/2)
+        P(y) = a I + b xh xh^T, xh = x / |x|, a normal matrix of norm
+        max(|a|, |a + b|) at every y.  Measured: the kernel to 1.1e-15 (n =
+        2) and 1.4e-15 (n = 3) of max |P| at these points, and to 3.7e-15
+        at 30 seeds; the tail constant to 8.7e-16 relative in n = 2 and
+        2.4e-12 in n = 3 (1, -1.9), whose sup runs to |y| = 40, where the
+        n = 3 round-off is about 1e-17 |y|^3 over the ellipticity 0.1."""
+        system = build_system("lame", n=n, mu=mu, lam=lam)
+        omega = 2.0 * np.pi if n == 2 else 4.0 * np.pi
+        a = 4.0 * mu / ((3.0 * mu + lam) * omega)
+        b = 2.0 * n * (mu + lam) / ((3.0 * mu + lam) * omega)
+        y = np.random.default_rng(n).uniform(-6.0, 6.0, (50, n - 1))
+        x = np.hstack([y, np.ones((50, 1))])
+        r2 = (x * x).sum(axis=1)[:, None, None]
+        exact = a * r2 ** (-0.5 * n) * np.eye(n) \
+            + b * x[:, :, None] * x[:, None, :] * r2 ** (-0.5 * n - 1.0)
+        err = np.abs(kernels._closed_form_kernel(system, y) - exact).max()
+        assert err <= (4e-15 if n == 2 else 2e-14) * np.abs(exact).max()
+        norm = max(abs(a), abs(a + b))
+        assert abs(kernels.tail_constant(system) - norm) \
+            <= (4e-15 if n == 2 else 5e-12) * norm
 
     @pytest.mark.parametrize("name", ["lame2_kernel", "lame3_small_kernel"])
     def test_fft_tables_within_their_images(self, name, request):
@@ -1028,11 +1075,17 @@ class TestVerifyProperties:
         assert rep.value("far_field_slope_deviation") <= 0.1
 
     def test_small_window_raises_named_error(self, lap2):
-        # R = 6.3 at N = 128: the far-field band 10 <= |x'| <= 0.9 R is empty
+        # R = 6.3 at N = 128: the far-field band 10 <= |x'| <= 0.9 R is
+        # empty; at h = pi / 32 it first holds grid points at N = 256 (R =
+        # 12.6), as R >= 10 / 0.9 needs N >= 226.4
         from halfspace import verify_kernel_properties
         table, kernel = build_poisson_kernel(lap2, N=128)
-        with pytest.raises(OutOfDomain, match="raise N"):
+        with pytest.raises(OutOfDomain, match="raise N to 256, the least"):
             verify_kernel_properties(lap2, kernel, table, pde_check=False)
+        table, kernel = build_poisson_kernel(lap2, table.freq_extent, N=256)
+        assert kernel.grid.h == np.pi / 32
+        rep = verify_kernel_properties(lap2, kernel, table, pde_check=False)
+        assert rep.value("far_field_slope_deviation") <= 0.1
 
 
 class TestRefinementMonotonicity:

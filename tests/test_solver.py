@@ -446,12 +446,13 @@ def per_height_reference(system, f, heights):
                     dtype=complex)
     for li, t in enumerate(heights):
         if M == 1:
+            k = prepared.levels([t])
             ksym, dksym = (np.moveaxis(a[:, :, 0], -1, 0)
-                           for a in prepared.levels([t], want_dt=True))
+                           for a in (k, prepared.dt(k)))
             uhat = np.einsum("bij,bj->bi", ksym, fhat)
             dhat = np.einsum("bij,bj->bi", dksym, fhat)
         else:
-            uhat, dhat = (a[0].T for a in prepared.apply([t], fhat.T, True))
+            uhat, dhat = (a[0].T for a in prepared.action([t], True)(fhat.T))
         values[li] = grid_ifft(uhat.reshape(grid.shape + (M,)), grid)
         for r in range(d):
             ghat = 1j * nodes[:, r, None] * uhat
@@ -530,9 +531,9 @@ class TestBattery:
         calls = []
         inner = kernels.PreparedSymbol.levels
 
-        def counting(self, heights, want_dt=False):
+        def counting(self, heights):
             calls.append(len(heights))
-            return inner(self, heights, want_dt)
+            return inner(self, heights)
 
         monkeypatch.setattr(kernels.PreparedSymbol, "levels", counting)
         grid = Grid(n=2, N=256, h=0.125)
