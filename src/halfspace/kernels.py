@@ -20,21 +20,33 @@ G is read off the spectral projector P = (I + sign(-i C))/2 of the 2M x 2M
 companion matrix C onto its upper roots.  The range of P is the graph
 [I; G], so [P21 P22] = G A with A = [P11 P12], and G = [P21 P22] A^H
 (A A^H)^{-1}; A A^H is singular exactly when the Lopatinskii condition
-fails.  The sign comes from a determinant-scaled Newton iteration, the
-exponential from a Taylor scaling-and-squaring that shifts by the trace and
-scales by ||X^2||^(1/2) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-2009): for Lame systems G - i I is nilpotent and no squaring is needed.
-The exponential works on stacks of many tiny matrices, so they are stored
-nodes-last, (M, M, ..., B), and multiplied entry by entry (the layout of
-batched BLAS: Dongarra et al., Procedia Comput. Sci. 108, 2017); one call
-covers every height of a solve.  For scalar systems (M = 1) the solvent
-is the upper root tau_+(xi') itself, and Khat = exp(i tau_+ t) in closed
-form.  Every class goes through one path, :class:`PreparedSymbol`: the
-generator (tau_+, or G per node) is stored once per frequency node.  A solve
-applies the Taylor polynomial to fhat and forms Khat only where squarings are
-due (the action of expm: Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
-Every t-derivative, of Khat or of Khat fhat, is one product with i |xi'| G
-(:meth:`PreparedSymbol.dt`) after the exponential.
+fails.  The sign comes from a determinant-scaled Newton iteration.  Write
+i s G = s (mu I + X0) with mu = i tr(G) / M and X0 traceless.  For M = 2,
+X0^2 = delta^2 I with delta^2 = -det X0 (Cayley-Hamilton), so
+
+    Khat = e^(s mu) (cosh(s delta) I + s sinhc(s delta) X0) = C I + S X0,
+
+two scalar fields per height and node, with no eigenvalues and no squarings
+(Moler & Van Loan, SIAM Rev. 45, 2003; Higham, Functions of Matrices, SIAM
+2008, ch. 10): a short even series in (s delta)^2 where |s delta| <=
+_CS_SERIES, and e^(s (mu +- delta)), whose real parts are negative,
+elsewhere (:func:`_cosh_sinhc`).  For Lame systems G - i I is nilpotent, so
+delta is round-off.  For M = 3 the exponential is a Taylor
+scaling-and-squaring that shifts by mu s and scales by ||X0^2||^(1/2)
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  It works on
+stacks of many tiny matrices, so they are stored nodes-last, (M, M, ...,
+B), and multiplied entry by entry (the layout of batched BLAS: Dongarra et
+al., Procedia Comput. Sci. 108, 2017); one call covers every height of a
+solve.  For scalar systems (M = 1) the solvent is the upper root
+tau_+(xi') itself, and Khat = exp(i tau_+ t) in closed form.  Every class
+goes through one path, :class:`PreparedSymbol`: the generator (tau_+, or G
+per node) is stored once per frequency node.  A solve contracts each datum
+with the levels (M = 1) or with C and S (M = 2), evaluated once for a
+battery; for M = 3 it applies the Taylor polynomial to fhat and forms Khat
+only where squarings are due (the action of expm: Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 2011).  Every t-derivative, of Khat or of Khat fhat, is
+one product with i |xi'| G (:meth:`PreparedSymbol.dt`) after the
+exponential.
 
 Solvent table.  G depends on the system and omega only: each system solves
 it once, on first use, into a table held on the system object
@@ -93,7 +105,7 @@ from .errors import (BadShape, ImproperSplit, InsufficientDecay, OutOfDomain,
                      RealAxisRoot, SingularBoundaryMatrix)
 from .grids import Grid, _invert_into
 from .report import VerificationReport, make_metric
-from .systems import EllipticSystem, real_axis_tolerance
+from .systems import EllipticSystem, _lame_tensor, real_axis_tolerance
 
 __all__ = [
     "PoissonSymbolTable",
@@ -115,6 +127,11 @@ _BOUNDARY_COND_MAX = 1e12  # condition number of A A^H beyond which it is singul
 _TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
 _PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
 _EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
+_CS_SERIES = 0.5          # |s delta| up to which C and S take their even series
+# their 8 terms, w^k / (2k)! and w^k / (2k + 1)! in w = (s delta)^2: the
+# first one dropped is below 2^-56 of C and of S / s there
+_CS_COEFFS = np.array([[1.0 / factorial(2 * k + j) for k in range(8)]
+                       for j in (0, 1)])
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
 _TRAPEZOID_MIN = 64       # fewest circle nodes of the closed-form kernel
 _TRAPEZOID_RATE = 40.0    # circle nodes per unit of (1 + |y|) / root margin
@@ -216,17 +233,68 @@ def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> np.ndarray:
 
 def _expm_stacks(g: np.ndarray) -> dict:
     """Per-node data of expm(i s G) for solvents G (B, M, M), laid out with
-    the nodes last: G and X0 = i(G - tr(G)/M I) as (M, M, B), the shift
-    mu = i tr(G)/M, and ||X0||_F and ||X0^2||_F^(1/2).  The shift and both
-    norms of i s G scale linearly in s >= 0."""
+    the nodes last: G and X0 = i(G - tr(G)/M I) as (M, M, B) and the shift
+    mu = i tr(G)/M; for M = 2 delta, a root of delta^2 = -det X0, and
+    otherwise ||X0||_F and ||X0^2||_F^(1/2), the Taylor path's norms.  The
+    shift, delta and both norms of i s G scale linearly in s >= 0."""
     M = g.shape[-1]
     mu = 1j * np.trace(g, axis1=1, axis2=2) / M
     x0 = 1j * g - mu[:, None, None] * np.eye(M)
-    return {"g": np.ascontiguousarray(np.moveaxis(g, 0, -1)),
-            "x0": np.ascontiguousarray(np.moveaxis(x0, 0, -1)),
-            "mu": mu,
-            "nx": np.linalg.norm(x0, axis=(1, 2)),
-            "alpha": np.sqrt(np.linalg.norm(x0 @ x0, axis=(1, 2)))}
+    stacks = {"g": np.ascontiguousarray(np.moveaxis(g, 0, -1)),
+              "x0": np.ascontiguousarray(np.moveaxis(x0, 0, -1)),
+              "mu": mu}
+    if M == 2:
+        stacks["delta"] = np.sqrt(x0[:, 0, 1] * x0[:, 1, 0]
+                                  - x0[:, 0, 0] * x0[:, 1, 1])
+    else:
+        stacks["nx"] = np.linalg.norm(x0, axis=(1, 2))
+        stacks["alpha"] = np.sqrt(np.linalg.norm(x0 @ x0, axis=(1, 2)))
+    return stacks
+
+
+def _cs_series(s, mu, delta):
+    """(C, S) of :func:`_cosh_sinhc` by the even series of cosh and sinhc
+    in w = (s delta)^2, each by Horner's rule."""
+    z = s * delta
+    w = z * z
+    c, sc = w * _CS_COEFFS[0, -1], w * _CS_COEFFS[1, -1]
+    for a, b in _CS_COEFFS.T[-2:0:-1]:
+        c += a
+        c *= w
+        sc += b
+        sc *= w
+    c += 1.0
+    sc += 1.0
+    shift = np.exp(s * mu)
+    return shift * c, shift * s * sc
+
+
+def _cs_exponential(s, mu, delta):
+    """(C, S) of :func:`_cosh_sinhc` from e^(s (mu +- delta)), whose real
+    parts are -s Im spec G < 0, so no intermediate overflows."""
+    plus = np.exp(s * (mu + delta))
+    minus = np.exp(s * (mu - delta))
+    return (plus + minus) * 0.5, (plus - minus) * (0.5 / delta)
+
+
+def _cosh_sinhc(stacks: dict, s: np.ndarray):
+    """C = e^(s mu) cosh(s delta) and S = e^(s mu) s sinhc(s delta), each
+    (L, B), for heights-by-nodes s (L, B): expm(s (mu I + X0)) = C I + S X0,
+    since X0^2 = delta^2 I (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45,
+    2003; Higham, Functions of Matrices, SIAM 2008, ch. 10).  Both are even
+    in delta, so its root's sign does not matter.  Elements with |s delta|
+    <= _CS_SERIES take the series, the others the exponentials, where the
+    difference loses no more than a few ulps; each element's value depends
+    on its own s, mu and delta alone."""
+    mu, delta = stacks["mu"], stacks["delta"]
+    near = s * np.abs(delta) <= _CS_SERIES
+    if near.all() or not near.any():
+        return (_cs_series if near.all() else _cs_exponential)(s, mu, delta)
+    c, sh = np.empty((2,) + s.shape, complex)
+    for sel, part in ((near, _cs_series), (~near, _cs_exponential)):
+        c[sel], sh[sel] = part(s[sel], *(np.broadcast_to(x, s.shape)[sel]
+                                         for x in (mu, delta)))
+    return c, sh
 
 
 def _soa_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,14 +349,17 @@ def _taylor_degrees(nx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
-                      v: np.ndarray | None = None) -> np.ndarray:
+                      v: np.ndarray | None = None):
     """Khat = expm(i s G) from prepared per-node data (:func:`_expm_stacks`)
     for heights-by-nodes s (L, B), shape (M, M, L, B); with a block v
-    (M, p, B), Khat v, (M, p, L, B).
+    (M, p, B), Khat v, (M, p, L, B).  For M = 2 it returns instead the two
+    scalar fields (C, S), each (L, B), of Khat = C I + S X0 in closed form
+    (:func:`_cosh_sinhc`), and is called without v: no Taylor degree and no
+    squaring.
 
-    Taylor scaling-and-squaring: X = i s G is shifted by mu s and halved j
-    times until alpha = s ||X0^2||^(1/2) <= 1; the degree of a row is the
-    least m whose dropped terms are bounded by ||X0||^(k mod 2)
+    Otherwise Taylor scaling-and-squaring: X = i s G is shifted by mu s and
+    halved j times until alpha = s ||X0^2||^(1/2) <= 1; the degree of a row
+    is the least m whose dropped terms are bounded by ||X0||^(k mod 2)
     alpha^(k - k mod 2) / k! <= _TAYLOR_TOL over that row's nodes.  Rows of
     one degree are evaluated together, in node chunks of _EXPM_BYTES, so a
     row's values do not depend on the other rows.  The factor exp(mu s /
@@ -296,6 +367,8 @@ def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
     an overflowing intermediate.  Only elements with j > 0 form Khat for v.
     """
     M = stacks["g"].shape[0]
+    if M == 2:
+        return _cosh_sinhc(stacks, s)
     alpha = s * stacks["alpha"]
     squarings = np.ceil(np.log2(np.maximum(alpha, 1.0))).astype(int)
     c = s * 0.5 ** squarings              # X = c X0 after scaling
@@ -433,7 +506,8 @@ def _scalar_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
 def _collinear_batch(system: EllipticSystem, xi: np.ndarray) -> dict:
     """Generator of n = 2, M > 1: every frequency lies on a line, so the
     data of the solvents G(+1) and G(-1) are gathered per node, zero at
-    xi = 0."""
+    xi = 0: for M = 2 only G, X0, mu and delta, what the closed form and
+    :meth:`PreparedSymbol.dt` read."""
     x = xi[:, 0]
     side = np.where(x > 0.0, 0, np.where(x < 0.0, 1, 2))
     pair = _solvents(system).g
@@ -587,27 +661,46 @@ class PreparedSymbol:
         return sum(a.nbytes for a in arrays)
 
     def levels(self, heights) -> np.ndarray:
-        """Khat at every height, shape (M, M, L, B) with the nodes last."""
+        """Khat at every height, shape (M, M, L, B) with the nodes last;
+        for M = 2 formed as C I + S X0 from the closed form's two fields."""
         heights = np.asarray(heights, dtype=float)
         if self.system.M == 1:
             k = np.exp(np.multiply.outer(heights, 1j * self.stacks["tau"]))
             return k[None, None]
-        return _eval_from_stacks(self.system, self.stacks,
-                                 np.multiply.outer(heights, self.norms))
+        s = np.multiply.outer(heights, self.norms)
+        if self.system.M == 2:
+            c, sh = _eval_from_stacks(self.system, self.stacks, s)
+            k = sh * self.stacks["x0"][:, :, None]
+            k[0, 0] += c
+            k[1, 1] += c
+            return k
+        return _eval_from_stacks(self.system, self.stacks, s)
 
     def action(self, heights, want_dt: bool = False):
         """The map v -> (Khat v, d/dt Khat v), each (L, M, B), at every
         height for blocks v (M, B) with the nodes last; the derivative is
         None unless ``want_dt`` is set.  For M = 1 the levels and their
         :meth:`dt` are evaluated once, here, and each block is one
-        contraction; for M > 1 each block pays its own Taylor action, and
-        its derivative is :meth:`dt` of that action."""
+        contraction; for M = 2 C and S are evaluated once, here, and each
+        block is C v + S (X0 v); for M > 2 each block pays its own Taylor
+        action.  For M > 1 the derivative is :meth:`dt` of the block."""
         if self.system.M == 1:     # einsum keeps the contraction's bytes
             k = self.levels(heights)
             ks = (k, self.dt(k) if want_dt else None)
             return lambda v: tuple(
                 a if a is None else np.einsum("ijlb,jb->lib", a, v) for a in ks)
         s = np.multiply.outer(heights, self.norms)
+        if self.system.M == 2:
+            c, sh = _eval_from_stacks(self.system, self.stacks, s)
+            x0 = self.stacks["x0"]
+
+            def act(v):
+                w = c * v[:, None, None] \
+                    + sh * _soa_matmul(x0, v[:, None])[:, :, None]
+                return w[:, 0].swapaxes(0, 1), (
+                    self.dt(w)[:, 0].swapaxes(0, 1) if want_dt else None)
+
+            return act
 
         def act(v):
             w = _eval_from_stacks(self.system, self.stacks, s, v[:, None])
@@ -677,8 +770,8 @@ def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
     xi_nodes = np.asarray(xi_nodes, dtype=float)
     if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
         raise ValueError("xi_nodes must have shape (B, n-1)")
-    if np.any(np.asarray(heights) < 0):
-        raise ValueError("t must be nonnegative")
+    if not np.all(np.isfinite(heights) & (np.asarray(heights) >= 0)):
+        raise ValueError("t must be finite and nonnegative")
     M = system.M
     out = np.empty((len(xi_nodes), len(alphas), len(heights), M, M),
                    dtype=complex)
@@ -947,16 +1040,39 @@ def interior_pde_residual(system: EllipticSystem, h: float = 1.0 / 16,
 
 
 def classical_oracle_residual(kernel: PoissonKernelGrid) -> float | None:
-    """Relative error on |x'| <= 5 against the harmonic kernel
-    (1 + |x'|^2)^(-n/2) / ((n - 1) pi) when the system is the flat
-    Laplacian; None otherwise."""
-    n = kernel.system.n
-    if not np.array_equal(kernel.system.coeffs, np.eye(n)[None, None]):
-        return None
+    """Error on |x'| <= 5 against a classical kernel; None for systems that
+    have none.  For the flat Laplacian it is the pointwise relative error
+    against the harmonic kernel (1 + |x'|^2)^(-n/2) / ((n - 1) pi).  A Lame
+    tensor is recognised from its coefficients, mu = a[0, 0, 1, 1] and
+    lambda + mu = a[0, 1, 0, 1], by an exact match with the Lame tensor of
+    those moduli; its error is normwise, max |P - P_exact| / max |P_exact|,
+    against P_exact = a |x|^-n I + b x x^T |x|^(-n-2), x = (x', 1), a = 4 mu
+    / ((3 mu + lambda) w), b = 2 n (mu + lambda) / ((3 mu + lambda) w), w =
+    |S^(n-1)| (the Lame example of Martell, D. Mitrea, I. Mitrea & M.
+    Mitrea)."""
+    system = kernel.system
+    n, coeffs = system.n, system.coeffs
     r2 = sum(m * m for m in kernel.grid.meshes())
     sel = r2 <= 25.0
-    exact = (1.0 + r2[sel]) ** (-0.5 * n) / ((n - 1) * np.pi)
-    return float((np.abs(kernel.values[..., 0, 0][sel] - exact) / exact).max())
+    if np.array_equal(coeffs, np.eye(n)[None, None]):
+        exact = (1.0 + r2[sel]) ** (-0.5 * n) / ((n - 1) * np.pi)
+        return float((np.abs(kernel.values[..., 0, 0][sel] - exact)
+                      / exact).max())
+    if system.M != n:
+        return None
+    mu, lam = coeffs[0, 0, 1, 1], coeffs[0, 1, 0, 1] - coeffs[0, 0, 1, 1]
+    if not np.array_equal(coeffs, _lame_tensor(mu, lam, n)):
+        return None
+    sphere = 2.0 * np.pi if n == 2 else 4.0 * np.pi
+    a = 4.0 * mu / ((3.0 * mu + lam) * sphere)
+    b = 2.0 * n * (mu + lam) / ((3.0 * mu + lam) * sphere)
+    x = np.stack([m[sel] for m in kernel.grid.meshes()]
+                 + [np.ones(np.count_nonzero(sel))], axis=1)
+    xx = (1.0 + r2[sel])[:, None, None]
+    exact = a * xx ** (-0.5 * n) * np.eye(n) \
+        + b * x[:, :, None] * x[:, None, :] * xx ** (-0.5 * n - 1.0)
+    return float(np.abs(kernel.values[sel] - exact).max()
+                 / np.abs(exact).max())
 
 
 def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
@@ -970,8 +1086,10 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
     oracle = classical_oracle_residual(kernel)
     if oracle is not None:
         metrics.append(make_metric(
-            "classical_oracle_rel_error", oracle, 1e-4, "le",
-            "tabulated kernel matches the closed-form harmonic kernel"))
+            "classical_oracle_rel_error", oracle, 1e-4 if M == 1 else 1e-10,
+            "le", "tabulated kernel matches the closed-form harmonic kernel"
+            if M == 1 else "tabulated kernel matches the classical Lame "
+            "kernel, normwise"))
 
     metrics.append(make_metric(
         "normalization_residual_tail_corrected", kernel.normalization_residual,
@@ -1049,8 +1167,8 @@ def verify_kernel_properties(system: EllipticSystem, kernel: PoissonKernelGrid,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.exp(rng.uniform(np.log(0.1), np.log(20.0), 100))
     xi = dirs * radii[:, None]
-    k2 = symbol_batch(system, xi, 0.3) @ symbol_batch(system, xi, 0.7)
-    worst = float(np.abs(symbol_batch(system, xi, 1.0) - k2).max())
+    k = _derivative_levels(system, xi, [0.3, 0.7, 1.0], [(0,) * system.n])
+    worst = float(np.abs(k[:, 0, 2] - k[:, 0, 0] @ k[:, 0, 1]).max())
     metrics.append(make_metric(
         "semigroup_residual", worst, 1e-8, "le",
         "Khat(xi,1) = Khat(xi,0.3) Khat(xi,0.7) at 100 seeded frequencies"))

@@ -4,11 +4,12 @@ The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
 of all height levels stacked and inverted in place, overwritten, by one FFT
 per field (an even N makes the shift a block swap) that writes each field
 once: the symbol is exact in t, so no kernel truncation enters the vertical
-direction, and Khat fhat is the action of the exponential on fhat, without
-forming Khat (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
-:func:`poisson_extend_each` solves a battery of data on one grid at one set
-of heights and yields one field per datum; for M = 1 the symbol of every
-level is evaluated once for the battery.  :func:`poisson_extend` is its
+direction, and for M = 3 Khat fhat is the action of the exponential on
+fhat, without forming Khat (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+2011).  :func:`poisson_extend_each` solves a battery of data on one grid at
+one set of heights and yields one field per datum; for M = 1 the symbol of
+every level, and for M = 2 the two scalar fields of Khat = C I + S X0, are
+evaluated once for the battery.  :func:`poisson_extend` is its
 one-datum case.  The price is periodisation; data must sit in the central
 half of the grid (or carry a tail tag).  :func:`wrap_bound` computes the
 wrap-around error bound from the kernel tail on request; a solve computes it
@@ -248,8 +249,9 @@ def poisson_extend_each(system: EllipticSystem, data, heights, *,
 
     Every datum is checked (BadShape for data on two grids) and passes the
     ``wrap_tol`` guard before the first solve.  For M = 1 the symbol of every
-    level is evaluated once for the battery; for M > 1 each datum pays its
-    own action of the exponential.
+    level, and for M = 2 its closed form's C and S, are evaluated once for
+    the battery; for M = 3 each datum pays its own action of the
+    exponential.
     """
     data = list(data)
     grids = {f.grid for f in data}

@@ -45,14 +45,19 @@ def random_lh3():
 def per_node_symbol():
     """(system, xi, t) -> (Khat, d/dt Khat), each (B, M, M), from direct
     per-node solves by ``kernels._solvent_stacks``, not from the system's
-    solvent table: the generic reference for every system class."""
+    solvent table: the reference for every system class.  For M = 2 it
+    forms Khat = C I + S X0 from the closed form's two scalar fields."""
     def evaluate(system, xi, t):
         norms = np.linalg.norm(xi, axis=1)
         g = np.zeros((len(xi), system.M, system.M), dtype=complex)
         g[norms > 0] = kernels._solvent_stacks(
             system, xi[norms > 0] / norms[norms > 0, None])
-        k = np.moveaxis(kernels._eval_from_stacks(
-            system, kernels._expm_stacks(g), t * norms[None])[:, :, 0], -1, 0)
+        stacks = kernels._expm_stacks(g)
+        k = kernels._eval_from_stacks(system, stacks, t * norms[None])
+        if system.M == 2:
+            c, sh = k
+            k = c * np.eye(2)[:, :, None, None] + sh * stacks["x0"][:, :, None]
+        k = np.moveaxis(k[:, :, 0], -1, 0)
         return k, 1j * norms[:, None, None] * (g @ k)
     return evaluate
 

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -340,8 +341,9 @@ def test_levels_derivative_is_dt_of_levels(row, request):
     """action's d/dt Khat v is dt of the action block for every class, bit
     for bit equal to an in-test copy of the product that the Taylor loop of
     _eval_from_stacks once formed chunk by chunk, (i G Khat v) |xi'|, at
-    heights that need squarings; for M = 1 it is the contraction of
-    i tau Khat with v."""
+    heights that need squarings (M = 3) or that reach both sides of the
+    closed form's series switch (M = 2, where the block is C v + S (X0 v));
+    for M = 1 it is the contraction of i tau Khat with v."""
     system = request.getfixturevalue(row) if isinstance(row, str) \
         else _class_system(*row)
     d, M = system.n - 1, system.M
@@ -357,8 +359,16 @@ def test_levels_derivative_is_dt_of_levels(row, request):
         assert np.array_equal(dw, want)
         return
     s = np.multiply.outer(heights, prep.norms)
-    assert (s * prep.stacks["alpha"]).max() > 2.0 ** 4
-    block = kernels._eval_from_stacks(system, prep.stacks, s, v[:, None])
+    if M == 2:
+        near = s * np.abs(prep.stacks["delta"]) <= kernels._CS_SERIES
+        assert near.any() and not near.all()
+        c, sh = kernels._eval_from_stacks(system, prep.stacks, s)
+        x0 = prep.stacks["x0"]
+        xv = x0[:, 0] * v[0] + x0[:, 1] * v[1]     # _soa_matmul's order
+        block = (c * v[:, None] + sh * xv[:, None])[:, None]
+    else:
+        assert (s * prep.stacks["alpha"]).max() > 2.0 ** 4
+        block = kernels._eval_from_stacks(system, prep.stacks, s, v[:, None])
     assert np.array_equal(w, block[:, 0].swapaxes(0, 1))
     g = 1j * prep.stacks["g"]
     inner = np.empty_like(block)
@@ -368,6 +378,90 @@ def test_levels_derivative_is_dt_of_levels(row, request):
             acc += g[i, q, None] * block[q, 0]
         inner[i, 0] = acc
     assert np.array_equal(dw, inner[:, 0].swapaxes(0, 1) * prep.norms)
+
+
+M2_ROWS = [p for p in CLASSES if p[1] == 2] + ["lame2", "lame2_complex"]
+
+
+def _m2_system(row, request):
+    if row == "lame2_complex":
+        return build_system("lame", n=2, mu=1 + 0.3j, lam=2 - 0.5j)
+    return request.getfixturevalue(row) if isinstance(row, str) \
+        else _class_system(*row)
+
+
+def _taylor_reference(x):
+    """expm of a (P, 2, 2) stack by scaling and squaring: X / 2^j with
+    ||X / 2^j||_1 <= 1/2, a 30-term Taylor sum, j squarings."""
+    j = np.ceil(np.log2(np.maximum(
+        2.0 * np.abs(x).sum(axis=1).max(axis=1), 1.0))).astype(int)
+    y = x / (2.0 ** j)[:, None, None]
+    k, term = np.broadcast_to(np.eye(2), x.shape).astype(complex), np.eye(2)
+    for q in range(1, 31):
+        term = term @ y / q
+        k += term
+    for round_ in range(1, j.max(initial=0) + 1):
+        k[j >= round_] = k[j >= round_] @ k[j >= round_]
+    return k
+
+
+@pytest.mark.parametrize("row", M2_ROWS, ids=lambda p: p
+                         if isinstance(p, str) else _class_id(p))
+class TestClosedFormM2:
+    """Khat = C I + S X0 for every M = 2 generator: no Taylor degree, no
+    squaring, and each element's value set by its own node and height."""
+
+    HEIGHTS = np.geomspace(0.02, 3.0, 8)
+
+    def _prep(self, system):
+        d = system.n - 1
+        xi = np.vstack([np.zeros((1, d)), _seeded_nodes(40, 6, d=d)])
+        return kernels.PreparedSymbol(system, xi)
+
+    def test_both_sides_of_the_switch_match_taylor(self, row, request):
+        """Against an in-test scaling and squaring of e^(s mu) expm(s X0)
+        on both sides of the series switch |s delta| = _CS_SERIES: within
+        1e-14 (1 + s) of max |Khat| per element, s up to 58.  Measured:
+        at most 3.1e-14 on the class systems and 2.1e-13 on complex Lame,
+        mostly the reference's own squarings (against 50-digit expm, the
+        closed form is 0.9e-12 and the reference 3.0e-11 at s = 500)."""
+        system = _m2_system(row, request)
+        prep = self._prep(system)
+        k = prep.levels(self.HEIGHTS)
+        s = np.multiply.outer(self.HEIGHTS, prep.norms)
+        near = s * np.abs(prep.stacks["delta"]) <= kernels._CS_SERIES
+        if system.label.startswith("lame"):
+            assert near.all()      # X0 is nilpotent up to round-off
+        else:
+            assert near.any() and not near.all()
+        x0 = np.moveaxis(prep.stacks["x0"], -1, 0)
+        ref = _taylor_reference(s.reshape(-1)[:, None, None]
+                                * np.tile(x0, (len(self.HEIGHTS), 1, 1)))
+        ref *= np.exp(s * prep.stacks["mu"]).reshape(-1)[:, None, None]
+        got = np.moveaxis(k, (0, 1), (-2, -1)).reshape(ref.shape)
+        err = np.abs(got - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * (1.0 + s.reshape(-1))
+                      * np.abs(ref).max(axis=(1, 2)))
+
+    @pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 8.0])
+    def test_subset_equals_full_call(self, row, t, request):
+        system = _m2_system(row, request)
+        xi = self._prep(system).xi
+        full = symbol_batch(system, xi, t)
+        for subset in (np.arange(1, len(xi), 3), np.arange(len(xi))[::-1]):
+            assert np.array_equal(symbol_batch(system, xi[subset], t),
+                                  full[subset])
+
+    def test_no_taylor_degrees(self, row, request, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an M = 2 symbol reached _taylor_degrees")
+
+        monkeypatch.setattr(kernels, "_taylor_degrees", forbidden)
+        system = _m2_system(row, request)
+        prep = self._prep(system)
+        prep.levels(self.HEIGHTS)
+        prep.action(self.HEIGHTS, want_dt=True)(np.ones((2, len(prep.xi))))
+        symbol_batch(system, prep.xi, 3.0, want_dt=True)
 
 
 def test_symbol_batch_prepares_node_chunks(lame2, monkeypatch):
@@ -716,6 +810,36 @@ class TestClosedForm:
         norm = max(abs(a), abs(a + b))
         assert abs(kernels.tail_constant(system) - norm) \
             <= (4e-15 if n == 2 else 5e-12) * norm
+
+    @pytest.mark.parametrize("n, N", [(2, 1024), (3, 32)])
+    @pytest.mark.parametrize("mu, lam", LAME2_MODULI[:4])
+    def test_lame_oracle(self, n, N, mu, lam):
+        """classical_oracle_residual knows a Lame tensor by its coefficients,
+        whatever its label: the normwise error against the classical kernel
+        is within 1e-14 (measured: 1.0e-15 at most on these moduli), and the
+        n = 2 report holds its row to 1e-10.  A tensor off the Lame form
+        has no oracle."""
+        from halfspace import verify_kernel_properties
+        system = build_system("lame", n=n, mu=mu, lam=lam)
+        table, kernel = build_poisson_kernel(system, N=N,
+                                             normalization_tol=None)
+        err = kernels.classical_oracle_residual(kernel)
+        assert err <= 1e-14
+        raw = build_system("raw", tensor=system.coeffs)
+        assert raw.label == "raw"
+        assert kernels.classical_oracle_residual(
+            dataclasses.replace(kernel, system=raw)) == err
+        coeffs = system.coeffs.copy()
+        coeffs[0, 0, 0, 1] += 1e-3
+        off = dataclasses.replace(system, coeffs=coeffs)
+        assert kernels.classical_oracle_residual(
+            dataclasses.replace(kernel, system=off)) is None
+        if n == 2:
+            metric = verify_kernel_properties(
+                system, kernel, table, pde_check=False).metric(
+                    "classical_oracle_rel_error")
+            assert metric.value == err and metric.tolerance == 1e-10
+            assert metric.passed
 
     @pytest.mark.parametrize("name", ["lame2_kernel", "lame3_small_kernel"])
     def test_fft_tables_within_their_images(self, name, request):
@@ -1157,6 +1281,27 @@ class TestGuards:
     def test_dt_rejects_negative_height(self, lame2):
         with pytest.raises(ValueError, match="nonnegative"):
             poisson_symbol_dt_at(lame2, [1.0], -1.0)
+
+    @pytest.mark.parametrize("row", ["lap2", "lame2", "lame3"])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_height_raises(self, row, t, request):
+        """M = 1, 2 and 3: every entry point that evaluates Khat at given
+        heights raises before any arithmetic, so no RuntimeWarning."""
+        system = request.getfixturevalue(row)
+        xi = np.ones((1, system.n - 1))
+        grid = Grid(n=system.n, N=8, h=0.5)
+        calls = [lambda: symbol_batch(system, xi, t),
+                 lambda: poisson_symbol_at(system, xi[0], t),
+                 lambda: poisson_symbol_dt_at(system, xi[0], t),
+                 lambda: kernel_derivative_spectrum(system, xi, t,
+                                                    (0,) * system.n),
+                 lambda: synthesize_kernel_levels(system, grid, [1.0, t])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError,
+                                   match="t must be finite and nonnegative"):
+                    call()
 
     def test_dt_at_zero_frequency(self, lame2):
         from halfspace import poisson_symbol_dt_at

@@ -542,6 +542,30 @@ class TestBattery:
             pass
         assert calls == [2]
 
+    def test_one_closed_form_pass_for_a_lame2_battery(self, monkeypatch):
+        """A Lame n = 2 battery of three data evaluates C and S of Khat =
+        C I + S X0 once; each field equals its own solve bit for bit."""
+        system = build_system("lame", n=2, mu=1 + 0.3j, lam=2 - 0.5j)
+        grid = Grid(n=2, N=256, h=0.125)
+        battery = smooth_compact(grid, 2, 4, count=2) \
+            + sign_changing(grid, 2, 9, count=1)
+        heights = np.geomspace(0.05, 4, 7)
+        calls = []
+        inner = kernels._eval_from_stacks
+
+        def counting(system, stacks, s, v=None):
+            calls.append(s.shape)
+            return inner(system, stacks, s, v)
+
+        monkeypatch.setattr(kernels, "_eval_from_stacks", counting)
+        fields = list(poisson_extend_each(system, battery, heights,
+                                          gradient=True))
+        assert calls == [(len(heights), grid.node_count)]
+        for f, u in zip(battery, fields):
+            ref = poisson_extend(system, f, heights, gradient=True)
+            assert np.array_equal(u.values, ref.values)
+            assert np.array_equal(u.gradient, ref.gradient)
+
     def test_data_on_two_grids_raise(self, lap2):
         a = gaussian_datum(Grid(n=2, N=256, h=0.125))
         b = gaussian_datum(Grid(n=2, N=512, h=0.125))

@@ -16,6 +16,7 @@ import pytest
 from halfspace import build_system, characteristic_roots, symbol_batch
 from halfspace.kernels import _solvent_stacks
 from halfspace.systems import symbol_pencil
+from test_kernels import _class_system
 
 Q = 256
 S_SEED = 1.0          # largest s evaluated by the quadrature itself
@@ -48,17 +49,26 @@ SYSTEMS = {
     "lame2_real": dict(kind="lame", n=2, mu=1.0, lam=1.0),
     "lame2_complex": dict(kind="lame", n=2, mu=1 + 0.3j, lam=2 - 0.5j),
     "lame2_lam20": dict(kind="lame", n=2, mu=1.0, lam=20.0),
+    "lame2_lam-1.99": dict(kind="lame", n=2, mu=1.0, lam=-1.99),
+    "lame2_mu0.05": dict(kind="lame", n=2, mu=0.05, lam=1.0),
     "lame3_real": dict(kind="lame", n=3, mu=1.0, lam=1.0),
     "lame3_complex": dict(kind="lame", n=3, mu=1 + 0.3j, lam=2 - 0.5j),
     "lame3_lam20": dict(kind="lame", n=3, mu=1.0, lam=20.0),
 }
 FIXTURES = ["random_lh3", "complex_scalar"]    # from conftest.py
+# the seeded M = 2 class systems of test_kernels.py, whose Khat = C I + S X0
+# reaches both sides of the closed form's series switch
+CLASSES = {"class_n%d_M2_%s" % (n, "complex" if c else "real"): (n, 2, c)
+           for n in (2, 3) for c in (False, True)}
 
 
-@pytest.fixture(scope="module", params=sorted(SYSTEMS) + FIXTURES)
+@pytest.fixture(scope="module",
+                params=sorted(SYSTEMS) + FIXTURES + sorted(CLASSES))
 def system(request):
     if request.param in FIXTURES:
         return request.getfixturevalue(request.param)
+    if request.param in CLASSES:
+        return _class_system(*CLASSES[request.param])
     spec = dict(SYSTEMS[request.param])
     return build_system(spec.pop("kind"), **spec)
 
