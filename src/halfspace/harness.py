@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BadShape, UnknownExperiment
+from .errors import BadShape, EmptyWindow, UnknownExperiment
 from .grids import Grid
 from .kernels import prepared_symbol
 from .operators import (ConeSpec, DyadicCubeFamily, hardy_littlewood,
@@ -58,10 +58,22 @@ def parse_complex(v):
     raise BadShape("cannot parse %r as a complex number" % (v,))
 
 
+_SPEC_KEYS = {"laplacian": (), "lame": ("mu", "lambda"), "scalar": ("A",),
+              "raw": ("tensor",)}     # what each kind reads besides n
+
+
 def system_from_spec(spec: dict) -> EllipticSystem:
     spec = dict(spec)
-    kind = spec.pop("kind")
+    kind = spec.pop("kind", None)
+    if kind not in _SPEC_KEYS:
+        raise BadShape("unknown system kind %r" % (kind,))
     n = int(spec.pop("n", 2))
+    missing = [key for key in _SPEC_KEYS[kind] if key not in spec]
+    unread = sorted(set(spec) - set(_SPEC_KEYS[kind]))
+    if missing or unread:
+        raise BadShape("system kind %r: %s" % (kind, "; ".join(
+            "%s %s" % (what, ", ".join(map(repr, keys))) for what, keys in
+            (("missing", missing), ("does not read", unread)) if keys)))
     if kind == "laplacian":
         return build_system("laplacian", n=n)
     if kind == "lame":
@@ -71,12 +83,10 @@ def system_from_spec(spec: dict) -> EllipticSystem:
         A = np.array([[parse_complex(v) for v in row]
                       for row in spec.pop("A")])
         return build_system("scalar", A=A)
-    if kind == "raw":
-        tensor = np.asarray(spec.pop("tensor"))
-        if tensor.ndim == 5:      # trailing [re, im]
-            tensor = tensor[..., 0] + 1j * tensor[..., 1]
-        return build_system("raw", tensor=tensor)
-    raise BadShape("unknown system kind %r" % (kind,))
+    tensor = np.asarray(spec.pop("tensor"))
+    if tensor.ndim == 5:          # trailing [re, im]
+        tensor = tensor[..., 0] + 1j * tensor[..., 1]
+    return build_system("raw", tensor=tensor)
 
 
 @dataclass
@@ -265,8 +275,14 @@ def _depth_for(grid: Grid) -> int:
     return int(np.log2(grid.N)) - 2
 
 
-def _fit_slope(r: np.ndarray, v: np.ndarray, lo: float, hi: float) -> float:
+def _fit_slope(r: np.ndarray, v: np.ndarray, lo: float, hi: float,
+               grid: Grid) -> float:
+    """Log-log slope of v against r over the band lo <= r <= hi."""
     mask = (r >= lo) & (r <= hi) & (v > 0)
+    if np.count_nonzero(mask) < 2:
+        raise EmptyWindow("slope band [%.3g, %.3g] holds fewer than two "
+                          "samples on the grid of R = %.3g; raise N"
+                          % (lo, hi, grid.R))
     return float(np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0])
 
 
@@ -417,7 +433,7 @@ def _h1_atoms(cfg, system, grid, rep) -> dict:
         # out to half the cone's reach or half the support's distance
         # to the periodic seam, whichever is shorter
         hi = min(cone.kappa * cone.t_max, grid.R - f.support_radius()) / 2
-        slopes.append(_fit_slope(offs.ravel(), far.ravel(), 8 * side, hi))
+        slopes.append(_fit_slope(offs.ravel(), far.ravel(), 8 * side, hi, grid))
     masses = np.array(masses)
     rep.add("maximal_mass_spread", float(masses.max() / masses.min()),
             cfg.tol("spread", 10.0), "le",
@@ -697,7 +713,7 @@ def _counterexample_kernel_column(cfg, system, grid, rep) -> dict:
         off = rad > 3.0
         tr_off = float(tr.magnitude()[off].max())
         nt = nontangential_max(u, ConeSpec(cfg.kappa, t_max=eps0)).meta["values"]
-        slope = _fit_slope(rad.ravel(), nt.ravel(), 4 * h, 2.0)
+        slope = _fit_slope(rad.ravel(), nt.ravel(), 4 * h, 2.0, grid)
         return inside, outside, tr_off, slope
 
     h = grid.h
@@ -735,7 +751,7 @@ def _counterexample_linear(cfg, system, grid, rep) -> dict:
         [log_levels(1e-4, grid.R / 4),
          [rho * (1.0 - 1e-9) for rho in rhos]]))
     vals = np.tile(a, (len(heights),) + grid.shape + (1,)) \
-        * heights[:, None, None]
+        * heights.reshape((-1,) + (1,) * (grid.d + 1))
     u = HalfSpaceField(grid=grid, heights=heights, values=vals)
     tr = trace_estimate(u, ConeSpec(cfg.kappa, t_max=grid.R / cfg.kappa))
     rep.add("trace_sup", float(tr.magnitude().max()), 1e-10, "le",
@@ -768,10 +784,10 @@ def _counterexample_dipole(cfg, system, grid, rep) -> dict:
         u = _kernel_column_field(system, grid, levels, a, shift=shift)
         nt = nontangential_max(u, cone).meta["values"]
         rad = grid.radii()
-        near = _fit_slope(rad.ravel(), nt.ravel(), 4 * h, 0.1 * z)
+        near = _fit_slope(rad.ravel(), nt.ravel(), 4 * h, 0.1 * z, grid)
         centre = np.sqrt(sum((mm - (shift[i] / 2 if i == 0 else 0.0)) ** 2
                              for i, mm in enumerate(grid.meshes())))
-        far = _fit_slope(centre.ravel(), nt.ravel(), 3 * z, grid.R / 2)
+        far = _fit_slope(centre.ravel(), nt.ravel(), 3 * z, grid.R / 2, grid)
         mass_sub = float((nt ** p_sub).sum() * grid.cell_volume)
         mass_one = float(nt.sum() * grid.cell_volume)
         tau = min(8 * h, 0.2)

@@ -5,9 +5,9 @@ v(t) = Khat(xi', t) f of a null solution satisfies the matrix ODE
 
     M2 v'' + i M1(xi') v' - M0(xi') v = 0,
 
-where sym(xi', tau) = M2 tau^2 + M1 tau + M0.  Its solutions that decay as
-t -> oo are v(t) = expm(i t G) v(0), with G the upper right solvent of the
-pencil (Higham & Kim, IMA J. Numer. Anal. 20, 2000):
+where sym(xi', tau) = M2 tau^2 + M1 tau + M0.  Its decaying solutions are
+v(t) = expm(i t G) v(0), G the upper right solvent of the pencil (Higham &
+Kim, IMA J. Numer. Anal. 20, 2000):
 
     M2 G^2 + M1 G + M0 = 0,    spec(G) = the roots with Im tau > 0.
 
@@ -26,27 +26,23 @@ X0^2 = delta^2 I with delta^2 = -det X0 (Cayley-Hamilton), so
 
     Khat = e^(s mu) (cosh(s delta) I + s sinhc(s delta) X0) = C I + S X0,
 
-two scalar fields per height and node, with no eigenvalues and no squarings
-(Moler & Van Loan, SIAM Rev. 45, 2003; Higham, Functions of Matrices, SIAM
-2008, ch. 10): a short even series in (s delta)^2 where |s delta| <=
-_CS_SERIES, and e^(s (mu +- delta)), whose real parts are negative,
-elsewhere (:func:`_cosh_sinhc`).  For Lame systems G - i I is nilpotent, so
-delta is round-off.  For M = 3 the exponential is a Taylor
-scaling-and-squaring that shifts by mu s and scales by ||X0^2||^(1/2)
-(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  It works on
-stacks of many tiny matrices, so they are stored nodes-last, (M, M, ...,
-B), and multiplied entry by entry (the layout of batched BLAS: Dongarra et
-al., Procedia Comput. Sci. 108, 2017); one call covers every height of a
-solve.  For scalar systems (M = 1) the solvent is the upper root
-tau_+(xi') itself, and Khat = exp(i tau_+ t) in closed form.  Every class
-goes through one path, :class:`PreparedSymbol`: the generator (tau_+, or G
-per node) is stored once per frequency node.  A solve contracts each datum
-with the levels (M = 1) or with C and S (M = 2), evaluated once for a
-battery; for M = 3 it applies the Taylor polynomial to fhat and forms Khat
-only where squarings are due (the action of expm: Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33, 2011).  Every t-derivative, of Khat or of Khat fhat, is
-one product with i |xi'| G (:meth:`PreparedSymbol.dt`) after the
-exponential.
+two scalar fields per height and node with no squarings (Moler & Van Loan,
+SIAM Rev. 45, 2003; Higham, Functions of Matrices, SIAM 2008, ch. 10;
+:func:`_cosh_sinhc`).  For Lame systems G - i I is nilpotent, so delta is
+round-off.  For M = 3 each node stores a complex Schur form X0 = Q T Q^H
+(:func:`_schur3`), and Khat = e^(s mu) Q expm(s T) Q^H, expm(s T) upper
+triangular from the divided differences of exp at s T_ii (Schur-Parlett:
+Higham, op. cit., sections 9.1-9.2, 10.4.3; McCurdy, Ng & Parlett, Math.
+Comp. 43, 1984; :func:`_eval_from_stacks`).  Stacks of tiny matrices are
+stored nodes-last, (M, M, ..., B), and multiplied entry by entry (the layout
+of batched BLAS: Dongarra et al., Procedia Comput. Sci. 108, 2017); one call
+covers every height of a solve, each element by its own height and node.
+For M = 1 the solvent is the upper root tau_+(xi'), and Khat = exp(i tau_+
+t).  Every class goes through :class:`PreparedSymbol`, which stores the
+generator (tau_+, or G) once per frequency node; a solve contracts each
+datum with the levels (M = 1), C and S (M = 2) or expm(s T) (M = 3),
+evaluated once for a battery.  Every t-derivative is one product with
+i |xi'| G (:meth:`PreparedSymbol.dt`) after the exponential.
 
 Solvent table.  G depends on the system and omega only: each system solves
 it once, on first use, into a table held on the system object
@@ -87,8 +83,6 @@ about margin / |y| off the real angles, and the rule's error falls like
 exp(-nodes margin / |y|).  The n = 3 W_R takes Gauss-Legendre panels by
 the same rule at |y| = R.  More than _TRAPEZOID_MAX nodes raise
 OutOfDomain; q <= Q nodes are table entries.
-In n = 3 the nodes sum terms far above P(y) ~ |y|^(-3): the relative
-round-off grows like 1e-17 |y|^3.
 
 Fourier conventions: fhat(xi) = int f exp(-i x.xi) dx with inverse carrying
 (2 pi)^{1-n}; Phat(0) = I is the unit mass, that of a table periodised.
@@ -124,14 +118,18 @@ __all__ = [
 
 _SIGN_MAX_ITER = 100      # Newton steps; a root on the real axis never converges
 _BOUNDARY_COND_MAX = 1e12  # condition number of A A^H beyond which it is singular
-_TAYLOR_TOL = 2.0 ** -56  # bound on the dropped Taylor terms of expm
 _PREPARED_BYTES = 1 << 28  # per-node arrays kept by _PREPARED_CACHE
-_EXPM_BYTES = 1 << 22     # working set of one Taylor chunk in _eval_from_stacks
 _CS_SERIES = 0.5          # |s delta| up to which C and S take their even series
 # their 8 terms, w^k / (2k)! and w^k / (2k + 1)! in w = (s delta)^2: the
 # first one dropped is below 2^-56 of C and of S / s there
 _CS_COEFFS = np.array([[1.0 / factorial(2 * k + j) for k in range(8)]
                        for j in (0, 1)])
+_SCHUR_SERIES = 0.125     # s max |T_ii - T_jj| up to which E takes its series
+# r = s max |T_ii| up to which its degree d = 4, ..., 18 drops < 2^-53
+_SCHUR_RADII = np.array([(2.0 ** -53 * factorial(d - 1)) ** (1.0 / (d - 1))
+                         for d in range(4, 19)])
+# (row, column) of T's and E's six fields: corner, off-diagonal, diagonal
+_FIELDS = (np.array([0, 0, 1, 0, 1, 2]), np.array([2, 1, 2, 0, 1, 2]))
 _SYMBOL_CHUNK = 8192      # nodes per PreparedSymbol of symbol_batch
 _TRAPEZOID_MIN = 64       # fewest circle nodes of the closed-form kernel
 _TRAPEZOID_RATE = 40.0    # circle nodes per unit of (1 + |y|) / root margin
@@ -232,24 +230,49 @@ def _solvent_stacks(system: EllipticSystem, omega: np.ndarray) -> np.ndarray:
 
 
 def _expm_stacks(g: np.ndarray) -> dict:
-    """Per-node data of expm(i s G) for solvents G (B, M, M), laid out with
-    the nodes last: G and X0 = i(G - tr(G)/M I) as (M, M, B) and the shift
-    mu = i tr(G)/M; for M = 2 delta, a root of delta^2 = -det X0, and
-    otherwise ||X0||_F and ||X0^2||_F^(1/2), the Taylor path's norms.  The
-    shift, delta and both norms of i s G scale linearly in s >= 0."""
+    """Per-node data of expm(i s G) for solvents G (B, M, M), nodes last:
+    G (M, M, B) and the shift mu = i tr(G)/M; for M = 2 X0 = i G - mu I and
+    delta, a root of delta^2 = -det X0; for M = 3 the Schur vectors Q (3, 3,
+    B) of X0 and T's fields (6, B), the diagonal centred on its mean, which
+    mu takes in."""
     M = g.shape[-1]
     mu = 1j * np.trace(g, axis1=1, axis2=2) / M
     x0 = 1j * g - mu[:, None, None] * np.eye(M)
-    stacks = {"g": np.ascontiguousarray(np.moveaxis(g, 0, -1)),
-              "x0": np.ascontiguousarray(np.moveaxis(x0, 0, -1)),
-              "mu": mu}
+    stacks = {"g": np.ascontiguousarray(np.moveaxis(g, 0, -1)), "mu": mu}
     if M == 2:
+        stacks["x0"] = np.ascontiguousarray(np.moveaxis(x0, 0, -1))
         stacks["delta"] = np.sqrt(x0[:, 0, 1] * x0[:, 1, 0]
                                   - x0[:, 0, 0] * x0[:, 1, 1])
-    else:
-        stacks["nx"] = np.linalg.norm(x0, axis=(1, 2))
-        stacks["alpha"] = np.sqrt(np.linalg.norm(x0 @ x0, axis=(1, 2)))
-    return stacks
+        return stacks
+    q, t = _schur3(x0)
+    t = t[(slice(None),) + _FIELDS].T
+    mean = t[3:].mean(axis=0)
+    return dict(stacks, q=np.ascontiguousarray(np.moveaxis(q, 0, -1)),
+                t=np.concatenate([t[:3], t[3:] - mean]), mu=mu + mean)
+
+
+def _schur3(x0: np.ndarray):
+    """(Q, T), X0 = Q T Q^H, of a (B, 3, 3) stack: the reflector taking e1
+    to an eigenvector (np.linalg.eig) gives [[l, *], [0, A]]; A's longer
+    eigenvector (h + d, A21) or (A12, d - h), h = (A11 - A22) / 2, d^2 = h^2
+    + A12 A21, Re(conj(h) d) >= 0, is the first column of the rotation that
+    makes A triangular.  T's strict lower part is round-off."""
+    v = np.linalg.eig(x0)[1][:, :, 0]
+    p = v + np.exp(1j * np.angle(v[:, :1])) * np.eye(3)[0]
+    q = np.eye(3) - p[:, :, None] * p[:, None].conj() \
+        / (1.0 + np.abs(v[:, 0]))[:, None, None]      # |p|^2 / 2
+    a = q @ x0 @ q                                      # q is Hermitian
+    h = 0.5 * (a[:, 1, 1] - a[:, 2, 2])
+    d = np.sqrt(h * h + a[:, 1, 2] * a[:, 2, 1])
+    d *= np.where((h.conj() * d).real < 0, -1.0, 1.0)
+    y = np.stack([np.stack([h + d, a[:, 2, 1]], 1),
+                  np.stack([a[:, 1, 2], d - h], 1)])
+    y = y[np.linalg.norm(y, axis=2).argmax(axis=0), np.arange(len(v))]
+    size = np.linalg.norm(y, axis=1, keepdims=True)
+    y = np.where(size > 0, y / np.where(size > 0, size, 1.0), [1.0, 0.0])
+    q[:, :, 1:] = q[:, :, 1:] @ np.stack(
+        [y, np.stack([-y[:, 1].conj(), y[:, 0].conj()], 1)], 2)
+    return q, q.conj().swapaxes(1, 2) @ x0 @ q
 
 
 def _cs_series(s, mu, delta):
@@ -279,13 +302,11 @@ def _cs_exponential(s, mu, delta):
 
 def _cosh_sinhc(stacks: dict, s: np.ndarray):
     """C = e^(s mu) cosh(s delta) and S = e^(s mu) s sinhc(s delta), each
-    (L, B), for heights-by-nodes s (L, B): expm(s (mu I + X0)) = C I + S X0,
-    since X0^2 = delta^2 I (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45,
-    2003; Higham, Functions of Matrices, SIAM 2008, ch. 10).  Both are even
-    in delta, so its root's sign does not matter.  Elements with |s delta|
-    <= _CS_SERIES take the series, the others the exponentials, where the
-    difference loses no more than a few ulps; each element's value depends
-    on its own s, mu and delta alone."""
+    (L, B), for heights-by-nodes s (L, B): expm(s (mu I + X0)) = C I + S X0
+    as X0^2 = delta^2 I, even in delta.  Elements with |s delta| <=
+    _CS_SERIES take the series, the others the exponentials, whose
+    difference loses a few ulps at most, each element by its own s, mu and
+    delta alone."""
     mu, delta = stacks["mu"], stacks["delta"]
     near = s * np.abs(delta) <= _CS_SERIES
     if near.all() or not near.any():
@@ -303,112 +324,93 @@ def _soa_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((M, p) + np.broadcast(a[0, 0], b[0, 0]).shape, complex)
     for i in range(M):
         for j in range(p):
-            acc = a[i, 0] * b[0, j]
+            np.multiply(a[i, 0], b[0, j], out=out[i, j])
             for q in range(1, M):
-                acc += a[i, q] * b[q, j]
-            out[i, j] = acc
+                out[i, j] += a[i, q] * b[q, j]
     return out
 
 
-def _taylor_block(x: np.ndarray, b, degree: int, c=1.0) -> np.ndarray:
-    """T_m(c X) B for a block B (M, p, ...) by Horner's rule: w <- c X (B +
-    w) / j for j = m, ..., 1 from w = 0, then B + w; B = None is the
-    identity, added on the diagonal."""
-    w = (x if b is None else _soa_matmul(x, b)) * (c / degree)
-    for j in range(degree - 1, -1, -1):
-        if b is None:
-            for i in range(len(w)):
-                w[i, i] += 1.0
-        else:
-            w += b
-        if j:
-            w = _soa_matmul(x, w)
-            w *= c / j
-    return w
+def _schur_series(s, mu, t, cols):
+    """E = e^(s mu) sum_k s^k T^k / k!, (6, *s.shape), by Horner's rule in
+    s, T^k / k! formed on the nodes that ``cols`` picks.  An element's corner
+    ends at its own degree d of _SCHUR_RADII (zeroed above it), the next
+    fields at d - 1 and the diagonal at d - 2, each dropping < r^(d-1) /
+    (d-1)!, r = s max |T_ii|."""
+    r = s * np.abs(t[3:]).max(axis=0)[cols]
+    top = 4 + int(np.searchsorted(_SCHUR_RADII, r.max()))
+    terms = [np.eye(3)[_FIELDS].reshape((6,) + (1,) * (t.ndim - 1))]
+    for k in range(1, top + 1):          # C_k = C_(k-1) T / k
+        c = terms[-1]
+        nxt = c * t[[5, 4, 5, 3, 4, 5]]
+        nxt[:3] += c[[3, 3, 4]] * t[:3]
+        nxt[0] += c[1] * t[2]
+        terms.append(nxt / k)
+    sc, e = s.astype(complex), np.empty((6,) + s.shape, complex)
+    for k in range(top, -1, -1):
+        term = np.broadcast_to(terms[k], t.shape)[:, cols]
+        for g, rows in enumerate((slice(0, 1), slice(1, 3), slice(3, 6))):
+            if k + g < top:
+                e[rows] *= sc
+                e[rows] += term[rows]
+            elif k + g == top:
+                e[rows] = term[rows]
+            if 4 < k + g <= top:
+                e[rows] *= r > _SCHUR_RADII[k + g - 5]
+    e *= np.exp(s * mu[cols])
+    return e
 
 
-def _taylor_degrees(nx: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Per row of (L, B) scaled norms, the least Taylor degree m whose two
-    next terms are bounded by ||X0||^(q mod 2) alpha^(q - q mod 2) / q!
-    <= _TAYLOR_TOL (q = m + 1, m + 2) at every node of the row."""
-    def worst(q):
-        bound = nx ** (q % 2) * alpha ** (q - q % 2) / factorial(q)
-        return bound.max(axis=1, initial=0.0)
+def _schur_quotients(s, mu, t):
+    """E, (6, *s.shape), for per-node mu and t broadcast against s, from
+    e^(z_i), z_i = s (mu + T_ii), real parts negative, and G_ab = s g[z_a,
+    z_b] = (e^(z_a) - e^(z_b)) / (T_aa - T_bb), or where s |T_aa - T_bb| <=
+    _SCHUR_SERIES, S of the M = 2 closed form at the pair's mean and
+    half-gap (:func:`_cs_series`); s^2 g[z_0, z_1, z_2] is the quotient of
+    two G over the node's largest gap."""
+    lam, a, b = t[3:], [0, 1, 0], [1, 2, 2]          # the pairs 01, 12, 02
+    gap, mid = lam[a] - lam[b], mu + 0.5 * (lam[a] + lam[b])
+    e = np.empty((6,) + s.shape, complex)
+    np.exp(s * (mu + lam), out=e[3:])
+    with np.errstate(all="ignore"):    # a zero gap's quotients are not read
+        inv = 1.0 / gap
+        g = (e[3:][a] - e[3:][b]) * inv
+        for k in range(3):
+            near = s * np.abs(gap[k]) <= _SCHUR_SERIES
+            g[k][near] = _cs_series(s[near], *(np.broadcast_to(x[k], s.shape)
+                                               [near] for x in (mid, gap / 2)))[1]
+        wide = np.abs(gap).argmax(axis=0)[None]   # over gap 01: G_02 - G_12
+        two = np.take_along_axis(g, np.array([2, 0, 0])[wide], 0)[0] \
+            - np.take_along_axis(g, np.array([1, 2, 1])[wide], 0)[0]
+        two *= np.take_along_axis(inv, wide, 0)[0] * t[1] * t[2]
+    e[0] = t[0] * g[2] + two
+    e[1:3] = t[1:3] * g[:2]
+    return e
 
-    degrees = np.full(len(nx), 63)
-    open_ = np.ones(len(nx), dtype=bool)
-    nxt = worst(2)
-    for m in range(1, 64):
-        cur, nxt = nxt, worst(m + 2)
-        done = open_ & (np.maximum(cur, nxt) <= _TAYLOR_TOL)
-        degrees[done] = m
-        open_ &= ~done
-        if not open_.any():
-            break
-    return degrees
 
-
-def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray,
-                      v: np.ndarray | None = None):
-    """Khat = expm(i s G) from prepared per-node data (:func:`_expm_stacks`)
-    for heights-by-nodes s (L, B), shape (M, M, L, B); with a block v
-    (M, p, B), Khat v, (M, p, L, B).  For M = 2 it returns instead the two
-    scalar fields (C, S), each (L, B), of Khat = C I + S X0 in closed form
-    (:func:`_cosh_sinhc`), and is called without v: no Taylor degree and no
-    squaring.
-
-    Otherwise Taylor scaling-and-squaring: X = i s G is shifted by mu s and
-    halved j times until alpha = s ||X0^2||^(1/2) <= 1; the degree of a row
-    is the least m whose dropped terms are bounded by ||X0||^(k mod 2)
-    alpha^(k - k mod 2) / k! <= _TAYLOR_TOL over that row's nodes.  Rows of
-    one degree are evaluated together, in node chunks of _EXPM_BYTES, so a
-    row's values do not depend on the other rows.  The factor exp(mu s /
-    2^j) is applied before squaring, so decaying values never pass through
-    an overflowing intermediate.  Only elements with j > 0 form Khat for v.
-    """
-    M = stacks["g"].shape[0]
-    if M == 2:
+def _eval_from_stacks(system: EllipticSystem, stacks: dict, s: np.ndarray):
+    """The fields of Khat = expm(i s G) from :func:`_expm_stacks` for
+    heights-by-nodes s (L, B), each element by its own height and node: for
+    M = 2 (C, S), each (L, B), of Khat = C I + S X0 (:func:`_cosh_sinhc`);
+    for M = 3 E (6, L, B) of Khat = Q E Q^H, by :func:`_schur_series` where
+    s max |T_ii - T_jj| <= _SCHUR_SERIES, else :func:`_schur_quotients`."""
+    if stacks["g"].shape[0] == 2:
         return _cosh_sinhc(stacks, s)
-    alpha = s * stacks["alpha"]
-    squarings = np.ceil(np.log2(np.maximum(alpha, 1.0))).astype(int)
-    c = s * 0.5 ** squarings              # X = c X0 after scaling
-    degrees = _taylor_degrees(c * stacks["nx"], c * stacks["alpha"])
-    k = np.empty((M, M if v is None else v.shape[1]) + s.shape, complex)
-    for degree in np.unique(degrees):
-        sel = np.flatnonzero(degrees == degree)
-        # x, k and one product of complex M x M stacks per chunk
-        span = max(1, _EXPM_BYTES // (3 * 16 * M * M * len(sel)))
-        for start in range(0, s.shape[1], span):
-            cols = slice(start, start + span)
-            cc, sq = c[sel, cols], squarings[sel, cols]
-            x0 = stacks["x0"][:, :, None, cols]
-            shift = np.exp(stacks["mu"][None, cols] * cc)
-            mat = np.s_[...] if v is None else sq > 0     # forming Khat
-            if v is None or mat.any():
-                x = np.broadcast_to(x0, (M, M) + cc.shape)[:, :, mat] * cc[mat]
-                km = _taylor_block(x, None, degree) * shift[mat]
-                for round_ in range(1, int(sq.max(initial=0)) + 1):
-                    mm = sq[mat] >= round_
-                    km[:, :, mm] = _soa_matmul(km[:, :, mm], km[:, :, mm])
-            if v is None:
-                kc = km
-            else:         # the action, and Khat v where squarings are due
-                vc = v[:, :, None, cols]
-                kc = _taylor_block(x0, vc, degree, cc) * shift
-                if mat.any():
-                    kc[:, :, mat] = _soa_matmul(
-                        km, np.broadcast_to(vc, kc.shape)[:, :, mat])
-            k[:, :, sel, cols] = kc
-    return k
+    mu, t = stacks["mu"], stacks["t"]
+    near = s * np.abs(t[3:] - t[[4, 5, 3]]).max(axis=0) <= _SCHUR_SERIES
+    if near.all():
+        return _schur_series(s, mu, t[:, None], np.s_[...])
+    e = _schur_quotients(s, mu, t[:, None])
+    if near.any():                  # the series elements' quotients drop
+        e[:, near] = _schur_series(s[near], mu, t, np.nonzero(near)[1])
+    return e
 
 
 class _DirectionEvaluator:
     """The solvent table of one system (module notes): G at the Q directions
-    of :func:`_unit_circle`.  Doubling Q keeps the angles' floats, so any
-    circle of q <= Q nodes reads table entries, the solves at those floats.
-    It also holds what depends on the system alone: ``root_margin``, min Im
-    spec G over the first 2 (n = 2) or _TRAPEZOID_MIN solves, which the node
-    rule divides by, and ``tail``, set by :func:`tail_constant`."""
+    of :func:`_unit_circle`, whose floats doubling Q keeps, so a circle of
+    q <= Q nodes reads table entries.  It holds what depends on the system
+    alone: ``root_margin``, min Im spec G over the first 2 (n = 2) or
+    _TRAPEZOID_MIN solves, and ``tail``, set by :func:`tail_constant`."""
 
     def __init__(self, system: EllipticSystem):
         q = 2 if system.n == 2 else _TRAPEZOID_MIN
@@ -628,25 +630,18 @@ def tail_constant(system: EllipticSystem) -> float:
 class PreparedSymbol:
     """Symbol evaluator for a fixed frequency set, the one path to Khat.
 
-    Construction stores one generator per node in ``stacks``: the upper
-    root tau for M = 1, and for M > 1 the solvent G(xi/|xi|) in the layout
-    of :func:`_expm_stacks`, read from the system's solvent table.  The
-    generator is zero at the zero frequency, where Khat = I.  Each height is
-    then only an exponential: :meth:`levels` evaluates every height of a
-    solve at once and :meth:`action` applies Khat to many blocks at one set
-    of heights.  :meth:`dt`, the generator product, is the one d/dt rule:
-    it takes levels or action blocks to their t-derivatives.  Nothing is
-    kept per height: the object holds per-node data only, and what depends
-    on the system alone is held with its solvent table.
-    """
+    ``stacks`` holds one generator per node, zero at xi = 0: the upper root
+    tau for M = 1, else the solvent G(xi/|xi|) from the system's table in
+    the layout of :func:`_expm_stacks`.  :meth:`levels` evaluates every
+    height of a solve at once, :meth:`action` applies Khat to many blocks,
+    and :meth:`dt`, the generator product, is the one d/dt rule.  Nothing
+    is kept per height."""
 
     def __init__(self, system: EllipticSystem, xi_nodes: np.ndarray):
         self.system = system
         self.xi = np.asarray(xi_nodes, dtype=float)
         self.norms = np.linalg.norm(self.xi, axis=1)
-        # always empty: perfbench's forget_height_symbols clears it before
-        # each traced re-run
-        self._results: dict = {}
+        self._results: dict = {}   # always empty; the benchmark clears it
         if system.M == 1:
             self.stacks = _scalar_batch(system, self.xi)
         elif system.n == 2:
@@ -662,7 +657,8 @@ class PreparedSymbol:
 
     def levels(self, heights) -> np.ndarray:
         """Khat at every height, shape (M, M, L, B) with the nodes last;
-        for M = 2 formed as C I + S X0 from the closed form's two fields."""
+        for M = 2 formed as C I + S X0 from the closed form's two fields,
+        for M = 3 as Q E Q^H from the six fields of E."""
         heights = np.asarray(heights, dtype=float)
         if self.system.M == 1:
             k = np.exp(np.multiply.outer(heights, 1j * self.stacks["tau"]))
@@ -674,40 +670,44 @@ class PreparedSymbol:
             k[0, 0] += c
             k[1, 1] += c
             return k
-        return _eval_from_stacks(self.system, self.stacks, s)
+        return self._schur_product(_eval_from_stacks(self.system, self.stacks,
+                                                     s), np.eye(3)[:, :, None])
 
     def action(self, heights, want_dt: bool = False):
         """The map v -> (Khat v, d/dt Khat v), each (L, M, B), at every
         height for blocks v (M, B) with the nodes last; the derivative is
-        None unless ``want_dt`` is set.  For M = 1 the levels and their
-        :meth:`dt` are evaluated once, here, and each block is one
-        contraction; for M = 2 C and S are evaluated once, here, and each
-        block is C v + S (X0 v); for M > 2 each block pays its own Taylor
-        action.  For M > 1 the derivative is :meth:`dt` of the block."""
+        None unless ``want_dt`` is set.  The exponential is evaluated once,
+        here, for all blocks: the levels and their :meth:`dt` for M = 1, C
+        and S for M = 2 (a block is C v + S (X0 v)), E for M = 3 (Q (E (Q^H
+        v))); for M > 1 the derivative is :meth:`dt` of the block."""
         if self.system.M == 1:     # einsum keeps the contraction's bytes
             k = self.levels(heights)
             ks = (k, self.dt(k) if want_dt else None)
             return lambda v: tuple(
                 a if a is None else np.einsum("ijlb,jb->lib", a, v) for a in ks)
         s = np.multiply.outer(heights, self.norms)
-        if self.system.M == 2:
-            c, sh = _eval_from_stacks(self.system, self.stacks, s)
-            x0 = self.stacks["x0"]
-
-            def act(v):
-                w = c * v[:, None, None] \
-                    + sh * _soa_matmul(x0, v[:, None])[:, :, None]
-                return w[:, 0].swapaxes(0, 1), (
-                    self.dt(w)[:, 0].swapaxes(0, 1) if want_dt else None)
-
-            return act
+        fields = _eval_from_stacks(self.system, self.stacks, s)
 
         def act(v):
-            w = _eval_from_stacks(self.system, self.stacks, s, v[:, None])
+            if self.system.M == 3:
+                w = self._schur_product(fields, v[:, None])
+            else:
+                c, sh = fields
+                w = c * v[:, None, None] + sh * _soa_matmul(
+                    self.stacks["x0"], v[:, None])[:, :, None]
             return w[:, 0].swapaxes(0, 1), (
                 self.dt(w)[:, 0].swapaxes(0, 1) if want_dt else None)
 
         return act
+
+    def _schur_product(self, e: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Q (E (Q^H v)), (3, p, L, B), for fields E (6, L, B), block v (3, p, B)."""
+        q = self.stacks["q"]
+        u = _soa_matmul(q.conj().swapaxes(0, 1), v)[:, :, None]
+        w = e[3:, None] * u                    # the diagonal, then the rest
+        for f, a, b in zip(e[:3], *_FIELDS):
+            w[a] += f * u[b]
+        return _soa_matmul(q[:, :, None], w)
 
     def dt(self, k: np.ndarray) -> np.ndarray:
         """d/dt of a stack (M, p, L, B) of :meth:`levels` or of an action
@@ -741,13 +741,9 @@ def prepared_symbol(system: EllipticSystem, xi_nodes: np.ndarray) -> PreparedSym
 
 def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
                  want_dt: bool = False):
-    """Khat(xi', t) for a stack of frequencies (B, n-1); t a scalar >= 0.
-
-    Returns (B, M, M), or a pair with the exact t-derivative when
-    ``want_dt`` is set: the orders (0, ..., 0) and (0, ..., 0, 1) of
-    :func:`_derivative_levels`, whose uncached chunks never hold the
-    generators of all nodes at once.
-    """
+    """Khat(xi', t), (B, M, M), for frequencies (B, n-1) and t >= 0, with
+    its exact t-derivative when ``want_dt`` is set: the orders (0, ..., 0)
+    and (0, ..., 0, 1) of :func:`_derivative_levels`."""
     zero = (0,) * system.n
     alphas = [zero, zero[:-1] + (1,)] if want_dt else [zero]
     out = _derivative_levels(system, xi_nodes, [t], alphas)[:, :, 0]
@@ -757,11 +753,10 @@ def symbol_batch(system: EllipticSystem, xi_nodes: np.ndarray, t: float,
 def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
                        alphas) -> np.ndarray:
     """d^alpha Khat(xi', t), (B, A, L, M, M), for each of the A multi-indices
-    ``alphas`` at every height for frequencies (B, n-1): one uncached
+    ``alphas`` at every height for finite frequencies (B, n-1): one uncached
     :class:`PreparedSymbol` per ``_SYMBOL_CHUNK`` nodes serves them all, its
-    generator applied alpha_n times, times (i xi')^alpha' unless alpha' = 0.
-    The one loop over one-off node sets: a set solved again goes through
-    :func:`prepared_symbol` instead."""
+    generator applied alpha_n times, times (i xi')^alpha' unless alpha' = 0;
+    a node set solved again goes through :func:`prepared_symbol` instead."""
     alphas = [tuple(int(x) for x in alpha) for alpha in alphas]
     if any(len(alpha) != system.n for alpha in alphas):
         raise ValueError("alpha must have length n")
@@ -770,6 +765,10 @@ def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
     xi_nodes = np.asarray(xi_nodes, dtype=float)
     if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
         raise ValueError("xi_nodes must have shape (B, n-1)")
+    bad = np.flatnonzero(~np.isfinite(xi_nodes).all(axis=1))
+    if len(bad):
+        raise ValueError("xi_nodes must be finite, node %d is %s"
+                         % (bad[0], xi_nodes[bad[0]].tolist()))
     if not np.all(np.isfinite(heights) & (np.asarray(heights) >= 0)):
         raise ValueError("t must be finite and nonnegative")
     M = system.M

@@ -4,18 +4,19 @@ The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
 of all height levels stacked and inverted in place, overwritten, by one FFT
 per field (an even N makes the shift a block swap) that writes each field
 once: the symbol is exact in t, so no kernel truncation enters the vertical
-direction, and for M = 3 Khat fhat is the action of the exponential on
-fhat, without forming Khat (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-2011).  :func:`poisson_extend_each` solves a battery of data on one grid at
-one set of heights and yields one field per datum; for M = 1 the symbol of
-every level, and for M = 2 the two scalar fields of Khat = C I + S X0, are
-evaluated once for the battery.  :func:`poisson_extend` is its
-one-datum case.  The price is periodisation; data must sit in the central
-half of the grid (or carry a tail tag).  :func:`wrap_bound` computes the
-wrap-around error bound from the kernel tail on request; a solve computes it
-only for its ``wrap_tol`` guard.  Its constant C = sup |P(y)| (1+|y|^2)^(n/2)
-comes from the closed-form kernel on rays, once per system, and is held
-with its solvent table; no kernel table is built.
+direction, and for M = 3 Khat fhat = Q (E (Q^H fhat)) from the Schur form
+X0 = Q T Q^H, without forming Khat.  :func:`poisson_extend_each` solves a
+battery of data on one grid at one set of heights and yields one field per
+datum; the symbol of every level (M = 1), the two scalar fields of Khat =
+C I + S X0 (M = 2) or the six fields of E (M = 3) are evaluated once for
+the battery and released before the last datum's fields are assembled.
+:func:`poisson_extend` is its one-datum case.  The price is periodisation;
+data must sit in the central half of the grid (or carry a tail tag).
+:func:`wrap_bound` computes the wrap-around error bound from the kernel
+tail on request; a solve computes it only for its ``wrap_tol`` guard.
+Its constant C = sup |P(y)| (1+|y|^2)^(n/2) comes from the closed-form
+kernel on rays, once per system, and is held with its solvent table; no
+kernel table is built.
 """
 from __future__ import annotations
 
@@ -294,9 +295,11 @@ def _extend_each(system: EllipticSystem, data: list, heights: np.ndarray,
     act = prepared_symbol(system, nodes).action(heights, gradient)
     d = grid.d
     M = system.M
-    for f in data:
+    for i, f in enumerate(data):
         fhat = grid_fft(f.samples, grid).reshape(-1, M)
         uhat, dhat = act(fhat.T)
+        if i + 1 == len(data):
+            del act         # free the symbol's fields before the last fields
         grad = None
         if gradient:        # uhat last: the tangential spectra are read off it
             grad = np.empty((len(heights),) + grid.shape + (system.n, M),

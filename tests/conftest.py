@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from halfspace import Grid, build_poisson_kernel, build_system, kernels
 
@@ -32,8 +33,9 @@ def lame3_complex():
 @pytest.fixture(scope="session")
 def random_lh3():
     """Seeded complex, non-symmetric M = 3 tensor in n = 3 with a
-    Legendre-Hadamard margin of about 0.29; unlike Lame, its exponentials
-    need squaring at large heights."""
+    Legendre-Hadamard margin of about 0.29; unlike Lame's, its solvents'
+    eigenvalues spread, so large heights take the divided differences of
+    the Schur form rather than its series."""
     rng = np.random.default_rng(1)
     a = np.einsum("ab,rs->abrs", np.eye(3), np.eye(3)).astype(complex)
     a = a + 0.3 * (rng.standard_normal((3, 3, 3, 3))
@@ -45,19 +47,14 @@ def random_lh3():
 def per_node_symbol():
     """(system, xi, t) -> (Khat, d/dt Khat), each (B, M, M), from direct
     per-node solves by ``kernels._solvent_stacks``, not from the system's
-    solvent table: the reference for every system class.  For M = 2 it
-    forms Khat = C I + S X0 from the closed form's two scalar fields."""
+    solvent table, and ``scipy.linalg.expm`` of i t |xi| G, not the
+    package's exponential: the reference for every system class."""
     def evaluate(system, xi, t):
         norms = np.linalg.norm(xi, axis=1)
         g = np.zeros((len(xi), system.M, system.M), dtype=complex)
         g[norms > 0] = kernels._solvent_stacks(
             system, xi[norms > 0] / norms[norms > 0, None])
-        stacks = kernels._expm_stacks(g)
-        k = kernels._eval_from_stacks(system, stacks, t * norms[None])
-        if system.M == 2:
-            c, sh = k
-            k = c * np.eye(2)[:, :, None, None] + sh * stacks["x0"][:, :, None]
-        k = np.moveaxis(k[:, :, 0], -1, 0)
+        k = scipy.linalg.expm(1j * t * norms[:, None, None] * g)
         return k, 1j * norms[:, None, None] * (g @ k)
     return evaluate
 

@@ -241,6 +241,48 @@ def test_config_key_the_command_does_not_read(argv, entry, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("system,names", [
+    ({"kind": "lame", "n": 2, "mu": [1, 0]}, "'lame': missing 'lambda'"),
+    ({"kind": "lame", "n": 2, "mu": [1, 0], "lam": [1, 0]},
+     "'lame': missing 'lambda'; does not read 'lam'"),
+    ({"kind": "laplacian", "n": 2, "mu": [1, 0]},
+     "'laplacian': does not read 'mu'"),
+    ({"kind": "scalar", "n": 2}, "'scalar': missing 'A'"),
+], ids=["lame-missing", "lame-misnamed", "laplacian-unread", "scalar-missing"])
+def test_config_system_names_its_keys(system, names, tmp_path, capsys):
+    """A config system missing a key its kind reads, or holding one it does
+    not read, is a named error: exit 2, one error line, no traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": system}))
+    out = tmp_path / "o"
+    assert run(["verify", "lp_wellposed", "--config", str(cfg),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: BadShape: system kind %s" % names]
+
+
+@pytest.mark.parametrize("system", [[], ["--mu", "1,0.3", "--lambda", "2,-0.5"]],
+                         ids=["laplacian", "lame-complex"])
+def test_counterexample_linear_n3(system, tmp_path):
+    """The linear field's heights broadcast over both tangential axes."""
+    argv = ["verify", "counterexample_linear", "--system",
+            "lame" if system else "laplacian", "--n", "3", "--N", "64"]
+    assert run(argv + system + ["--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("name,band", [("h1_atoms", "[6.55, 1.62]"),
+                                       ("counterexample_dipole", "[18, 0.5]")])
+def test_empty_slope_band_is_named(name, band, tmp_path, capsys):
+    """In n = 3 at N = 64 the box is too small for the far-field slope band:
+    EmptyWindow names the band and R, and says to raise N."""
+    assert run(["verify", name, "--n", "3", "--N", "64",
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: EmptyWindow: slope "
+                                               "band %s" % band)
+    assert "on the grid of R = " in err[0] and err[0].endswith("raise N")
+
+
 @pytest.mark.parametrize("entry", [{"N": 64.0}, {"h": "0.1"}, {"kappa": "1"}],
                          ids=["N-float", "h-string", "kappa-string"])
 def test_config_value_of_wrong_type_is_usage_error(entry, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 
@@ -51,7 +53,7 @@ class TestSymbol:
         assert abs(got - np.exp(-3.5)) < 1e-13
 
     def test_large_argument_stable(self, lap2, lame2):
-        # squaring route: values underflow gracefully, no blow-up
+        # large s: values underflow gracefully, no blow-up
         v = poisson_symbol_at(lap2, [50.0], 2.0)[0, 0]
         assert abs(v - np.exp(-100.0)) < 1e-30
         w = poisson_symbol_at(lame2, [40.0], 1.0)
@@ -163,23 +165,15 @@ class TestLevels:
     """PreparedSymbol.levels, the one batched pass over all heights of a
     solve, against its one-height case levels([t])."""
 
-    def test_levels_match_one_height_bit_for_bit(self, random_lh3,
-                                                 monkeypatch):
+    def test_levels_match_one_height_bit_for_bit(self, random_lh3):
         nodes = Grid(n=3, N=16, h=0.25).freq_nodes_fftorder()
         heights = np.geomspace(0.02, 30.0, 9)
         prep = kernels.PreparedSymbol(random_lh3, nodes)
-        # the heights mix Taylor degrees and squaring counts, also per row
-        s = np.multiply.outer(heights, prep.norms)
-        alpha = s * prep.stacks["alpha"]
-        squarings = np.ceil(np.log2(np.maximum(alpha, 1.0)))
-        scaled = s * 0.5 ** squarings
-        degrees = kernels._taylor_degrees(scaled * prep.stacks["nx"],
-                                          scaled * prep.stacks["alpha"])
-        assert len(set(degrees)) >= 3
-        assert squarings.max() >= 8
-        assert any(len(set(row)) > 2 for row in squarings)
-        # node chunks of a few dozen split the rows of every degree
-        monkeypatch.setattr(kernels, "_EXPM_BYTES", 48 * 9 * 100)
+        # the heights mix the series and the quotients, also within a row,
+        # and series of several degrees
+        near, degree = _schur_branches(prep, heights)
+        assert any(row.any() and not row.all() for row in near)
+        assert len(set(degree[near])) >= 3
         k = prep.levels(heights)
         dk = prep.dt(k)
         assert k.shape == dk.shape == (3, 3, len(heights), len(nodes))
@@ -188,6 +182,10 @@ class TestLevels:
             dkt = prep.dt(kt)
             assert np.array_equal(k[:, :, li], kt[:, :, 0])
             assert np.array_equal(dk[:, :, li], dkt[:, :, 0])
+        # the Taylor scaling and squaring the Schur form replaced would have
+        # taken several degrees and up to 8 squarings here
+        squarings, degrees = _taylor_copy(prep, heights)[1:]
+        assert len(set(degrees)) >= 3 and squarings.max() >= 8
 
 
 APPLY_HEIGHTS = np.geomspace(0.01, 8.0, 9)
@@ -222,28 +220,29 @@ class TestApply:
             assert np.all(err <= 1e-14 * np.abs(want).max(axis=(1, 2)))
         assert prep.action(APPLY_HEIGHTS)(v)[1] is None
 
-    def test_batched_equals_per_height_and_chunks(self, row, request,
-                                                  monkeypatch):
-        prep, v = _apply_setup(request.getfixturevalue(row))
+    def test_batched_equals_per_height_and_chunks(self, row, request):
+        system = request.getfixturevalue(row)
+        prep, v = _apply_setup(system)
         w, dw = prep.action(APPLY_HEIGHTS, want_dt=True)(v)
         for li, t in enumerate(APPLY_HEIGHTS):
             wt, dwt = prep.action([t], want_dt=True)(v)
             assert np.array_equal(w[li], wt[0])
             assert np.array_equal(dw[li], dwt[0])
-        # one node per chunk: squarings are decided per element, not chunk
-        monkeypatch.setattr(kernels, "_EXPM_BYTES", 1)
-        wc, dwc = prep.action(APPLY_HEIGHTS, want_dt=True)(v)
-        assert np.array_equal(w, wc) and np.array_equal(dw, dwc)
+        # node chunks: every element is its own, whatever shares its call
+        for nodes in (np.arange(1, len(prep.xi), 7), np.arange(3)):
+            sub = kernels.PreparedSymbol(system, prep.xi[nodes])
+            ws, dws = sub.action(APPLY_HEIGHTS, want_dt=True)(v[:, nodes])
+            assert np.array_equal(w[..., nodes], ws)
+            assert np.array_equal(dw[..., nodes], dws)
 
 
-def test_apply_heights_mix_action_and_squaring(random_lh3):
+def test_apply_heights_mix_series_and_quotients(random_lh3):
     """The heights of TestApply send some random_lh3 elements of one row
-    through the action and others through the squared matrix."""
+    through the series and others through the divided differences."""
     prep, _ = _apply_setup(random_lh3)
-    alpha = np.multiply.outer(APPLY_HEIGHTS, prep.norms) * prep.stacks["alpha"]
-    squared = alpha > 1.0
-    assert 0.2 < squared.mean() < 0.9
-    assert np.any(squared.any(axis=1) & ~squared.all(axis=1))
+    near = _schur_branches(prep, APPLY_HEIGHTS)[0]
+    assert 0.05 < near.mean() < 0.9
+    assert np.any(near.any(axis=1) & ~near.all(axis=1))
 
 
 def _class_system(n, M, complex_coeffs):
@@ -339,11 +338,11 @@ class TestSystemClasses:
                          if isinstance(p, str) else _class_id(p))
 def test_levels_derivative_is_dt_of_levels(row, request):
     """action's d/dt Khat v is dt of the action block for every class, bit
-    for bit equal to an in-test copy of the product that the Taylor loop of
-    _eval_from_stacks once formed chunk by chunk, (i G Khat v) |xi'|, at
-    heights that need squarings (M = 3) or that reach both sides of the
-    closed form's series switch (M = 2, where the block is C v + S (X0 v));
-    for M = 1 it is the contraction of i tau Khat with v."""
+    for bit equal to an in-test copy of the product (i G Khat v) |xi'| in
+    _soa_matmul's order, at heights that reach the series of degree above 4
+    and the quotients (M = 3, where the block is Q (E (Q^H v))) or both
+    sides of the closed form's series switch (M = 2, where the block is
+    C v + S (X0 v)); for M = 1 it is the contraction of i tau Khat with v."""
     system = request.getfixturevalue(row) if isinstance(row, str) \
         else _class_system(*row)
     d, M = system.n - 1, system.M
@@ -367,8 +366,15 @@ def test_levels_derivative_is_dt_of_levels(row, request):
         xv = x0[:, 0] * v[0] + x0[:, 1] * v[1]     # _soa_matmul's order
         block = (c * v[:, None] + sh * xv[:, None])[:, None]
     else:
-        assert (s * prep.stacks["alpha"]).max() > 2.0 ** 4
-        block = kernels._eval_from_stacks(system, prep.stacks, s, v[:, None])
+        near, degree = _schur_branches(prep, heights)
+        assert near.any() and not near.all() and degree.max() > 4
+        e = kernels._eval_from_stacks(system, prep.stacks, s)
+        q = prep.stacks["q"]
+        u = q[0].conj() * v[0] + q[1].conj() * v[1] + q[2].conj() * v[2]
+        y = e[3:, None] * u[:, None, None]        # the action's order
+        for f, a, b in zip(e[:3], *kernels._FIELDS):
+            y[a, 0] += f * u[b]
+        block = kernels._soa_matmul(q[:, :, None], y)
     assert np.array_equal(w, block[:, 0].swapaxes(0, 1))
     g = 1j * prep.stacks["g"]
     inner = np.empty_like(block)
@@ -453,15 +459,130 @@ class TestClosedFormM2:
                                   full[subset])
 
     def test_no_taylor_degrees(self, row, request, monkeypatch):
+        """No M = 2 symbol reaches the M = 3 exponential, once a Taylor
+        scaling and squaring and now the Schur form."""
         def forbidden(*args):
-            raise AssertionError("an M = 2 symbol reached _taylor_degrees")
+            raise AssertionError("an M = 2 symbol reached the M = 3 path")
 
-        monkeypatch.setattr(kernels, "_taylor_degrees", forbidden)
+        for name in ("_schur3", "_schur_series", "_schur_quotients"):
+            monkeypatch.setattr(kernels, name, forbidden)
         system = _m2_system(row, request)
         prep = self._prep(system)
         prep.levels(self.HEIGHTS)
         prep.action(self.HEIGHTS, want_dt=True)(np.ones((2, len(prep.xi))))
         symbol_batch(system, prep.xi, 3.0, want_dt=True)
+
+
+def _schur_branches(prep, heights):
+    """Per element of a prepared M = 3 symbol at ``heights``: whether it
+    takes the series, and that series' degree, as _eval_from_stacks and
+    _schur_series decide them."""
+    s = np.multiply.outer(heights, prep.norms)
+    lam = prep.stacks["t"][3:]
+    spread = np.abs(lam[:, None] - lam[None]).max(axis=(0, 1))
+    r = s * np.abs(lam).max(axis=0)
+    return (s * spread <= kernels._SCHUR_SERIES,
+            4 + np.searchsorted(kernels._SCHUR_RADII, r))
+
+
+def _taylor_copy(prep, heights):
+    """(Khat (3, 3, L, B), squarings (L, B), degrees (L,)) of a prepared
+    M = 3 symbol by an in-test copy of the Taylor scaling and squaring that
+    _eval_from_stacks ran before the Schur form: X = s (mu I + X0) halved
+    j times until s ||X0^2||_F^(1/2) <= 1, one degree per height from the
+    row's worst node (both next terms <= 2^-56), Horner's rule, then
+    e^(s mu / 2^j) and j squarings."""
+    g = np.moveaxis(prep.stacks["g"], -1, 0)
+    mu = 1j * np.trace(g, axis1=1, axis2=2) / 3
+    x0 = 1j * g - mu[:, None, None] * np.eye(3)
+    nx = np.linalg.norm(x0, axis=(1, 2))
+    alpha = np.sqrt(np.linalg.norm(x0 @ x0, axis=(1, 2)))
+    x0 = np.moveaxis(x0, 0, -1)
+    s = np.multiply.outer(heights, prep.norms)
+    squarings = np.ceil(np.log2(np.maximum(s * alpha, 1.0))).astype(int)
+    c = s * 0.5 ** squarings
+    k = np.empty((3, 3) + s.shape, complex)
+    degrees = []
+    for row, (cr, sq) in enumerate(zip(c, squarings)):
+        def bound(q):
+            return ((cr * nx) ** (q % 2) * (cr * alpha) ** (q - q % 2)
+                    / math.factorial(q)).max()
+
+        m = next(m for m in range(1, 64)
+                 if max(bound(m + 1), bound(m + 2)) <= 2.0 ** -56)
+        degrees.append(m)
+        x = x0 * cr
+        w = x * (1.0 / m)
+        for j in range(m - 1, -1, -1):
+            for i in range(3):
+                w[i, i] += 1.0
+            if j:
+                w = kernels._soa_matmul(x, w) * (1.0 / j)
+        w *= np.exp(mu * cr)
+        for round_ in range(1, sq.max(initial=0) + 1):
+            more = sq >= round_
+            w[:, :, more] = kernels._soa_matmul(w[:, :, more], w[:, :, more])
+        k[:, :, row] = w
+    return k, squarings, np.array(degrees)
+
+
+M3_ROWS = ["random_lh3", "lame3_complex", "lame3", "lame3_neg"]
+M3_HEIGHTS = np.array([0.05, 0.3, 1.0, 8.0])
+
+
+def _m3_prep(row, request):
+    """A prepared M = 3 symbol at the zero frequency and 64 seeded nodes
+    with 0.14 <= |xi'| <= 57, so s = t |xi'| reaches 456."""
+    system = build_system("lame", n=3, mu=1.0, lam=-1.9) \
+        if row == "lame3_neg" else request.getfixturevalue(row)
+    xi = np.vstack([np.zeros((1, 2)), 2.85 * _seeded_nodes(64, 9)])
+    return kernels.PreparedSymbol(system, xi)
+
+
+@pytest.mark.parametrize("row", M3_ROWS)
+class TestSchurM3:
+    """Khat = e^(s mu) Q E Q^H for every M = 3 generator: no squaring, and
+    each element's value set by its own node and height."""
+
+    def test_schur_form(self, row, request):
+        """Q is unitary and Q T Q^H rebuilds X0 = i G - mu I from the upper
+        fields of T alone, the strict lower part of T being round-off."""
+        prep = _m3_prep(row, request)
+        q = np.moveaxis(prep.stacks["q"], -1, 0)
+        t = np.zeros((len(q), 3, 3), complex)
+        t[(slice(None),) + kernels._FIELDS] = prep.stacks["t"].T
+        g = np.moveaxis(prep.stacks["g"], -1, 0)
+        mu = prep.stacks["mu"][:, None, None]
+        x0 = 1j * g - mu * np.eye(3)
+        scale = np.abs(x0).max(axis=(1, 2))[:, None, None] + 1e-300
+        qh = q.conj().swapaxes(1, 2)
+        assert np.abs(qh @ q - np.eye(3)).max() <= 1e-14
+        assert np.all(np.abs(q @ t @ qh - x0) <= 1e-14 * scale)
+
+    def test_matches_taylor_and_expm(self, row, request):
+        """Within 2e-11 of max |Khat| per element of the in-test Taylor copy
+        and 1e-10 of ``scipy.linalg.expm``, at s up to 456.  Measured: at
+        most 6.1e-12 and 2.8e-11.  Against 50-digit expm at 8 nodes to
+        |xi'| = 57 the Schur form read at most 6.4e-12, the Taylor copy
+        6.7e-12 and scipy 4.2e-11, real Lame (1, -1.9) the worst."""
+        prep = _m3_prep(row, request)
+        k = prep.levels(M3_HEIGHTS)
+        scale = np.abs(k).max(axis=(0, 1))
+        taylor = _taylor_copy(prep, M3_HEIGHTS)[0]
+        assert np.all(np.abs(k - taylor).max(axis=(0, 1)) <= 2e-11 * scale)
+        s = np.multiply.outer(M3_HEIGHTS, prep.norms)[..., None, None]
+        g = np.moveaxis(prep.stacks["g"], -1, 0)
+        ref = np.moveaxis(scipy.linalg.expm(1j * s * g), (-2, -1), (0, 1))
+        assert np.all(np.abs(k - ref).max(axis=(0, 1)) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize("t", M3_HEIGHTS)
+    def test_subset_equals_full_call(self, row, t, request):
+        prep = _m3_prep(row, request)
+        full = symbol_batch(prep.system, prep.xi, t)
+        for subset in (np.arange(1, len(prep.xi), 3),
+                       np.arange(len(prep.xi))[::-1]):
+            assert np.array_equal(symbol_batch(prep.system, prep.xi[subset], t),
+                                  full[subset])
 
 
 def test_symbol_batch_prepares_node_chunks(lame2, monkeypatch):
@@ -1302,6 +1423,28 @@ class TestGuards:
                 with pytest.raises(ValueError,
                                    match="t must be finite and nonnegative"):
                     call()
+
+    @pytest.mark.parametrize("row", ["lap2", "lame2", "lame3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_raises(self, row, value, request):
+        """M = 1, 2 and 3: a NaN or infinite frequency node raises, named,
+        before any arithmetic, so no RuntimeWarning and no NaN or 0 out."""
+        system = request.getfixturevalue(row)
+        xi = np.ones((3, system.n - 1))
+        xi[1, -1] = value
+        calls = [lambda: symbol_batch(system, xi, 1.0),
+                 lambda: symbol_batch(system, xi, 1.0, want_dt=True),
+                 lambda: poisson_symbol_at(system, xi[1], 1.0),
+                 lambda: kernel_derivative_spectrum(system, xi, 1.0,
+                                                    (0,) * system.n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError,
+                                   match="xi_nodes must be finite, node"):
+                    call()
+        with pytest.raises(ValueError, match=r"node 1 is \[.*%s\]" % value):
+            symbol_batch(system, xi, 1.0)
 
     def test_dt_at_zero_frequency(self, lame2):
         from halfspace import poisson_symbol_dt_at

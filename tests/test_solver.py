@@ -545,17 +545,27 @@ class TestBattery:
     def test_one_closed_form_pass_for_a_lame2_battery(self, monkeypatch):
         """A Lame n = 2 battery of three data evaluates C and S of Khat =
         C I + S X0 once; each field equals its own solve bit for bit."""
-        system = build_system("lame", n=2, mu=1 + 0.3j, lam=2 - 0.5j)
-        grid = Grid(n=2, N=256, h=0.125)
-        battery = smooth_compact(grid, 2, 4, count=2) \
-            + sign_changing(grid, 2, 9, count=1)
+        self._one_pass(2, monkeypatch)
+
+    def test_one_schur_pass_for_a_lame3_battery(self, monkeypatch):
+        """A Lame n = 3 battery of three data evaluates the six fields of E
+        in Khat = Q E Q^H once; each field equals its own solve bit for
+        bit."""
+        self._one_pass(3, monkeypatch)
+
+    @staticmethod
+    def _one_pass(n, monkeypatch):
+        system = build_system("lame", n=n, mu=1 + 0.3j, lam=2 - 0.5j)
+        grid = Grid(n=2, N=256, h=0.125) if n == 2 else Grid(n=3, N=32, h=0.25)
+        battery = smooth_compact(grid, n, 4, count=2) \
+            + sign_changing(grid, n, 9, count=1)
         heights = np.geomspace(0.05, 4, 7)
         calls = []
         inner = kernels._eval_from_stacks
 
-        def counting(system, stacks, s, v=None):
+        def counting(system, stacks, s):
             calls.append(s.shape)
-            return inner(system, stacks, s, v)
+            return inner(system, stacks, s)
 
         monkeypatch.setattr(kernels, "_eval_from_stacks", counting)
         fields = list(poisson_extend_each(system, battery, heights,
