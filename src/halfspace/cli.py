@@ -43,11 +43,12 @@ _VERIFY_KEYS = "system N h kappa theta seed params tolerances".split()
 
 class _Run:
     """One command's output directory and its manifest.json: the recorded
-    config, the seconds of each stage and the sha256 of each artifact."""
+    config, the seconds of each stage and the sha256 of each artifact.  The
+    directory is made when the first file is written into it, so a command
+    that fails first leaves none behind."""
 
     def __init__(self, out, config: dict):
         self.outdir = Path(out)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.data = {"config": _plain(config), "artifacts": {}, "timings": {}}
         self._t0 = time.perf_counter()
 
@@ -55,13 +56,18 @@ class _Run:
         done = self.data["timings"]
         done[name] = time.perf_counter() - self._t0 - sum(done.values())
 
+    def path(self, name: str) -> Path:
+        """Where file ``name`` of this run is written; makes the directory."""
+        self.outdir.mkdir(parents=True, exist_ok=True)
+        return self.outdir / name
+
     def finish(self, stage: str, artifacts, report=None) -> int:
         """End ``stage``, write manifest.json, print the report; exit code."""
         self.stage(stage)
         self.data["artifacts"].update((p.name, hashlib.sha256(
             p.read_bytes()).hexdigest()) for p in artifacts)
         self.data["timings"]["total"] = time.perf_counter() - self._t0
-        (self.outdir / "manifest.json").write_text(
+        self.path("manifest.json").write_text(
             json.dumps(self.data, sort_keys=True, indent=1))
         for line in report.summary_lines() if report is not None else ():
             print(line)
@@ -135,7 +141,7 @@ def cmd_kernel(args) -> int:
     run.stage("validate")
     table, kernel = build_poisson_kernel(system, N=args.N)
     run.stage("build")
-    paths = [run.outdir / name
+    paths = [run.path(name)
              for name in ("kernel.bin", "symbol.bin", "kernel_slices.csv")]
     containers.save_kernel(paths[0], kernel)
     containers.save_symbol_table(paths[1], table)
@@ -156,7 +162,7 @@ def cmd_solve(args) -> int:
     datum = _make_datum(args.datum, args.seed, grid, system.M)
     field = poisson_extend(system, datum, _levels(args.levels),
                            wrap_tol=args.wrap_tol)
-    fpath, cpath = run.outdir / "field.bin", run.outdir / "field.csv"
+    fpath, cpath = run.path("field.bin"), run.path("field.csv")
     containers.save_field(fpath, field, system)
     containers.field_csv(cpath, field)
     run.finish("solve", [fpath, cpath])
@@ -187,7 +193,7 @@ def cmd_spaces(args) -> int:
         "morrey": norm(datum, "morrey", cubes=cubes, p=2.0,
                        lam=0.5 * (system.n - 1)),
     })
-    path = run.outdir / "norms.json"
+    path = run.path("norms.json")
     path.write_text(json.dumps(out, sort_keys=True, indent=1))
     run.finish("norms", [path])
     print(path.read_text())

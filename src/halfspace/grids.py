@@ -10,6 +10,16 @@ throughout is
 discretised so that ``grid_ifft(grid_fft(f)) == f`` to round-off and the
 zero-frequency entry of ``grid_fft(f)`` equals the Riemann sum of ``f``.  An
 inversion overwrites what it inverts; an even N makes the shift a block swap.
+
+A solve needs neither shift.  For even N, ``fftn(ifftshift(f))`` is ``fftn(f)``
+times the sign pattern sigma = (-1)^(k_1 + ... + k_d) on the fft-order nodes,
+and ``fftshift(ifftn(x))`` is ``ifftn(sigma x)``; a symbol applied node by node
+carries sigma through, and sigma^2 = 1, so :func:`_fft_unshifted` and
+:func:`_ifft_unshifted_into` take a solve from natural-order samples to its
+natural-order field with no shift and one scaling pass.  For N a power of two
+the FFT keeps sigma exact and the fields have the bits of the shifted chain;
+other even N may move in round-off (about 2e-16 to 5e-16 relative at
+N = 6 and 96).
 """
 from __future__ import annotations
 
@@ -72,6 +82,12 @@ class Grid:
         ms = np.meshgrid(*([ax] * self.d), indexing="ij")
         return np.stack([m.ravel() for m in ms], axis=-1)
 
+    def shift_signs(self) -> np.ndarray:
+        """sigma = (-1)^(k_1 + ... + k_d) at every frequency node, fft order,
+        flattened to (N^d,): a spectrum times sigma inverts, with no shift, to
+        the natural-order samples of the spectrum itself."""
+        return 1.0 - 2.0 * (np.indices(self.shape).sum(axis=0).ravel() % 2)
+
 
 def grid_fft(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward transform of natural-order samples; result in fft order.
@@ -79,8 +95,14 @@ def grid_fft(samples: np.ndarray, grid: Grid) -> np.ndarray:
     ``samples`` may carry trailing component axes beyond the first
     ``grid.d`` spatial axes.
     """
-    sp_axes = tuple(range(grid.d))
-    out = np.fft.fftn(np.fft.ifftshift(samples, axes=sp_axes), axes=sp_axes)
+    return _fft_unshifted(np.fft.ifftshift(samples, axes=tuple(range(grid.d))),
+                          grid)
+
+
+def _fft_unshifted(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """fftn(samples) times the cell volume over the first ``grid.d`` axes,
+    with no shift: :func:`grid_fft` of natural-order samples times sigma."""
+    out = np.fft.fftn(samples, axes=tuple(range(grid.d)))
     return np.multiply(out, grid.cell_volume, out=out)
 
 
@@ -109,3 +131,13 @@ def _invert_into(work: np.ndarray, grid: Grid, axes, dest: np.ndarray):
         np.multiply(w[tuple(halves[c] for c in corner)], scale,
                     out=v[tuple(halves[1 - c] for c in corner)])
     return dest
+
+
+def _ifft_unshifted_into(work: np.ndarray, grid: Grid, axes,
+                         dest: np.ndarray):
+    """Invert fft-order spectra ``work`` over ``axes`` in place, as ifftn, then
+    write work / cell_volume into ``dest`` in one pass, with no shift: a
+    solve's spectrum already carries sigma from :func:`_fft_unshifted`."""
+    for ax in reversed(axes):
+        np.fft.ifft(work, axis=ax, out=work)
+    return np.multiply(work, 1.0 / grid.cell_volume, out=dest)

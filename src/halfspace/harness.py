@@ -675,9 +675,10 @@ def _bmo_carleson(cfg, system, grid, rep) -> dict:
 def _kernel_column_field(system: EllipticSystem, grid: Grid, levels,
                          vector: np.ndarray, shift=None) -> HalfSpaceField:
     """Field K(., t) a (optionally minus its shift by z'), synthesised
-    spectrally, all levels by one inverse FFT."""
+    spectrally, all levels by one inverse FFT; the block carries the shift
+    signs, which the action passes through node by node, exactly."""
     nodes = grid.freq_nodes_fftorder()
-    block = np.broadcast_to(np.asarray(vector)[:, None], (system.M, len(nodes)))
+    block = np.asarray(vector)[:, None] * grid.shift_signs()
     spec = prepared_symbol(system, nodes).action(levels)(block)[0]
     if shift is not None:
         spec *= 1.0 - np.exp(-1j * nodes @ np.asarray(shift, float))

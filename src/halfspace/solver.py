@@ -2,14 +2,17 @@
 
 The extension u(., t) = P_t * f is ifft(Khat(., t) fhat), with the spectra
 of all height levels stacked and inverted in place, overwritten, by one FFT
-per field (an even N makes the shift a block swap) that writes each field
-once: the symbol is exact in t, so no kernel truncation enters the vertical
-direction, and for M = 3 Khat fhat = Q (E (Q^H fhat)) from the Schur form
-X0 = Q T Q^H, without forming Khat.  :func:`poisson_extend_each` solves a
-battery of data on one grid at one set of heights and yields one field per
-datum; the symbol of every level (M = 1), the two scalar fields of Khat =
-C I + S X0 (M = 2) or the six fields of E (M = 3) are evaluated once for
-the battery and released before the last datum's fields are assembled.
+per field and one scaling pass that writes each field once.  Neither
+transform shifts: the sign pattern that the forward transform's missing
+shift leaves on fhat is the inverse's missing shift (see
+:mod:`halfspace.grids`).  The symbol is exact in t, so no kernel truncation
+enters the vertical direction, and for M = 3 Khat fhat = Q (E (Q^H fhat))
+from the Schur form X0 = Q T Q^H, without forming Khat.
+:func:`poisson_extend_each` solves a battery of data on one grid at one set
+of heights and yields one field per datum; the symbol of every level
+(M = 1), the two scalar fields of Khat = C I + S X0 (M = 2) or the six
+fields of E (M = 3) are evaluated once for the battery and released before
+the last datum's fields are assembled.
 :func:`poisson_extend` is its one-datum case.  The price is periodisation;
 data must sit in the central half of the grid (or carry a tail tag).
 :func:`wrap_bound` computes the wrap-around error bound from the kernel
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasRisk, BadShape, InsufficientLevels
-from .grids import Grid, _invert_into, grid_fft
+from .grids import Grid, _fft_unshifted, _ifft_unshifted_into
 from .kernels import _GAUSS_RULE, prepared_symbol, tail_constant
 from .systems import EllipticSystem
 
@@ -185,14 +188,18 @@ class HalfSpaceField:
         return self.values.shape[-1]
 
     def magnitude(self) -> np.ndarray:
-        """|u| at every sample, shape (L, *spatial), computed once; for
-        M = 1 the root of |u_1|^2, the bits of the norm's one-term sum."""
+        """|u| at every sample, shape (L, *spatial), computed once: the root
+        of |u_1|^2 + ... + |u_M|^2 summed in order, the bits of
+        ``np.linalg.norm(values, axis=-1)`` in one pass per component."""
         if self._magnitude is None:
+            sq = (self.values.conj() * self.values).real
             if self.M == 1:
-                v = self.values[..., 0]
-                self._magnitude = np.sqrt((v.conj() * v).real)
+                self._magnitude = np.sqrt(sq[..., 0])
             else:
-                self._magnitude = np.linalg.norm(self.values, axis=-1)
+                mag = sq[..., 0] + sq[..., 1]
+                for j in range(2, self.M):
+                    mag += sq[..., j]
+                self._magnitude = np.sqrt(mag, out=mag)
             self._magnitude.flags.writeable = False
         return self._magnitude
 
@@ -213,13 +220,16 @@ def wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float) -> float:
 
 
 def _level_fields(spectra: np.ndarray, grid: Grid, out=None) -> np.ndarray:
-    """Fields (L, *shape, M) of stacked fft-order spectra (L, M, B), written
-    into ``out`` (a view, else a fresh array); the FFT overwrites the spectra
-    and an even N makes the shift to natural order a block swap."""
+    """Fields (L, *shape, M), ifftn(spectra) / cell_volume with no shift, of
+    stacked fft-order spectra (L, M, B), written into ``out`` (a view, else a
+    fresh array) by one scaling pass; the FFT overwrites the spectra.  A
+    solve's spectra carry the sign pattern of :func:`_fft_unshifted`, so the
+    fields come out in natural order; any other spectrum must be multiplied
+    by ``grid.shift_signs()`` first."""
     L, M = spectra.shape[:2]
     out = np.empty((L,) + grid.shape + (M,), complex) if out is None else out
-    _invert_into(spectra.reshape((L, M) + grid.shape), grid,
-                 tuple(range(2, 2 + grid.d)), np.moveaxis(out, -1, 1))
+    _ifft_unshifted_into(spectra.reshape((L, M) + grid.shape), grid,
+                         tuple(range(2, 2 + grid.d)), np.moveaxis(out, -1, 1))
     return out
 
 
@@ -249,10 +259,10 @@ def poisson_extend_each(system: EllipticSystem, data, heights, *,
     equal bit for bit to :func:`poisson_extend` of its datum, one at a time.
 
     Every datum is checked (BadShape for data on two grids) and passes the
-    ``wrap_tol`` guard before the first solve.  For M = 1 the symbol of every
-    level, and for M = 2 its closed form's C and S, are evaluated once for
-    the battery; for M = 3 each datum pays its own action of the
-    exponential.
+    ``wrap_tol`` guard before the first solve.  The symbol of every level
+    (M = 1), its closed form's C and S (M = 2) or the six fields of E
+    (M = 3) are evaluated once for the battery, and each datum pays one
+    contraction.
     """
     data = list(data)
     grids = {f.grid for f in data}
@@ -296,7 +306,7 @@ def _extend_each(system: EllipticSystem, data: list, heights: np.ndarray,
     d = grid.d
     M = system.M
     for i, f in enumerate(data):
-        fhat = grid_fft(f.samples, grid).reshape(-1, M)
+        fhat = _fft_unshifted(f.samples, grid).reshape(-1, M)
         uhat, dhat = act(fhat.T)
         if i + 1 == len(data):
             del act         # free the symbol's fields before the last fields

@@ -261,6 +261,21 @@ def test_config_system_names_its_keys(system, names, tmp_path, capsys):
     assert err.splitlines() == ["error: BadShape: system kind %s" % names]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lp_wellposed"], ["solve", "--N", "64"],
+    ["kernel", "--N", "256"], ["spaces", "--N", "64"]],
+    ids=["verify", "solve", "kernel", "spaces"])
+def test_failed_command_leaves_no_out_directory(argv, tmp_path, capsys):
+    """A command that fails on its input writes nothing, not even --out."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"system": {"kind": "lame", "n": 2,
+                                          "mu": [1, 0]}}))
+    out = tmp_path / "o"
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: BadShape")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("system", [[], ["--mu", "1,0.3", "--lambda", "2,-0.5"]],
                          ids=["laplacian", "lame-complex"])
 def test_counterexample_linear_n3(system, tmp_path):

@@ -107,7 +107,8 @@ CASES = [(n, M, N) for n in (2, 3) for M in (1, 3) for N in (6, 64)]
 @pytest.mark.parametrize("n,M,N", CASES)
 def test_in_place_inversion_matches_reference_chain_bit_for_bit(n, M, N):
     # stacked level spectra (L, M, *shape), written level first
-    # (L, *shape, M) into a fresh array and into a strided gradient slot
+    # (L, *shape, M) into a fresh array and into a strided gradient slot:
+    # _invert_into with the shift, _level_fields with none
     grid = Grid(n=n, N=N, h=0.3)
     d, L = grid.d, 4
     spec = random_spectra((L, M) + grid.shape, n * N + M)
@@ -117,11 +118,28 @@ def test_in_place_inversion_matches_reference_chain_bit_for_bit(n, M, N):
     got = _invert_into(spec.copy(), grid, axes, np.moveaxis(fresh, -1, 1))
     assert same_bits(fresh, want)
     assert np.shares_memory(got, fresh)
+    want = np.moveaxis(np.fft.ifftn(spec, axes=axes) / grid.cell_volume, 1, -1)
     grad = np.zeros((L,) + grid.shape + (n, M), dtype=complex)
     for r in range(n):
         _level_fields(spec.reshape(L, M, -1).copy(), grid, grad[..., r, :])
         assert same_bits(grad[..., r, :], want)
     assert same_bits(_level_fields(spec.reshape(L, M, -1).copy(), grid), want)
+
+
+@pytest.mark.parametrize("n,N", [(2, 6), (2, 64), (3, 6), (3, 64)])
+def test_shift_signs_shift_the_inverse(n, N):
+    """sigma x inverts with no shift to the shifted inverse of x."""
+    grid = Grid(n=n, N=N, h=0.3)
+    sigma = grid.shift_signs()
+    assert set(np.unique(sigma)) == {-1.0, 1.0} and sigma[0] == 1.0
+    spec = random_spectra((2, 1, grid.node_count), n + N)
+    axes = tuple(range(-grid.d, 0))
+    want = np.moveaxis(shifted_inverse(
+        spec.reshape((2, 1) + grid.shape), grid, axes), 1, -1)
+    got = _level_fields(spec * sigma, grid)
+    assert np.abs(got - want).max() <= 8e-16 * np.abs(want).max()
+    if N == 64:
+        assert same_bits(got, want)
 
 
 def divided_inverse(work, grid, axes, dest):

@@ -7,9 +7,33 @@ from halfspace import (Grid, HalfSpaceField, UnknownExperiment,
                        build_poisson_kernel, build_system, kernels,
                        verify_kernel_properties)
 from halfspace.containers import write_report
-from halfspace.harness import (ExperimentConfig, _cone_holder, default_config,
+from halfspace.harness import (ExperimentConfig, _cone_holder,
+                               _kernel_column_field, default_config,
                                experiment_names, parse_complex,
                                run_experiment, system_from_spec)
+
+
+@pytest.mark.parametrize("shift", [None, (0.75, -0.5)])
+@pytest.mark.parametrize("row", ["lap2", "lame2", "lame3_complex"])
+def test_kernel_column_field_keeps_its_bits(row, shift, request):
+    """The column's block carries the shift signs, so its unshifted inverse
+    has the bits of the shifted inverse of the unsigned spectrum."""
+    system = request.getfixturevalue(row)
+    grid = Grid(n=system.n, N=64, h=0.25)
+    levels = [0.1, 0.4, 1.6]
+    a = np.eye(system.M, dtype=complex)[0]
+    shift = None if shift is None else shift[:grid.d]
+    nodes = grid.freq_nodes_fftorder()
+    block = np.broadcast_to(a[:, None], (system.M, len(nodes)))
+    spec = kernels.prepared_symbol(system, nodes).action(levels)(block)[0]
+    if shift is not None:
+        spec *= 1.0 - np.exp(-1j * nodes @ np.asarray(shift, float))
+    sp = tuple(range(2, 2 + grid.d))
+    want = np.moveaxis(np.fft.fftshift(np.fft.ifftn(
+        spec.reshape(spec.shape[:2] + grid.shape), axes=sp)
+        / grid.cell_volume, axes=sp), 1, -1)
+    u = _kernel_column_field(system, grid, levels, a, shift=shift)
+    assert np.array_equal(u.values, want)
 
 
 def test_registry_lists_all_experiments():

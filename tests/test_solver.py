@@ -15,6 +15,7 @@ from halfspace import kernels
 from halfspace.grids import grid_fft, grid_ifft
 from halfspace.harness import sign_changing, smooth_compact
 from halfspace.solver import _radial_tail
+from test_kernels import _class_system
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +396,23 @@ class TestField:
             assert mag.dtype == np.float64
             assert mag.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_summed_squares_magnitude_is_the_norm(self, grid, M):
+        """M > 1 sums |u_j|^2 in order and keeps the norm's bits."""
+        rng = np.random.default_rng(M)
+        shape = (12,) + grid.shape + (M,)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values[0, :5, 0] = [0.0, -0.0, 1e-200 + 1e-200j, 1e200 - 3e200j,
+                            1e-170]
+        values[0, 0] = 0.0
+        for vals in (values, values.real.copy()):
+            u = HalfSpaceField(grid=grid, heights=np.arange(1.0, 13.0),
+                               values=vals)
+            with np.errstate(over="ignore", under="ignore"):
+                mag, want = u.magnitude(), np.linalg.norm(vals, axis=-1)
+            assert mag.dtype == np.float64 and mag.flags.c_contiguous
+            assert mag.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(3, 5), (2, 1024, 1, 1), (2, 1024, 2, 2),
                                        (3, 1024, 2, 1), (2, 1024, 1)])
     def test_gradient_of_wrong_shape_is_rejected(self, grid, shape):
@@ -477,6 +495,67 @@ def test_batched_levels_match_per_height_reference(row, request):
     values, grad = per_height_reference(system, f, u.heights)
     assert np.array_equal(u.values, values)
     assert np.array_equal(u.gradient, grad)
+
+
+def shifted_chain(system, f, heights, gradient):
+    """The solve as it ran with both shifts, field by field:
+    fftshift(ifftn(Khat fftn(ifftshift f) vol)) / vol, as (values, gradient)
+    in the layout of a HalfSpaceField."""
+    grid, M, d = f.grid, system.M, f.grid.d
+    axes, sp = tuple(range(d)), tuple(range(2, 2 + d))
+    fhat = np.fft.fftn(np.fft.ifftshift(f.samples, axes=axes),
+                       axes=axes) * grid.cell_volume
+    nodes = grid.freq_nodes_fftorder()
+    uhat, dhat = kernels.prepared_symbol(system, nodes).action(
+        heights, gradient)(fhat.reshape(-1, M).T)
+
+    def field(spec):
+        x = np.fft.ifftn(spec.reshape(spec.shape[:2] + grid.shape), axes=sp)
+        x = np.fft.fftshift(x / grid.cell_volume, axes=sp)
+        return np.moveaxis(x, 1, -1)
+
+    if not gradient:
+        return field(uhat), None
+    parts = [field(1j * nodes[:, r] * uhat) for r in range(d)] + [field(dhat)]
+    return field(uhat), np.stack(parts, axis=-2)
+
+
+def _random_solve(n, M, N, gradient):
+    system = _class_system(n, M, True)
+    grid = Grid(n=n, N=N, h=0.3)
+    rng = np.random.default_rng([n, M, N])
+    shape = grid.shape + (M,)
+    f = BoundaryData(grid=grid, samples=rng.standard_normal(shape)
+                     + 1j * rng.standard_normal(shape))
+    heights = np.array([0.05, 0.5, 2.0])
+    return (poisson_extend(system, f, heights, gradient=gradient),
+            shifted_chain(system, f, heights, gradient))
+
+
+SOLVE_CLASSES = [(n, M) for n in (2, 3) for M in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+@pytest.mark.parametrize("N", [64, 128])
+@pytest.mark.parametrize("n,M", SOLVE_CLASSES)
+def test_unshifted_solve_keeps_the_shifted_bits(n, M, N, gradient):
+    """For N a power of two the FFT keeps the shift signs exact, so a solve
+    with no shift has the bits of the chain with both."""
+    u, (values, grad) = _random_solve(n, M, N, gradient)
+    assert np.array_equal(u.values, values)
+    assert (u.gradient is None) if not gradient else \
+        np.array_equal(u.gradient, grad)
+
+
+@pytest.mark.parametrize("N", [6, 96])
+@pytest.mark.parametrize("n,M", SOLVE_CLASSES)
+def test_unshifted_solve_within_round_off_of_the_shifted_chain(n, M, N):
+    """Other even N may move in round-off: at most 8 eps of the largest
+    value of each field (measured at most 4.7e-16 relative)."""
+    u, (values, grad) = _random_solve(n, M, N, True)
+    tol = 8 * np.finfo(float).eps
+    assert np.abs(u.values - values).max() <= tol * np.abs(values).max()
+    assert np.abs(u.gradient - grad).max() <= tol * np.abs(grad).max()
 
 
 def test_gradient_solve_holds_few_spectra_beyond_its_fields(lame3_complex):
