@@ -8,24 +8,25 @@ throughout is
     f(x)     = (2 pi)^(-d) int fhat(xi) exp(i x.xi) dxi,
 
 discretised so that ``grid_ifft(grid_fft(f)) == f`` to round-off and the
-zero-frequency entry of ``grid_fft(f)`` equals the Riemann sum of ``f``.  An
-inversion overwrites what it inverts; an even N makes the shift a block swap.
+zero-frequency entry of ``grid_fft(f)`` equals the Riemann sum of ``f``.
 
-A solve needs neither shift.  For even N, ``fftn(ifftshift(f))`` is ``fftn(f)``
-times the sign pattern sigma = (-1)^(k_1 + ... + k_d) on the fft-order nodes,
-and ``fftshift(ifftn(x))`` is ``ifftn(sigma x)``; a symbol applied node by node
-carries sigma through, and sigma^2 = 1, so :func:`_fft_unshifted` and
-:func:`_ifft_unshifted_into` take a solve from natural-order samples to its
-natural-order field with no shift and one scaling pass.  For N a power of two
-the FFT keeps sigma exact and the fields have the bits of the shifted chain;
-other even N may move in round-off (about 2e-16 to 5e-16 relative at
-N = 6 and 96).
+The package itself inverts with no shift.  For even N, ``fftn(ifftshift(f))``
+is ``fftn(f)`` times the sign pattern sigma = (-1)^(k_1 + ... + k_d) on the
+fft-order nodes, and ``fftshift(ifftn(x))`` is ``ifftn(sigma x)``.  A solve's
+symbol carries the sigma of :func:`_fft_unshifted` node by node, sigma^2 = 1,
+and a kernel spectrum is multiplied by sigma, so the one inverse,
+:func:`_ifft_unshifted_into`, writes natural-order fields in one scaling pass.
+For N a power of two the FFT keeps sigma exact and the fields have the bits
+of the shifted chain; other even N may move in round-off (about 2e-16 to
+5e-16 relative at N = 6 and 96).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import BadShape
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,11 @@ class Grid:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("ambient dimension must be >= 2")
+            raise BadShape("ambient dimension must be >= 2")
         if self.N < 2 or self.N % 2:
-            raise ValueError("N must be even, got %r" % (self.N,))
+            raise BadShape("N must be even, got %r" % (self.N,))
         if not self.h > 0:
-            raise ValueError("grid spacing must be positive")
+            raise BadShape("grid spacing must be positive")
 
     @property
     def d(self) -> int:
@@ -108,36 +109,18 @@ def _fft_unshifted(samples: np.ndarray, grid: Grid) -> np.ndarray:
 
 def grid_ifft(spectrum: np.ndarray, grid: Grid, sp_axes=None) -> np.ndarray:
     """Inverse of :func:`grid_fft` over the first ``grid.d`` axes, or over
-    ``sp_axes``; natural-order samples of a copy of ``spectrum``."""
+    ``sp_axes``: numpy's shifted chain, the tests' reference."""
     sp_axes = tuple(range(grid.d)) if sp_axes is None else sp_axes
-    work = np.array(spectrum, dtype=np.result_type(spectrum, 1j))
-    return _invert_into(work, grid, sp_axes, np.empty_like(work))
-
-
-def _invert_into(work: np.ndarray, grid: Grid, axes, dest: np.ndarray):
-    """Invert fft-order spectra ``work`` over ``axes`` in place, as ifftn, then
-    write fftshift(work) / cell_volume into ``dest`` by half-block swaps.
-
-    The scaling multiplies by the real 1 / cell_volume, which rounds as
-    numpy's complex division by the real cell_volume does (that division
-    multiplies by the reciprocal too); only the sign of an exact zero may
-    differ, since the division adds -0.0 + 0.0."""
-    for ax in reversed(axes):
-        np.fft.ifft(work, axis=ax, out=work)
-    w, v = (np.moveaxis(x, axes, range(len(axes))) for x in (work, dest))
-    halves = slice(None, grid.N // 2), slice(grid.N // 2, None)
-    scale = 1.0 / grid.cell_volume
-    for corner in np.ndindex((2,) * len(axes)):
-        np.multiply(w[tuple(halves[c] for c in corner)], scale,
-                    out=v[tuple(halves[1 - c] for c in corner)])
-    return dest
+    return np.fft.fftshift(np.fft.ifftn(spectrum, axes=sp_axes)
+                           / grid.cell_volume, axes=sp_axes)
 
 
 def _ifft_unshifted_into(work: np.ndarray, grid: Grid, axes,
                          dest: np.ndarray):
     """Invert fft-order spectra ``work`` over ``axes`` in place, as ifftn, then
-    write work / cell_volume into ``dest`` in one pass, with no shift: a
-    solve's spectrum already carries sigma from :func:`_fft_unshifted`."""
+    write work / cell_volume into ``dest`` in one pass, with no shift: the
+    spectra carry sigma.  Multiplying by the real 1 / cell_volume rounds as
+    numpy's division does, but for the sign of an exact zero."""
     for ax in reversed(axes):
         np.fft.ifft(work, axis=ax, out=work)
     return np.multiply(work, 1.0 / grid.cell_volume, out=dest)

@@ -110,6 +110,13 @@ class ExperimentConfig:
                 raise BadShape("config %s must be %s, not %r" % (
                     key, "an integer" if kind is Integral else "a real number",
                     value))
+        for key in ("kappa", "theta"):
+            if not 0 < getattr(self, key) < np.inf:
+                raise BadShape("config %s must be finite and positive, not %r"
+                               % (key, getattr(self, key)))
+        if self.seed < 0:
+            raise BadShape("config seed must be nonnegative, not %r"
+                           % (self.seed,))
 
     def build(self) -> EllipticSystem:
         return system_from_spec(self.system)

@@ -97,7 +97,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import (BadShape, ImproperSplit, InsufficientDecay, OutOfDomain,
                      RealAxisRoot, SingularBoundaryMatrix)
-from .grids import Grid, _invert_into
+from .grids import Grid, _ifft_unshifted_into
 from .report import VerificationReport, make_metric
 from .systems import EllipticSystem, _lame_tensor, real_axis_tolerance
 
@@ -759,18 +759,18 @@ def _derivative_levels(system: EllipticSystem, xi_nodes, heights,
     a node set solved again goes through :func:`prepared_symbol` instead."""
     alphas = [tuple(int(x) for x in alpha) for alpha in alphas]
     if any(len(alpha) != system.n for alpha in alphas):
-        raise ValueError("alpha must have length n")
+        raise BadShape("alpha must have length n")
     if any(alpha[-1] > 2 for alpha in alphas):
-        raise ValueError("vertical derivative order limited to 2")
+        raise BadShape("vertical derivative order limited to 2")
     xi_nodes = np.asarray(xi_nodes, dtype=float)
     if xi_nodes.ndim != 2 or xi_nodes.shape[1] != system.n - 1:
-        raise ValueError("xi_nodes must have shape (B, n-1)")
+        raise BadShape("xi_nodes must have shape (B, n-1)")
     bad = np.flatnonzero(~np.isfinite(xi_nodes).all(axis=1))
     if len(bad):
-        raise ValueError("xi_nodes must be finite, node %d is %s"
-                         % (bad[0], xi_nodes[bad[0]].tolist()))
+        raise BadShape("xi_nodes must be finite, node %d is %s"
+                       % (bad[0], xi_nodes[bad[0]].tolist()))
     if not np.all(np.isfinite(heights) & (np.asarray(heights) >= 0)):
-        raise ValueError("t must be finite and nonnegative")
+        raise BadShape("t must be finite and nonnegative")
     M = system.M
     out = np.empty((len(xi_nodes), len(alphas), len(heights), M, M),
                    dtype=complex)
@@ -802,8 +802,8 @@ def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
     """Sample d^alpha K(., t) on ``grid`` for each height t.
 
     Returns an array of shape (len(heights), *grid.shape, M, M), natural
-    spatial order.  alpha = None means the kernel itself.  The spectra of
-    all heights come from one symbol pass and one inverse FFT.
+    spatial order.  alpha = None means the kernel itself.  All heights take
+    one symbol pass and one unshifted inverse FFT.
     """
     if alpha is None:
         alpha = (0,) * system.n
@@ -812,13 +812,14 @@ def synthesize_kernel_levels(system: EllipticSystem, grid: Grid, heights,
 
 def _synthesize_derivatives(system: EllipticSystem, grid: Grid, heights,
                             alphas) -> np.ndarray:
-    """d^alpha K(., t) for each multi-index of ``alphas`` and each height,
-    (A, L, *grid.shape, M, M), from one symbol pass and one inverse FFT."""
+    """d^alpha K(., t), (A, L, *grid.shape, M, M), for each of ``alphas`` and
+    each height: one symbol pass, times sigma, and one unshifted inverse."""
     spec = _derivative_levels(system, grid.freq_nodes_fftorder(), heights,
                               alphas)
+    spec *= grid.shift_signs()[:, None, None, None, None]
     out = np.empty(spec.shape[1:3] + grid.shape + spec.shape[3:], complex)
-    _invert_into(spec.reshape(grid.shape + spec.shape[1:]), grid,
-                 tuple(range(grid.d)), np.moveaxis(out, (0, 1), (-4, -3)))
+    _ifft_unshifted_into(spec.reshape(grid.shape + spec.shape[1:]), grid,
+                         range(grid.d), np.moveaxis(out, (0, 1), (-4, -3)))
     return out
 
 
@@ -908,7 +909,7 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     residual compares the window sum with W_R of :func:`_window_mass`, on
     pole-graded panels in n = 2 and as a flux on equal panels in n = 3."""
     if N & (N - 1):
-        raise ValueError("N must be a power of two")
+        raise BadShape("N must be a power of two")
     if system.n not in (2, 3):
         raise BadShape("kernel tables cover n = 2 and 3, not %d" % system.n)
     d, M = system.n - 1, system.M

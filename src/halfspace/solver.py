@@ -222,10 +222,10 @@ def wrap_bound(system: EllipticSystem, f: BoundaryData, t_max: float) -> float:
 def _level_fields(spectra: np.ndarray, grid: Grid, out=None) -> np.ndarray:
     """Fields (L, *shape, M), ifftn(spectra) / cell_volume with no shift, of
     stacked fft-order spectra (L, M, B), written into ``out`` (a view, else a
-    fresh array) by one scaling pass; the FFT overwrites the spectra.  A
-    solve's spectra carry the sign pattern of :func:`_fft_unshifted`, so the
-    fields come out in natural order; any other spectrum must be multiplied
-    by ``grid.shift_signs()`` first."""
+    fresh array) by :func:`_ifft_unshifted_into`, which overwrites the
+    spectra.  A solve's spectra carry the sign pattern of
+    :func:`_fft_unshifted`, so the fields come out in natural order; any
+    other spectrum is multiplied by ``grid.shift_signs()`` first."""
     L, M = spectra.shape[:2]
     out = np.empty((L,) + grid.shape + (M,), complex) if out is None else out
     _ifft_unshifted_into(spectra.reshape((L, M) + grid.shape), grid,
@@ -341,7 +341,7 @@ def weighted_integrability(f: BoundaryData, m: float) -> float:
     Returns inf when the tagged tail makes the integral diverge.
     """
     if not m > 0:
-        raise ValueError("weight exponent must be positive")
+        raise BadShape("weight exponent must be positive")
     rad = f.grid.radii()
     mag = f.magnitude()
     total = float((mag / (1.0 + rad ** m)).sum() * f.grid.cell_volume)

@@ -298,8 +298,11 @@ def test_empty_slope_band_is_named(name, band, tmp_path, capsys):
     assert "on the grid of R = " in err[0] and err[0].endswith("raise N")
 
 
-@pytest.mark.parametrize("entry", [{"N": 64.0}, {"h": "0.1"}, {"kappa": "1"}],
-                         ids=["N-float", "h-string", "kappa-string"])
+@pytest.mark.parametrize(
+    "entry", [{"N": 64.0}, {"h": "0.1"}, {"kappa": "1"}, {"kappa": 0},
+              {"theta": 0}, {"seed": -1}],
+    ids=["N-float", "h-string", "kappa-string", "kappa-zero", "theta-zero",
+         "seed-negative"])
 def test_config_value_of_wrong_type_is_usage_error(entry, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))

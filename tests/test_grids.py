@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from halfspace import Grid, grid_fft, grid_ifft, kernels
-from halfspace.grids import _invert_into
+from halfspace import BadShape, Grid, grid_fft, grid_ifft, kernels
+from halfspace.grids import _ifft_unshifted_into
 from halfspace.solver import _level_fields
+from test_kernels import _class_system
 
 
 def direct_transform(samples, grid):
@@ -68,9 +69,9 @@ def test_grid_geometry():
     assert grid.R == 4.0
     assert grid.shape == (16, 16)
     assert grid.node_count == 256
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         Grid(n=2, N=15, h=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadShape):
         Grid(n=2, N=16, h=-1.0)
 
 
@@ -91,7 +92,7 @@ def same_bits(a, b):
 
 
 def shifted_inverse(x, grid, axes):
-    """The chain the package inverted by before it worked in place."""
+    """numpy's shifted chain, :func:`grid_ifft`'s own."""
     return np.fft.fftshift(np.fft.ifftn(x, axes=axes) / grid.cell_volume,
                            axes=axes)
 
@@ -107,17 +108,11 @@ CASES = [(n, M, N) for n in (2, 3) for M in (1, 3) for N in (6, 64)]
 @pytest.mark.parametrize("n,M,N", CASES)
 def test_in_place_inversion_matches_reference_chain_bit_for_bit(n, M, N):
     # stacked level spectra (L, M, *shape), written level first
-    # (L, *shape, M) into a fresh array and into a strided gradient slot:
-    # _invert_into with the shift, _level_fields with none
+    # (L, *shape, M) into a fresh array and into a strided gradient slot
     grid = Grid(n=n, N=N, h=0.3)
     d, L = grid.d, 4
     spec = random_spectra((L, M) + grid.shape, n * N + M)
     axes = tuple(range(-d, 0))
-    want = np.moveaxis(shifted_inverse(spec, grid, axes), 1, -1)
-    fresh = np.empty((L,) + grid.shape + (M,), dtype=complex)
-    got = _invert_into(spec.copy(), grid, axes, np.moveaxis(fresh, -1, 1))
-    assert same_bits(fresh, want)
-    assert np.shares_memory(got, fresh)
     want = np.moveaxis(np.fft.ifftn(spec, axes=axes) / grid.cell_volume, 1, -1)
     grad = np.zeros((L,) + grid.shape + (n, M), dtype=complex)
     for r in range(n):
@@ -143,16 +138,11 @@ def test_shift_signs_shift_the_inverse(n, N):
 
 
 def divided_inverse(work, grid, axes, dest):
-    """The earlier _invert_into: the same in-place inversion and swaps, then
-    numpy's complex division by the real cell volume."""
+    """The same in-place inversion as _ifft_unshifted_into, with no shift,
+    then numpy's complex division by the real cell volume."""
     for ax in reversed(axes):
         np.fft.ifft(work, axis=ax, out=work)
-    w, v = (np.moveaxis(x, axes, range(len(axes))) for x in (work, dest))
-    halves = slice(None, grid.N // 2), slice(grid.N // 2, None)
-    for corner in np.ndindex((2,) * len(axes)):
-        np.divide(w[tuple(halves[c] for c in corner)], grid.cell_volume,
-                  out=v[tuple(halves[1 - c] for c in corner)])
-    return dest
+    return np.divide(work, grid.cell_volume, out=dest)
 
 
 # cell volumes 0.0625, 0.09 and 1/7
@@ -166,16 +156,18 @@ def test_reciprocal_scaling_matches_division_bit_for_bit(n, h):
         want = np.empty((L,) + grid.shape + (M,), dtype=complex)
         divided_inverse(spec.copy(), grid, axes, np.moveaxis(want, -1, 1))
         fresh = np.empty_like(want)
-        _invert_into(spec.copy(), grid, axes, np.moveaxis(fresh, -1, 1))
+        got = _ifft_unshifted_into(spec.copy(), grid, axes,
+                                   np.moveaxis(fresh, -1, 1))
         assert same_bits(fresh, want)
+        assert np.shares_memory(got, fresh)
         grad = np.zeros((L,) + grid.shape + (n, M), dtype=complex)
         for r in range(n):
-            _invert_into(spec.copy(), grid, axes,
-                         np.moveaxis(grad[..., r, :], -1, 1))
+            _ifft_unshifted_into(spec.copy(), grid, axes,
+                                 np.moveaxis(grad[..., r, :], -1, 1))
             assert same_bits(grad[..., r, :], want)
     # exact zeros agree in value (the division may give -0.0 for +0.0)
     zero = np.zeros((1, M) + grid.shape, dtype=complex)
-    got = _invert_into(zero.copy(), grid, axes, np.empty_like(zero))
+    got = _ifft_unshifted_into(zero.copy(), grid, axes, np.empty_like(zero))
     assert np.array_equal(got, divided_inverse(zero, grid, axes,
                                                np.empty_like(zero)))
 
@@ -195,19 +187,34 @@ def test_public_transforms_match_reference_chain_bit_for_bit(n, M, N):
         np.fft.ifftshift(spec, axes=axes), axes=axes) * grid.cell_volume)
 
 
-@pytest.mark.parametrize("row", ["lap2", "lame3"])
-@pytest.mark.parametrize("N", [6, 64])
-def test_kernel_synthesis_matches_reference_chain_bit_for_bit(row, N,
-                                                                request):
-    system = request.getfixturevalue(row)
+def check_kernel_synthesis(system, N):
+    """Kernel synthesis against numpy's shifted chain, for d^alpha K(., t)
+    with alpha = 0, d/dx_1 and d/dt at three heights: bits for N a power of
+    two, where the FFT keeps the shift signs exact; else within the solves'
+    bound, 8 eps of the largest value."""
     grid = Grid(n=system.n, N=N, h=0.3)
-    d = grid.d
-    heights = [0.5, 1.0, 2.0]
+    d, heights = grid.d, [0.5, 1.0, 2.0]
     alphas = [(0,) * system.n, (1,) + (0,) * d, (0,) * d + (1,)]
     spec = kernels._derivative_levels(system, grid.freq_nodes_fftorder(),
                                       heights, alphas)
     want = np.moveaxis(shifted_inverse(
         spec.reshape(grid.shape + spec.shape[1:]), grid, tuple(range(d))),
         (d, d + 1), (0, 1))
-    assert same_bits(kernels._synthesize_derivatives(system, grid, heights,
-                                                     alphas), want)
+    got = kernels._synthesize_derivatives(system, grid, heights, alphas)
+    if N & (N - 1):
+        assert np.abs(got - want).max() <= 8e-16 * np.abs(want).max()
+    else:
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("row", ["lap2", "lame3"])
+@pytest.mark.parametrize("N", [6, 64])
+def test_kernel_synthesis_matches_reference_chain_bit_for_bit(row, N,
+                                                                request):
+    check_kernel_synthesis(request.getfixturevalue(row), N)
+
+
+@pytest.mark.parametrize("N", [6, 8, 64, 96, 128])
+@pytest.mark.parametrize("n,M", [(n, M) for n in (2, 3) for M in (1, 2, 3)])
+def test_kernel_synthesis_of_every_class_matches_reference_chain(n, M, N):
+    check_kernel_synthesis(_class_system(n, M, True), N)

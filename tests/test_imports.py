@@ -7,7 +7,8 @@ an annotation, an attribute root or a base class).  Every module-level
 private name is read somewhere in the package besides its own definition,
 or is named by the benchmark in ``perfbench/``.  The package reads the
 environment in one place only, and runs its Fourier transforms in
-``grids.py`` only, so that there is one path from spectrum to field.
+``grids.py`` only, with one in-place inverse, so that there is one path
+from spectrum to field.
 A field's magnitudes have one home, ``HalfSpaceField.magnitude``.
 """
 import ast
@@ -183,6 +184,18 @@ def test_detects_fft_transform_calls():
 def test_transforms_run_in_grids_only():
     assert {p.name for p in PACKAGE.glob("*.py")
             if fft_transform_calls(p.read_text())} == {"grids.py"}
+
+
+def test_one_inverse_in_grids():
+    """Only grid_ifft, numpy's chain for tests, and the package's one
+    in-place inverse call an inverse transform."""
+    source = (PACKAGE / "grids.py").read_text()
+    lines = {line for line, name in fft_transform_calls(source)
+             if name.startswith("i")}
+    assert {fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef)
+            and any(fn.lineno <= line <= fn.end_lineno for line in lines)} \
+        == {"grid_ifft", "_ifft_unshifted_into"}
 
 
 def values_norm_calls(source: str) -> list:

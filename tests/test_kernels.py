@@ -9,10 +9,10 @@ import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 
-from halfspace import (EllipticSystem, Grid, ImproperSplit, OutOfDomain,
-                       RealAxisRoot, build_poisson_kernel, build_system,
-                       kernel_at, poisson_extend, poisson_symbol_at,
-                       poisson_symbol_dt_at, symbol_batch)
+from halfspace import (BadShape, EllipticSystem, Grid, ImproperSplit,
+                       OutOfDomain, RealAxisRoot, build_poisson_kernel,
+                       build_system, kernel_at, poisson_extend,
+                       poisson_symbol_at, poisson_symbol_dt_at, symbol_batch)
 from halfspace import kernels
 from halfspace.harness import smooth_compact
 from halfspace.kernels import (interior_pde_residual, kernel_derivative_spectrum,
@@ -646,9 +646,9 @@ def test_derivative_multi_indices_share_one_preparation(lame2, monkeypatch):
 
 def test_derivative_spectrum_rejects_bad_multi_index(lame2):
     xi = np.array([[1.0]])
-    with pytest.raises(ValueError, match="length n"):
+    with pytest.raises(BadShape, match="length n"):
         kernel_derivative_spectrum(lame2, xi, 1.0, (0, 0, 1))
-    with pytest.raises(ValueError, match="limited to 2"):
+    with pytest.raises(BadShape, match="limited to 2"):
         kernel_derivative_spectrum(lame2, xi, 1.0, (0, 3))
 
 
@@ -718,7 +718,7 @@ class TestBuild:
         assert abs(slope + 2.0) < 0.1
 
     def test_requires_power_of_two(self, lap2):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadShape):
             build_poisson_kernel(lap2, N=1000)
 
     @pytest.mark.parametrize("name", ["lap2_kernel", "lame2_kernel",
@@ -1400,7 +1400,7 @@ class TestGuards:
             poisson_symbol_at(system, [1.0], 1.0)
 
     def test_dt_rejects_negative_height(self, lame2):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(BadShape, match="nonnegative"):
             poisson_symbol_dt_at(lame2, [1.0], -1.0)
 
     @pytest.mark.parametrize("row", ["lap2", "lame2", "lame3"])
@@ -1420,7 +1420,7 @@ class TestGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
-                with pytest.raises(ValueError,
+                with pytest.raises(BadShape,
                                    match="t must be finite and nonnegative"):
                     call()
 
@@ -1440,10 +1440,10 @@ class TestGuards:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for call in calls:
-                with pytest.raises(ValueError,
+                with pytest.raises(BadShape,
                                    match="xi_nodes must be finite, node"):
                     call()
-        with pytest.raises(ValueError, match=r"node 1 is \[.*%s\]" % value):
+        with pytest.raises(BadShape, match=r"node 1 is \[.*%s\]" % value):
             symbol_batch(system, xi, 1.0)
 
     def test_dt_at_zero_frequency(self, lame2):

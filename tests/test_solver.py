@@ -267,7 +267,7 @@ class TestWeightedIntegrability:
 
     def test_requires_positive_weight(self, grid):
         f = BoundaryData(grid=grid, samples=np.ones((1024, 1), complex))
-        with pytest.raises(ValueError):
+        with pytest.raises(BadShape):
             weighted_integrability(f, 0.0)
 
 
