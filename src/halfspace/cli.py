@@ -97,7 +97,9 @@ def _system_spec(args) -> dict:
         raise HalfspaceError("scalar system needs --A")
     extra = {"lame": {"mu": args.mu, "lambda": args.lam},
              "scalar": {"A": args.A}}.get(args.system, {})
-    return {"kind": args.system, "n": args.n, **extra}
+    if args.n is None and args.system == "scalar":      # n is A's order
+        return {"kind": args.system, **extra}
+    return {"kind": args.system, "n": 2 if args.n is None else args.n, **extra}
 
 
 def _pair(text: str) -> list:
@@ -230,7 +232,7 @@ def cmd_all(args) -> int:
 _FLAGS = {
     "system": dict(default="laplacian",
                    choices=["laplacian", "lame", "scalar"]),
-    "n": dict(type=int, default=2),
+    "n": dict(type=int, help="dimension (default 2, or the order of --A)"),
     "mu": dict(type=_pair, default="1,0"),
     "lambda": dict(dest="lam", type=_pair, default="1,0"),
     "A": dict(type=json.loads,

@@ -62,12 +62,29 @@ _SPEC_KEYS = {"laplacian": (), "lame": ("mu", "lambda"), "scalar": ("A",),
               "raw": ("tensor",)}     # what each kind reads besides n
 
 
+def _spec_n(spec: dict) -> int:
+    """n of a system spec: the order of a scalar spec's A or of a raw
+    tensor's spatial indices (M, M, n, n), which a given "n" must equal;
+    else "n", default 2."""
+    n = int(spec.get("n", 2))
+    key, axis = {"scalar": ("A", 0), "raw": ("tensor", 2)}.get(
+        spec.get("kind"), (None, 0))
+    shape = np.shape(spec[key]) if key in spec else ()
+    if len(shape) <= axis:          # no matrix or tensor: build_system says
+        return n
+    if "n" in spec and n != shape[axis]:
+        raise BadShape("system n = %d but its %s is of order %d"
+                       % (n, key, shape[axis]))
+    return shape[axis]
+
+
 def system_from_spec(spec: dict) -> EllipticSystem:
     spec = dict(spec)
+    n = _spec_n(spec)
     kind = spec.pop("kind", None)
+    spec.pop("n", None)
     if kind not in _SPEC_KEYS:
         raise BadShape("unknown system kind %r" % (kind,))
-    n = int(spec.pop("n", 2))
     missing = [key for key in _SPEC_KEYS[kind] if key not in spec]
     unread = sorted(set(spec) - set(_SPEC_KEYS[kind]))
     if missing or unread:
@@ -89,6 +106,12 @@ def system_from_spec(spec: dict) -> EllipticSystem:
     return build_system("raw", tensor=tensor)
 
 
+def _positive(value, kind) -> bool:
+    """value is a finite positive number of ``kind`` (Real or Integral)."""
+    return isinstance(value, kind) and not isinstance(value, bool) \
+        and 0 < value < np.inf
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -104,12 +127,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key, kind in (("N", Integral), ("seed", Integral), ("h", Real),
-                          ("kappa", Real), ("theta", Real)):
+                          ("kappa", Real), ("theta", Real), ("params", dict),
+                          ("tolerances", dict)):
             value = getattr(self, key)
             if not isinstance(value, kind):
-                raise BadShape("config %s must be %s, not %r" % (
-                    key, "an integer" if kind is Integral else "a real number",
-                    value))
+                raise BadShape("config %s must be %s, not %r" % (key, {
+                    Integral: "an integer", Real: "a real number",
+                    dict: "an object"}[kind], value))
         for key in ("kappa", "theta"):
             if not 0 < getattr(self, key) < np.inf:
                 raise BadShape("config %s must be finite and positive, not %r"
@@ -117,12 +141,23 @@ class ExperimentConfig:
         if self.seed < 0:
             raise BadShape("config seed must be nonnegative, not %r"
                            % (self.seed,))
+        for key, value in self.params.items():
+            if key == "atoms" and not _positive(value, Integral):
+                want = "a positive integer"
+            elif key in ("p_values", "rhos") and not (
+                    isinstance(value, (list, tuple)) and value
+                    and all(_positive(v, Real) for v in value)):
+                want = "a nonempty list of finite positive numbers"
+            else:
+                continue
+            raise BadShape("config params %s must be %s, not %r"
+                           % (key, want, value))
 
     def build(self) -> EllipticSystem:
         return system_from_spec(self.system)
 
     def grid(self, N=None, h=None) -> Grid:
-        return Grid(n=int(self.system.get("n", 2)),
+        return Grid(n=_spec_n(self.system),
                     N=N or self.N, h=h or self.h)
 
     def tol(self, key: str, default: float) -> float:

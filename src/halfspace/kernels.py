@@ -829,7 +829,9 @@ def _synthesize_derivatives(system: EllipticSystem, grid: Grid, heights,
 
 @dataclass
 class PoissonSymbolTable:
-    """Phat = Khat(., 1) tabulated on a uniform frequency grid."""
+    """Phat = Khat(., 1) tabulated on a uniform frequency grid.
+    ``decay_rate`` is the rate a of |Phat(xi')| ~ exp(-a |xi'|): the root
+    margin min Im spec G of the system's solvent table, read, not fitted."""
 
     system: EllipticSystem
     freq_extent: float
@@ -930,17 +932,6 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
     table_values = np.fft.fftshift(spec.reshape(grid.shape + (M, M)),
                                    axes=tuple(range(d)))
 
-    # exponential decay rate of the tabulated symbol over meshgrid radii
-    # (the node norms differ from them in the last bit and would move it)
-    fr = np.sqrt(sum(m * m for m in np.meshgrid(
-        *[(np.arange(N) - N // 2) * (2 * extent / N)] * d,
-        indexing="ij")))
-    mag = np.abs(table_values).max(axis=(-2, -1))
-    band = (fr >= 0.25 * extent) & (fr <= 0.75 * extent) & (mag > 0)
-    decay_rate = -float(np.polyfit(fr[band], np.log(mag[band]), 1)[0])
-    if decay_rate <= 0:
-        raise InsufficientDecay("fitted symbol decay rate is not positive")
-
     y = np.stack([m.ravel() for m in grid.meshes()], axis=1)
     values = _closed_form_kernel(system, y).reshape(grid.shape + (M, M))
     # spatial tail constant sup |P| (1+|x|^2)^(n/2) over the delivered grid
@@ -957,7 +948,8 @@ def build_poisson_kernel(system: EllipticSystem, freq_extent: float | None = Non
             "tail-corrected normalisation residual %.2e exceeds %.1e"
             % (res_corr, normalization_tol))
     return (PoissonSymbolTable(system=system, freq_extent=float(extent),
-                               N=N, values=table_values, decay_rate=decay_rate),
+                               N=N, values=table_values,
+                               decay_rate=_solvents(system).root_margin),
             PoissonKernelGrid(system=system, grid=grid, values=values,
                               tail_constant=tail,
                               normalization_residual=res_corr,

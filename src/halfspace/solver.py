@@ -47,15 +47,9 @@ __all__ = [
 
 
 def worker_count() -> int:
-    """Worker cap from the HSP_THREADS environment variable (default: the
-    CPU count, at most 4).  The package itself no longer reads it; it stays
-    because the benchmark's run header records it."""
-    env = os.environ.get("HSP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """The CPU count, at most 4.  The package runs no threads and reads no
+    environment variable; this stays because the benchmark's run header
+    records it."""
     return min(4, os.cpu_count() or 1)
 
 
@@ -118,11 +112,6 @@ class BoundaryData:
                     raise BadShape("tail exponent exceeds the growth order")
             if tag == "weighted_l1" and tail.exponent >= 1.0:
                 raise BadShape("tail too heavy for the weighted-L1 class")
-        if tag == "slg":
-            theta = float(self.meta.get("theta", 1.0))
-            rad = self.grid.radii()
-            self.meta["slg_value"] = float(
-                (self.magnitude() / (1.0 + rad ** theta)).max())
 
     def _fit_tail_amplitude(self) -> float:
         rad = self.grid.radii()

@@ -140,21 +140,11 @@ def morrey_norm(f: BoundaryData, cubes: DyadicCubeFamily, p: float,
 def norm(f: BoundaryData, space: str, **params) -> float:
     """Grid realisation of a function-space norm.
 
-    space is one of lp, lp_weighted, l1_weight, bmo, vmo_modulus, holder,
-    slg, morrey; parameters follow the space (p, weights, m, cubes, r,
-    theta, lam, seed).
+    space is one of lp, l1_weight, bmo, vmo_modulus, holder, slg, morrey;
+    parameters follow the space (p, m, cubes, r, theta, lam, seed).
     """
     if space == "lp":
         return _lp(f.magnitude(), float(params["p"]), f.grid.cell_volume)
-    if space == "lp_weighted":
-        p = float(params["p"])
-        w = np.asarray(params["weights"], dtype=float)
-        if w.shape != f.grid.shape:
-            raise BadShape("weight samples must match the grid")
-        if np.isinf(p):
-            return float(f.magnitude()[w > 0].max())
-        return float((np.sum(f.magnitude() ** p * w)
-                      * f.grid.cell_volume) ** (1.0 / p))
     if space == "l1_weight":
         return weighted_integrability(f, float(params["m"]))
     if space == "bmo":

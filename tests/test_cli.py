@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from halfspace import BoundaryData, wrap_bound
+from halfspace import BoundaryData, build_system, wrap_bound
 from halfspace.cli import build_parser, main
 from halfspace.containers import load_field, load_kernel
 
@@ -300,9 +300,9 @@ def test_empty_slope_band_is_named(name, band, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entry", [{"N": 64.0}, {"h": "0.1"}, {"kappa": "1"}, {"kappa": 0},
-              {"theta": 0}, {"seed": -1}],
+              {"theta": 0}, {"seed": -1}, {"params": 3}, {"tolerances": []}],
     ids=["N-float", "h-string", "kappa-string", "kappa-zero", "theta-zero",
-         "seed-negative"])
+         "seed-negative", "params-number", "tolerances-list"])
 def test_config_value_of_wrong_type_is_usage_error(entry, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(entry))
@@ -311,6 +311,52 @@ def test_config_value_of_wrong_type_is_usage_error(entry, tmp_path, capsys):
                 "--out", str(out)]) == 2
     assert "config %s must be" % next(iter(entry)) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,params", [
+    ("lp_wellposed", {"p_values": 3}), ("scg_local_max", {"rhos": "abc"}),
+    ("h1_atoms", {"atoms": 0})], ids=["p_values", "rhos", "atoms"])
+def test_config_params_value_is_usage_error(name, params, tmp_path, capsys):
+    """A params value an experiment cannot use is named before it runs."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": params}))
+    out = tmp_path / "o"
+    assert run(["verify", name, "--config", str(cfg), "--N", "64",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "error: BadShape: config params %s must be" % next(iter(params)))
+    assert not out.exists()
+
+
+def test_config_raw_tensor_gives_n(tmp_path):
+    """A raw spec without "n" takes it from its tensor, for the grid too."""
+    tensor = build_system("lame", n=3).coeffs.real.tolist()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"kind": "raw", "tensor": tensor}}))
+    assert run(["verify", "linfty_maximum", "--config", str(cfg), "--N", "32",
+                "--out", str(tmp_path / "o")]) == 0
+
+
+def test_scalar_A_gives_n(tmp_path):
+    """--system scalar takes n from --A unless --n is given."""
+    A = json.dumps(np.eye(3).tolist())
+    out = tmp_path / "s"
+    assert run(["spaces", "--system", "scalar", "--A", A, "--N", "32",
+                "--R", "8", "--out", str(out)]) == 0
+    spec = json.loads((out / "manifest.json").read_text())["config"]["system"]
+    assert "n" not in spec
+    assert run(["spaces", "--system", "scalar", "--A", A, "--n", "2",
+                "--out", str(tmp_path / "n2")]) == 2
+
+
+def test_solve_geometric_levels(tmp_path):
+    """--levels lo:hi:count gives count heights in geometric progression."""
+    out = tmp_path / "g"
+    assert run(["solve", "--levels", "0.5:8:5", "--N", "64", "--R", "16",
+                "--out", str(out)]) == 0
+    field, _ = load_field(out / "field.bin")
+    assert np.allclose(field.heights, [0.5, 1.0, 2.0, 4.0, 8.0], rtol=1e-14)
 
 
 @pytest.mark.parametrize("flags,want", [

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halfspace import (Grid, HalfSpaceField, UnknownExperiment,
+from halfspace import (BadShape, Grid, HalfSpaceField, UnknownExperiment,
                        build_poisson_kernel, build_system, kernels,
                        verify_kernel_properties)
 from halfspace.containers import write_report
@@ -62,6 +62,41 @@ def test_system_from_spec_lame():
                              "n": 2})
     assert sys_.M == 2
     assert sys_.ellipticity_margin > 0.9
+
+
+def _pairs(a):
+    """Complex entries as JSON [re, im] pairs, on a trailing axis."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def test_system_from_spec_scalar_pairs():
+    A = [[1.0, 0.2 + 0.1j], [0.2 - 0.3j, 1.5]]
+    got = system_from_spec({"kind": "scalar", "A": _pairs(A)})
+    assert np.array_equal(got.coeffs, build_system("scalar", A=A).coeffs)
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["real-4d", "pairs-5d"])
+def test_system_from_spec_raw(pairs):
+    lame = build_system("lame", n=3, mu=1.0, lam=0.5)
+    tensor = lame.coeffs.real if not pairs else lame.coeffs * (1 + 0.25j)
+    spec = {"kind": "raw",
+            "tensor": _pairs(tensor) if pairs else tensor.tolist()}
+    assert np.array_equal(system_from_spec(spec).coeffs,
+                          build_system("raw", tensor=tensor).coeffs)
+    assert ExperimentConfig("lp_wellposed", system=spec).grid().n == 3
+
+
+@pytest.mark.parametrize("spec,sizes", [
+    ({"kind": "scalar", "A": np.eye(3).tolist(), "n": 2}, "n = 2 but its A "
+     "is of order 3"),
+    ({"kind": "raw", "tensor": build_system("lame", n=3).coeffs.real.tolist(),
+      "n": 2}, "n = 2 but its tensor is of order 3")], ids=["scalar", "raw"])
+def test_system_n_contradicting_its_tensor(spec, sizes):
+    with pytest.raises(BadShape, match=sizes):
+        system_from_spec(spec)
+    with pytest.raises(BadShape, match=sizes):
+        ExperimentConfig("lp_wellposed", system=spec).grid()
 
 
 def test_reports_deterministic():

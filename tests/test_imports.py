@@ -5,8 +5,8 @@ Every name a package module imports is used in that module.
 as used when it appears as an identifier anywhere in the module (a call,
 an annotation, an attribute root or a base class).  Every module-level
 private name is read somewhere in the package besides its own definition,
-or is named by the benchmark in ``perfbench/``.  The package reads the
-environment in one place only, and runs its Fourier transforms in
+or is named by the benchmark in ``perfbench/``.  The package reads no
+environment variable, and runs its Fourier transforms in
 ``grids.py`` only, with one in-place inverse, so that there is one path
 from spectrum to field.
 A field's magnitudes have one home, ``HalfSpaceField.magnitude``.
@@ -138,9 +138,8 @@ def test_detects_environment_reads():
         ("m", "f", "A"), ("m", "g", "B"), ("m", "g", "C"), ("m", None, None)]
 
 
-def test_environment_read_in_one_place():
-    assert environment_reads(_sources(PACKAGE.glob("*.py"))) == [
-        ("solver", "worker_count", "HSP_THREADS")]
+def test_package_reads_no_environment():
+    assert environment_reads(_sources(PACKAGE.glob("*.py"))) == []
 
 
 TRANSFORM = re.compile(r"i?[rh]?fft[2n]?")

@@ -360,14 +360,6 @@ class TestAdmission:
             BoundaryData(grid=grid, samples=np.ones((1024, 1), complex),
                          space_tag="bounded", tail=TailTag(exponent=0.5))
 
-    def test_slg_value_recorded(self, grid):
-        rad = grid.radii()
-        f = BoundaryData(grid=grid,
-                         samples=((1 + rad) ** 0.5)[:, None].astype(complex),
-                         space_tag="slg", meta={"theta": 0.5},
-                         tail=TailTag(exponent=0.5))
-        assert np.isfinite(f.meta["slg_value"])
-
 
 class TestField:
     def test_magnitude_is_computed_once_and_read_only(self, grid):
@@ -423,30 +415,6 @@ class TestField:
         u = HalfSpaceField(grid=grid, heights=[0.5, 1.0], values=values,
                            gradient=np.ones((2,) + grid.shape + (2, 1), complex))
         assert u.gradient.shape == (2, 1024, 2, 1)
-
-
-class TestThreads:
-    def test_worker_count_env(self, monkeypatch):
-        from halfspace.solver import worker_count
-        monkeypatch.setenv("HSP_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("HSP_THREADS", "junk")
-        assert worker_count() >= 1
-
-    def test_results_independent_of_workers(self, lap2, lame3_complex, grid,
-                                            monkeypatch):
-        rows = [(lap2, gaussian_datum(grid)),
-                (lame3_complex,
-                 smooth_compact(Grid(n=3, N=32, h=0.25), 3, 2, count=1)[0])]
-        for system, f in rows:
-            fields = []
-            for threads in ("1", "4"):
-                monkeypatch.setenv("HSP_THREADS", threads)
-                kernels._PREPARED_CACHE.clear()     # cold symbol cache
-                fields.append(poisson_extend(system, f, np.geomspace(0.1, 4, 12),
-                                             gradient=True))
-            assert np.array_equal(fields[0].values, fields[1].values)
-            assert np.array_equal(fields[0].gradient, fields[1].gradient)
 
 
 def per_height_reference(system, f, heights):
